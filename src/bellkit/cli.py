@@ -1,6 +1,7 @@
 """Command-line pipelines: validate, predict, analyze, search, simulate, report.
 
-Exit codes: 0 success, 1 input error, 2 internal error.
+Exit codes: 0 success, 1 input error, 2 usage error (from argparse) or
+internal error.
 """
 
 from __future__ import annotations
@@ -132,8 +133,7 @@ def _cmd_search(args) -> int:
         etas = [float(section["eta"])]
     else:
         raise ValueError("search requires --eta or a [search] eta/etas entry")
-    tol = float(section.get("bisect_tol", 1e-6))
-    results = [search.maximize_s_star(eta, bisect_tol=tol) for eta in etas]
+    results = [search.maximize_s_star(eta) for eta in etas]
     payload = [r.to_json() for r in results]
     body = payload[0] if len(payload) == 1 else {"results": payload}
     _write_or_print(json.dumps(body, indent=2, sort_keys=True) + "\n", args.output)

@@ -13,17 +13,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .inequalities import InequalityReport, ProbabilitySet, ch_report, fc_report
+from .inequalities import (
+    CANONICAL_ANGLES,
+    InequalityReport,
+    ProbabilitySet,
+    ch_report,
+    chsh_sum,
+    fc_report,
+)
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m/s
 
 SQRT2 = math.sqrt(2.0)
-
-# canonical signed angle differences for the pairs (A,B), (A,D), (C,B), (C,D)
-CANONICAL_ANGLES = (-math.pi / 8, math.pi / 8, math.pi / 8, 3 * math.pi / 8)
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,7 @@ class AngleSet:
 
     def objective(self) -> float:
         """cos(2 phi1) + cos(2 phi2) + cos(2 phi3) - cos(2 phi4)."""
-        return (
-            math.cos(2 * self.phi1)
-            + math.cos(2 * self.phi2)
-            + math.cos(2 * self.phi3)
-            - math.cos(2 * self.phi4)
-        )
+        return chsh_sum(*(math.cos(2 * phi) for phi in self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -182,31 +180,17 @@ def cascade_bi_maximum(zeta: float, both_detectors: bool = False) -> tuple[float
     """Maximum of alpha eta(theta) (1 + sqrt2 V(theta)) over the aperture.
 
     With u = 1 - cos theta the objective is zeta (u (1+sqrt2) - 2 sqrt2 u^3/3)/2,
-    stationary at u* = sqrt((1+sqrt2)/(2 sqrt2)); the bracketed numerical
-    maximization is cross-checked against that closed form.  both_detectors
-    doubles the value (each photon may reach either detector).
+    a cubic in u whose only stationary point in (0, 1] is its maximum,
+    u* = sqrt((1+sqrt2)/(2 sqrt2)); returns that value and theta* = acos(1 - u*).
+    both_detectors doubles the value (each photon may reach either detector).
     """
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta = {zeta} outside (0, 1]")
-
-    def negated(theta: float) -> float:
-        eta, v, alpha = cascade_optics(theta, zeta)
-        return -bi_margin(alpha, eta, v)[0]
-
-    res = minimize_scalar(
-        negated, bounds=(1e-9, math.pi / 2), method="bounded", options={"xatol": 1e-10}
-    )
-    theta_star = float(res.x)
-    max_lhs = -float(res.fun)
     u_star = math.sqrt((1.0 + SQRT2) / (2.0 * SQRT2))
-    closed_form = 0.5 * zeta * (u_star * (1.0 + SQRT2) - (2.0 * SQRT2 / 3.0) * u_star**3)
-    if abs(max_lhs - closed_form) > 1e-8 * max(1.0, closed_form):
-        raise RuntimeError(
-            f"numerical maximum {max_lhs} disagrees with stationary point {closed_form}"
-        )
+    max_lhs = 0.5 * zeta * (u_star * (1.0 + SQRT2) - (2.0 * SQRT2 / 3.0) * u_star**3)
     if both_detectors:
         max_lhs *= 2.0
-    return max_lhs, theta_star
+    return max_lhs, math.acos(1.0 - u_star)
 
 
 class InsufficientCoverageError(ValueError):
@@ -255,8 +239,7 @@ def visibility_estimators(
         idx = min(range(len(phis)), key=lambda i: dist(float(phis[i])))
         return float(es[idx])
 
-    e1, e2, e3, e4 = (nearest(t) for t in CANONICAL_ANGLES)
-    s_star = (e1 - e4) + (e2 + e3)
+    s_star = chsh_sum(*(nearest(t) for t in CANONICAL_ANGLES))
     v_b = s_star / (2.0 * SQRT2)
     return v_fit, v_a, v_b
 
@@ -316,14 +299,6 @@ def prediction_reports(
     ps = predicted_probability_set(eta, v, alpha, angles)
     p_removed = 0.5 * alpha * eta * eta
     return ch_report(ps), fc_report(ps, p_removed, p_removed)
-
-
-def cascade_probability_set(
-    cfg: CascadeConfig, angles: Optional[AngleSet] = None
-) -> ProbabilitySet:
-    """CH probabilities predicted for a cascade experiment at given angles."""
-    eta, v, alpha = cascade_optics(cfg.theta, cfg.zeta)
-    return predicted_probability_set(eta, v, cfg.alpha * alpha, angles)
 
 
 def cascade_inequality_reports(

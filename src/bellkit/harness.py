@@ -20,22 +20,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .inequalities import (
+    CANONICAL_PAIRS,
+    CANONICAL_PHI,
     InequalityReport,
     ProbabilitySet,
     TwoChannelCounts,
     ch_report,
+    chsh_sum,
     renormalized_correlation,
     s_statistic,
     s_star_bound_visibility,
 )
-
-CANONICAL_PAIRS = (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))
-CANONICAL_PHI = {
-    ("A", "B"): -math.pi / 8,
-    ("A", "D"): math.pi / 8,
-    ("C", "B"): math.pi / 8,
-    ("C", "D"): 3 * math.pi / 8,
-}
 
 REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
 OPTIONAL_COLUMNS = ("singles_a", "singles_b", "duration")
@@ -173,6 +168,10 @@ def ingest_counts(path) -> CountDataset:
                 duration = float(record["duration"])
             except ValueError:
                 raise DatasetError(f"line {line_no}: column duration is not a number") from None
+            if not (math.isfinite(duration) and duration > 0):
+                raise DatasetError(
+                    f"line {line_no}: column duration must be finite and positive: {duration}"
+                )
         rows.append(
             CountRow(
                 setting_a=record["setting_a"],
@@ -203,6 +202,10 @@ class AnalysisConfig:
 
     r0: Optional[float] = None
     angles: dict[tuple[str, str], float] = field(default_factory=lambda: dict(CANONICAL_PHI))
+
+    def __post_init__(self):
+        if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ValueError(f"r0 = {self.r0} must be finite and positive")
 
     def to_json(self) -> dict:
         return {
@@ -336,9 +339,7 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
 
     s_abs = None
     if absolute_ok:
-        s_abs = sum(
-            sign * p.e for sign, p in zip((1.0, 1.0, 1.0, -1.0), pair_stats)
-        )
+        s_abs = chsh_sum(*(p.e for p in pair_stats))
         row_ab = ds.row("A", "B")
         if row_ab.singles_a is not None and row_ab.singles_b is not None:
             n0 = cfg.r0 * row_ab.duration
@@ -421,10 +422,6 @@ def emit_report(report: AnalysisReport, format: str, path) -> None:
     text = render_report(report, format)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def parse_report_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def load_config(path) -> dict[str, dict[str, object]]:

@@ -15,6 +15,12 @@ PAIR_TOL = 1e-9
 
 CHSH_BOUND = 2.0
 
+# The four setting pairs of the CHSH and CH tests, in the order every
+# statistic takes them, and their signed polarizer angle differences.
+CANONICAL_PAIRS = (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))
+CANONICAL_ANGLES = (-math.pi / 8, math.pi / 8, math.pi / 8, 3 * math.pi / 8)
+CANONICAL_PHI = dict(zip(CANONICAL_PAIRS, CANONICAL_ANGLES))
+
 
 class NormalizationError(ValueError):
     """Raised when counts declared normalized fail the unit-sum condition."""
@@ -165,6 +171,16 @@ def renormalized_correlation(tc: TwoChannelCounts) -> float:
     return (tc.ppp + tc.pmm - tc.ppm - tc.pmp) / total
 
 
+def chsh_sum(eAB, eAD, eCB, eCD):
+    """E(A,B) + E(A,D) + E(C,B) - E(C,D) over the canonical pairs.
+
+    The +/- terms are paired before the cross sum: this keeps the symmetric
+    maximum S = 2 exactly representable at the boundary.  Works elementwise
+    on numpy arrays as well as on floats.
+    """
+    return (eAB - eCD) + (eAD + eCB)
+
+
 def s_statistic(
     eAB: float, eAD: float, eCB: float, eCD: float, renormalized: bool
 ) -> InequalityReport:
@@ -177,9 +193,7 @@ def s_statistic(
     for name, value in (("eAB", eAB), ("eAD", eAD), ("eCB", eCB), ("eCD", eCD)):
         if not -1.0 - PAIR_TOL <= value <= 1.0 + PAIR_TOL:
             raise ValueError(f"{name} = {value} outside [-1, 1]")
-    # pair the +/- terms before the cross sum: keeps the symmetric maximum
-    # S = 2 exactly representable at the boundary
-    lhs = (eAB - eCD) + (eAD + eCB)
+    lhs = chsh_sum(eAB, eAD, eCB, eCD)
     name = "CHSH-star" if renormalized else "CHSH"
     return _report(name, lhs, CHSH_BOUND, genuine=not renormalized)
 

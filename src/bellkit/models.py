@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .inequalities import ProbabilitySet
 
@@ -322,6 +321,8 @@ def joint_feasibility(
     joint is the witness; on failure the certificate is the most violated
     CH-family facet.
     """
+    from scipy.optimize import linprog
+
     # columns indexed by OUTCOME_TUPLES (a, c, b, d)
     rows = []
     rhs = []

@@ -14,22 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .harness import CountDataset, CountRow
-from .inequalities import TwoChannelCounts, correlation, renormalized_correlation
+from .inequalities import CANONICAL_PAIRS as PAIRS
+from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
 from .models import FactorizableModel, HiddenVariableSpace, ResponseTable
 
 OUTCOMES = ("+", "-", "u")
 
 SIDE1_SETTINGS = ("A", "C")
 SIDE2_SETTINGS = ("B", "D")
-# CHSH pair list with the conventional minus sign on the last pair
-PAIRS = (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))
-PAIR_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 WEIGHT_TOL = 1e-10
 
@@ -223,7 +220,7 @@ class SearchResult:
 
 
 class SearchFailure(RuntimeError):
-    """The LP subproblem failed in a way bisection cannot interpret."""
+    """The LP solver stopped without an optimal solution."""
 
 
 def _lp_arrays(eta: float):
@@ -250,7 +247,7 @@ def _lp_arrays(eta: float):
     value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
     num_rows = []
     den_rows = []
-    for (x, y), _sign in zip(PAIRS, PAIR_SIGNS):
+    for x, y in PAIRS:
         xi = SIDE1_SETTINGS.index(x)
         yi = SIDE2_SETTINGS.index(y)
         num = np.array(
@@ -267,63 +264,45 @@ def _lp_arrays(eta: float):
         a_eq.append(den_rows[0] - den_rows[k])
         b_eq.append(0.0)
 
-    n_total = sum(sign * num for sign, num in zip(PAIR_SIGNS, num_rows))
+    n_total = chsh_sum(*num_rows)
     return s1, s2, np.array(a_eq), np.array(b_eq), n_total, den_rows[0]
 
 
-def _probe(t: float, a_eq, b_eq, n_total, den, den_floor: float = 1e-9):
-    """Feasibility of S* >= t: maximize the shared denominator subject to
-    numerator - t * denominator >= 0.  t is achievable iff the optimum has a
-    strictly positive denominator."""
-    res = linprog(
-        c=-den,
-        A_ub=np.array([t * den - n_total]),
-        b_ub=np.array([0.0]),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * len(den),
-        method="highs",
-    )
-    if res.status == 0 and -res.fun > den_floor:
-        return res.x
-    if res.status in (0, 2):
-        return None
-    raise SearchFailure(f"LP solver status {res.status}: {res.message}")
-
-
-def maximize_s_star(eta: float, bisect_tol: float = 1e-6) -> SearchResult:
+def maximize_s_star(eta: float) -> SearchResult:
     """Largest renormalized CHSH value any local mixture reaches at
     detection efficiency eta on every setting of both sides.
 
-    The sum-of-ratios objective is handled by bisection on the target value
-    with an LP feasibility subproblem at each step; equal per-pair
-    coincidence totals are imposed so the four ratios share one denominator.
+    Equal per-pair coincidence totals are imposed, so the four ratios share
+    one denominator and S* = n.x / d.x is a single linear-fractional
+    objective over the mixture weights x.  The Charnes-Cooper substitution
+    y = tau x with d.y = 1 turns it into one LP in (y, tau) >= 0; the
+    normalization row sum(x) = 1 becomes sum(y) = tau, so tau > 0 and
+    x = y / tau, and the bounds x <= 1 follow from it.
     """
+    from scipy.optimize import linprog
+
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta = {eta} outside (0, 1]")
     s1, s2, a_eq, b_eq, n_total, den = _lp_arrays(eta)
 
-    lo, hi = -4.0, 4.0
-    best_x = _probe(lo, a_eq, b_eq, n_total, den)
-    if best_x is None:
-        raise SearchFailure("efficiency constraints infeasible even at the trivial target")
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        x = _probe(mid, a_eq, b_eq, n_total, den)
-        if x is not None:
-            lo, best_x = mid, x
-        else:
-            hi = mid
+    res = linprog(
+        c=np.append(-n_total, 0.0),
+        A_eq=np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den, 0.0)]),
+        b_eq=np.append(np.zeros(len(b_eq)), 1.0),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise SearchFailure(f"LP solver status {res.status}: {res.message}")
+    best_x = res.x[:-1] / res.x[-1]
 
     w = np.clip(best_x, 0.0, None).reshape(len(s1), len(s2))
     w = w / w.sum()
     mixture = StrategyMixture(s1, s2, w)
     stats = mixture_statistics(mixture)
     pair_counts = {(x, y): stats.two_channel(x, y) for x, y in PAIRS}
-    e_star = [renormalized_correlation(pair_counts[(x, y)]) for x, y in PAIRS]
-    e_abs = [correlation(pair_counts[(x, y)]) for x, y in PAIRS]
-    s_star = (e_star[0] - e_star[3]) + (e_star[1] + e_star[2])
-    genuine_s = (e_abs[0] - e_abs[3]) + (e_abs[1] + e_abs[2])
+    s_star = chsh_sum(*(renormalized_correlation(pair_counts[pair]) for pair in PAIRS))
+    genuine_s = chsh_sum(*(correlation(pair_counts[pair]) for pair in PAIRS))
     return SearchResult(
         eta=eta, s_star_max=s_star, genuine_s=genuine_s, mixture=mixture, pair_counts=pair_counts
     )

@@ -30,6 +30,14 @@ C,B,400,100,100,400
 C,D,100,400,400,100
 """
 
+# singles and a duration on every row; line 3 carries the templated duration
+DURATION_CSV = """setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,duration
+A,B,400,100,100,400,2000,2000,1.0
+A,D,400,100,100,400,2000,2000,{duration}
+C,B,400,100,100,400,2000,2000,1.0
+C,D,100,400,400,100,2000,2000,1.0
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -256,3 +264,16 @@ class TestCli:
     def test_bad_csv_exit_code(self, tmp_path):
         path = write(tmp_path, "bad.csv", "setting_a,setting_b,n_pp\nA,B,1\n")
         assert cli.main(["analyze", str(path)]) == 1
+
+    @pytest.mark.parametrize("r0", ["0", "-1.5", "nan", "inf"])
+    def test_non_positive_r0_exit_code(self, tmp_path, capsys, r0):
+        path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration="1.0"))
+        config = write(tmp_path, "cfg.ini", f"[analysis]\nr0 = {r0}\n")
+        assert cli.main(["analyze", str(path), "--config", str(config)]) == 1
+        assert "r0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["0", "-2.5", "nan", "inf"])
+    def test_non_positive_duration_exit_code(self, tmp_path, capsys, duration):
+        path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration=duration))
+        assert cli.main(["analyze", str(path)]) == 1
+        assert "line 3: column duration" in capsys.readouterr().err

@@ -141,6 +141,16 @@ class TestMaximizeSStar:
         with pytest.raises(ValueError):
             maximize_s_star(0.0)
 
+    @pytest.mark.parametrize("eta", [k / 20 for k in range(2, 21)])
+    def test_matches_larsson_closed_form(self, eta):
+        # Larsson's bound 4/eta_c - 2 at the worst-case conditional
+        # efficiency eta_c = (2 eta - 1)/eta is 2/(2 eta - 1), capped at the
+        # algebraic maximum 4 (reached for every eta <= 3/4)
+        expected = 4.0 if eta <= 0.75 else 2.0 / (2.0 * eta - 1.0)
+        result = maximize_s_star(eta)
+        assert abs(result.s_star_max - expected) <= 1e-9
+        assert result.genuine_s <= 2.0 + 1e-8
+
 
 class TestSampleCounts:
     @staticmethod
