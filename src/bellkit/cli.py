@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ def _write_or_print(text: str, output: str | None) -> None:
 def _cmd_validate(args) -> int:
     model = FactorizableModel.load(args.model)
     report = validate_model(model)
-    _write_or_print(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    _write_or_print(json.dumps(report.to_json(), indent=2, allow_nan=False) + "\n", args.output)
     return 0
 
 
@@ -84,7 +85,7 @@ def _cmd_predict(args) -> int:
         out["pdc"] = _predict_pdc(cfg["pdc"])
     if not out:
         raise ValueError("config declares neither a [cascade] nor a [pdc] section")
-    _write_or_print(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output)
+    _write_or_print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     return 0
 
 
@@ -136,7 +137,7 @@ def _cmd_search(args) -> int:
     results = [search.maximize_s_star(eta) for eta in etas]
     payload = [r.to_json() for r in results]
     body = payload[0] if len(payload) == 1 else {"results": payload}
-    _write_or_print(json.dumps(body, indent=2, sort_keys=True) + "\n", args.output)
+    _write_or_print(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     return 0
 
 
@@ -194,6 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on its first call rather than at import.
+
+    Parsing reads the parser and writes only to the fresh namespace it
+    returns, so one parser serves every call in the process.
+    """
+    return build_parser()
+
+
 INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
@@ -207,8 +218,7 @@ INPUT_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

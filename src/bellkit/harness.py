@@ -62,6 +62,10 @@ class CountRow:
         )
 
 
+def _at_line(row: CountRow, message: str) -> str:
+    return message if row.line is None else f"line {row.line}: {message}"
+
+
 @dataclass(frozen=True)
 class CountDataset:
     rows: tuple[CountRow, ...]
@@ -73,7 +77,7 @@ class CountDataset:
         for row in self.rows:
             key = (row.setting_a, row.setting_b)
             if key in seen:
-                raise DatasetError(f"duplicate setting pair {key}")
+                raise DatasetError(_at_line(row, f"duplicate setting pair {key}"))
             seen.add(key)
 
     def row(self, setting_a: str, setting_b: str) -> CountRow:
@@ -86,7 +90,7 @@ class CountDataset:
         buf = io.StringIO()
         if self.seed is not None:
             buf.write(f"# seed={self.seed}\n")
-        has_singles = any(r.singles_a is not None for r in self.rows)
+        has_singles = any(r.singles_a is not None or r.singles_b is not None for r in self.rows)
         has_duration = any(r.duration is not None for r in self.rows)
         columns = list(REQUIRED_COLUMNS)
         if has_singles:
@@ -124,7 +128,8 @@ def ingest_counts(path) -> CountDataset:
     """Parse a counts CSV, keeping line provenance for every error.
 
     Lines starting with '#' are comments; a '# seed=N' comment records the
-    generator seed of a synthetic dataset.
+    generator seed of a synthetic dataset.  Other lines are CSV records as
+    csv.writer quotes them; surrounding whitespace of a field is dropped.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -132,16 +137,26 @@ def ingest_counts(path) -> CountDataset:
     seed: Optional[int] = None
     header: Optional[list[str]] = None
     rows: list[CountRow] = []
-    for line_no, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    lines = io.StringIO(raw.decode("utf-8"), newline="")
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.startswith("seed="):
-                seed = int(body[len("seed="):])
+                value = body[len("seed="):]
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise DatasetError(
+                        f"line {line_no}: seed {value!r} is not an integer"
+                    ) from None
             continue
-        cells = [c.strip() for c in stripped.split(",")]
+        try:
+            cells = [c.strip() for c in next(csv.reader([stripped], strict=True))]
+        except csv.Error as exc:
+            raise DatasetError(f"line {line_no}: malformed CSV record: {exc}") from None
         if header is None:
             header = cells
             for col in REQUIRED_COLUMNS:
@@ -283,7 +298,7 @@ class AnalysisReport:
 
 
 def _canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
@@ -312,7 +327,9 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         row = ds.row(x, y)
         n = row.total()
         if n == 0:
-            raise DatasetError(f"zero total coincidences for setting pair ({x}, {y})")
+            raise DatasetError(
+                _at_line(row, f"zero total coincidences for setting pair ({x}, {y})")
+            )
         e_star = renormalized_correlation(row.two_channel())
         # first-order multinomial error on a +/-1 outcome mean over n events
         err = math.sqrt(max(0.0, 1.0 - e_star * e_star) / n)
@@ -343,14 +360,23 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         row_ab = ds.row("A", "B")
         if row_ab.singles_a is not None and row_ab.singles_b is not None:
             n0 = cfg.r0 * row_ab.duration
-            ps = ProbabilitySet(
-                pA=row_ab.singles_a / n0,
-                pB=row_ab.singles_b / n0,
-                pAB=ds.row("A", "B").n_pp / (cfg.r0 * ds.row("A", "B").duration),
-                pAD=ds.row("A", "D").n_pp / (cfg.r0 * ds.row("A", "D").duration),
-                pCB=ds.row("C", "B").n_pp / (cfg.r0 * ds.row("C", "B").duration),
-                pCD=ds.row("C", "D").n_pp / (cfg.r0 * ds.row("C", "D").duration),
-            )
+            try:
+                ps = ProbabilitySet(
+                    pA=row_ab.singles_a / n0,
+                    pB=row_ab.singles_b / n0,
+                    pAB=ds.row("A", "B").n_pp / (cfg.r0 * ds.row("A", "B").duration),
+                    pAD=ds.row("A", "D").n_pp / (cfg.r0 * ds.row("A", "D").duration),
+                    pCB=ds.row("C", "B").n_pp / (cfg.r0 * ds.row("C", "B").duration),
+                    pCD=ds.row("C", "D").n_pp / (cfg.r0 * ds.row("C", "D").duration),
+                )
+            except ValueError as exc:
+                raise DatasetError(
+                    _at_line(
+                        row_ab,
+                        f"singles of setting pair (A, B) and the coincidences at r0 = {cfg.r0} "
+                        f"give no valid CH probability set: {exc}",
+                    )
+                ) from None
             verdicts.append(ch_report(ps))
 
     plot_data = tuple(
@@ -397,7 +423,7 @@ def render_report(report: AnalysisReport, format: str) -> str:
         digest = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
         body["digest"] = digest
         body["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if format == "text":
         lines = ["coincidence analysis"]
         for p in report.pairs:

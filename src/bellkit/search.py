@@ -11,6 +11,7 @@ the very same mixture never does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,6 +109,34 @@ def _setting_index(settings: tuple[str, ...], label: str) -> int:
         raise KeyError(f"unknown setting {label!r}") from None
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _Indicators:
+    """Read-only 0/1 vectors over a strategy list at one setting."""
+
+    outcome: tuple[np.ndarray, ...]  # one per entry of OUTCOMES
+    detected: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> tuple[_Indicators, ...]:
+    """Indicators per setting, built once per strategy list: every
+    mixture_statistics call and the search LP read them."""
+    out = []
+    for k in range(len(strategies[0].outcomes)):
+        outcome = tuple(
+            _readonly(np.array([s.outcomes[k] == o for s in strategies], dtype=float))
+            for o in OUTCOMES
+        )
+        detected = _readonly(np.array([s.outcomes[k] != "u" for s in strategies], dtype=float))
+        out.append(_Indicators(outcome, detected))
+    return tuple(out)
+
+
 def mixture_statistics(
     m: StrategyMixture,
     settings1: tuple[str, ...] = SIDE1_SETTINGS,
@@ -117,35 +146,24 @@ def mixture_statistics(
     n2 = len(m.strategies2[0].outcomes)
     if len(settings1) != n1 or len(settings2) != n2:
         raise ValueError("setting labels must match the strategies' setting count")
+    ind1 = _indicators(m.strategies1)
+    ind2 = _indicators(m.strategies2)
     w = m.weights
     tables: dict[tuple[str, str], np.ndarray] = {}
     for xi, x in enumerate(settings1):
-        # indicator of side-1 strategies producing each outcome at setting x
-        m1 = [
-            np.array([s.outcomes[xi] == o for s in m.strategies1], dtype=float)
-            for o in OUTCOMES
-        ]
         for yi, y in enumerate(settings2):
-            m2 = [
-                np.array([s.outcomes[yi] == o for s in m.strategies2], dtype=float)
-                for o in OUTCOMES
-            ]
-            tab = np.array([[float(a @ w @ b) for b in m2] for a in m1])
-            tables[(x, y)] = tab
+            tables[(x, y)] = np.array(
+                [[float(a @ w @ b) for b in ind2[yi].outcome] for a in ind1[xi].outcome]
+            )
     detection: dict[tuple[int, str], float] = {}
     plus: dict[tuple[int, str], float] = {}
-    w1 = w.sum(axis=1)
-    w2 = w.sum(axis=0)
-    for xi, x in enumerate(settings1):
-        det = np.array([s.outcomes[xi] != "u" for s in m.strategies1], dtype=float)
-        plu = np.array([s.outcomes[xi] == "+" for s in m.strategies1], dtype=float)
-        detection[(1, x)] = float(det @ w1)
-        plus[(1, x)] = float(plu @ w1)
-    for yi, y in enumerate(settings2):
-        det = np.array([s.outcomes[yi] != "u" for s in m.strategies2], dtype=float)
-        plu = np.array([s.outcomes[yi] == "+" for s in m.strategies2], dtype=float)
-        detection[(2, y)] = float(det @ w2)
-        plus[(2, y)] = float(plu @ w2)
+    for side, settings, ind, marginal in (
+        (1, settings1, ind1, w.sum(axis=1)),
+        (2, settings2, ind2, w.sum(axis=0)),
+    ):
+        for k, label in enumerate(settings):
+            detection[(side, label)] = float(ind[k].detected @ marginal)
+            plus[(side, label)] = float(ind[k].outcome[0] @ marginal)
     return MixtureStatistics(
         settings1=settings1, settings2=settings2, tables=tables, detection=detection, plus=plus
     )
@@ -223,49 +241,66 @@ class SearchFailure(RuntimeError):
     """The LP solver stopped without an optimal solution."""
 
 
-def _lp_arrays(eta: float):
-    """Equality system and per-pair numerator/denominator coefficient rows."""
+# Rows of the search LP's equality system whose right-hand side is eta:
+# row 0 normalizes the mixture, rows 1-4 fix the four detection rates.
+_ETA_ROWS = slice(1, 5)
+
+
+@dataclass(frozen=True)
+class _SearchLP:
+    """The eta-independent part of the Charnes-Cooper LP in (y, tau).
+
+    a_eq stacks the equality system [A | -b] over the strategy pairs in
+    product order and the denominator row [d | 0]; the tau entries of the
+    _ETA_ROWS hold nan until a solve fills in -eta.
+    """
+
+    strategies1: tuple[DeterministicStrategy, ...]
+    strategies2: tuple[DeterministicStrategy, ...]
+    c: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+
+
+@functools.cache
+def _search_lp() -> _SearchLP:
     s1 = enumerate_local_strategies(2, side=1)
     s2 = enumerate_local_strategies(2, OUTCOMES, side=2)
-    pairs = list(itertools.product(range(len(s1)), range(len(s2))))
-    nvar = len(pairs)
+    ind1, ind2 = _indicators(s1), _indicators(s2)
 
-    def detect(s: DeterministicStrategy, k: int) -> bool:
-        return s.outcomes[k] != "u"
-
-    a_eq = [np.ones(nvar)]
+    a_eq = [np.ones(len(s1) * len(s2))]
     b_eq = [1.0]
     for k in range(2):
-        row = np.array([1.0 if detect(s1[i], k) else 0.0 for i, _ in pairs])
-        a_eq.append(row)
-        b_eq.append(eta)
+        a_eq.append(np.repeat(ind1[k].detected, len(s2)))
+        b_eq.append(math.nan)
     for k in range(2):
-        row = np.array([1.0 if detect(s2[j], k) else 0.0 for _, j in pairs])
-        a_eq.append(row)
-        b_eq.append(eta)
+        a_eq.append(np.tile(ind2[k].detected, len(s1)))
+        b_eq.append(math.nan)
 
-    value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
     num_rows = []
     den_rows = []
     for x, y in PAIRS:
-        xi = SIDE1_SETTINGS.index(x)
-        yi = SIDE2_SETTINGS.index(y)
-        num = np.array(
-            [value.get((s1[i].outcomes[xi], s2[j].outcomes[yi]), 0.0) for i, j in pairs]
-        )
-        den = np.array(
-            [1.0 if detect(s1[i], xi) and detect(s2[j], yi) else 0.0 for i, j in pairs]
-        )
-        num_rows.append(num)
-        den_rows.append(den)
+        a = ind1[SIDE1_SETTINGS.index(x)]
+        b = ind2[SIDE2_SETTINGS.index(y)]
+        (pa, ma, _), (pb, mb, _) = a.outcome, b.outcome
+        # +1 for equal, -1 for opposite outcomes, 0 unless both sides detect
+        num = np.outer(pa, pb) + np.outer(ma, mb) - np.outer(pa, mb) - np.outer(ma, pb)
+        num_rows.append(num.ravel())
+        den_rows.append(np.outer(a.detected, b.detected).ravel())
 
     # equal coincidence totals across the four pairs
     for k in range(1, 4):
         a_eq.append(den_rows[0] - den_rows[k])
         b_eq.append(0.0)
 
-    n_total = chsh_sum(*num_rows)
-    return s1, s2, np.array(a_eq), np.array(b_eq), n_total, den_rows[0]
+    a_eq, b_eq = np.array(a_eq), np.array(b_eq)
+    return _SearchLP(
+        strategies1=s1,
+        strategies2=s2,
+        c=_readonly(np.append(-chsh_sum(*num_rows), 0.0)),
+        a_eq=_readonly(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)])),
+        b_eq=_readonly(np.append(np.zeros(len(b_eq)), 1.0)),
+    )
 
 
 def maximize_s_star(eta: float) -> SearchResult:
@@ -283,22 +318,18 @@ def maximize_s_star(eta: float) -> SearchResult:
 
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta = {eta} outside (0, 1]")
-    s1, s2, a_eq, b_eq, n_total, den = _lp_arrays(eta)
+    lp = _search_lp()
+    a_eq = lp.a_eq.copy()
+    a_eq[_ETA_ROWS, -1] = -eta
 
-    res = linprog(
-        c=np.append(-n_total, 0.0),
-        A_eq=np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den, 0.0)]),
-        b_eq=np.append(np.zeros(len(b_eq)), 1.0),
-        bounds=(0.0, None),
-        method="highs",
-    )
+    res = linprog(c=lp.c, A_eq=a_eq, b_eq=lp.b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise SearchFailure(f"LP solver status {res.status}: {res.message}")
     best_x = res.x[:-1] / res.x[-1]
 
-    w = np.clip(best_x, 0.0, None).reshape(len(s1), len(s2))
+    w = np.clip(best_x, 0.0, None).reshape(len(lp.strategies1), len(lp.strategies2))
     w = w / w.sum()
-    mixture = StrategyMixture(s1, s2, w)
+    mixture = StrategyMixture(lp.strategies1, lp.strategies2, w)
     stats = mixture_statistics(mixture)
     pair_counts = {(x, y): stats.two_channel(x, y) for x, y in PAIRS}
     s_star = chsh_sum(*(renormalized_correlation(pair_counts[pair]) for pair in PAIRS))

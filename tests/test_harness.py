@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bellkit import cli
 from bellkit.experiments import PdcConfig, two_channel_rates
@@ -45,6 +49,13 @@ def write(tmp_path, name, text):
     return path
 
 
+def ingest_bytes(body: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_bytes(body)
+        return ingest_counts(path)
+
+
 def pdc_dataset(v=0.95, n=10**6, seed=123):
     cfg = PdcConfig(v=v, eta=0.1, r0=1.0)
     stats = {
@@ -52,6 +63,40 @@ def pdc_dataset(v=0.95, n=10**6, seed=123):
         for pair, phi in CANONICAL_PHI.items()
     }
     return sample_counts(stats, n, seed=seed)
+
+
+COUNTS = st.integers(min_value=0, max_value=10**12)
+
+# A label may need quoting (commas, quotes).  It has no surrounding
+# whitespace, which the reader drops, and does not start with '#', which
+# would make the row a comment.
+LABELS = st.text(
+    st.sampled_from(',"# ') | st.characters(blacklist_categories=("Cs", "Cc")), max_size=5
+).filter(lambda s: s == s.strip() and not s.startswith("#"))
+
+COUNT_ROWS = st.builds(
+    CountRow,
+    setting_a=LABELS,
+    setting_b=LABELS,
+    n_pp=COUNTS,
+    n_pm=COUNTS,
+    n_mp=COUNTS,
+    n_mm=COUNTS,
+    singles_a=st.none() | COUNTS,
+    singles_b=st.none() | COUNTS,
+    duration=st.none()
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
+)
+
+# CSV-like bodies under a valid header: fields drawn from labels, counts and
+# the malformed values the reader has to reject
+FIELDS = st.sampled_from(
+    ["A", "B", "C", "D", "0", "1", "400", "2000", "-3", "1.5", "1e309", "nan", "inf", "",
+     '"', '"A"', '"A"x', " ", "# seed=abc", "# seed=5", "abc"]
+)
+FUZZED_CSV = st.lists(st.lists(FIELDS, max_size=10).map(",".join), max_size=6).map(
+    lambda lines: (DURATION_CSV.splitlines()[0] + "\n" + "\n".join(lines)).encode("utf-8")
+)
 
 
 class TestIngestCounts:
@@ -85,6 +130,45 @@ class TestIngestCounts:
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetError, match="empty"):
             ingest_counts(write(tmp_path, "empty.csv", ""))
+
+    def test_non_integer_seed_names_line(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"line 1: seed 'abc' is not an integer"):
+            ingest_counts(write(tmp_path, "bad.csv", "# seed=abc\n" + GOOD_CSV))
+
+    def test_quoted_fields_are_unquoted(self, tmp_path):
+        quoted = GOOD_CSV.replace("A,B,400", '"A","B",400')
+        ds = ingest_counts(write(tmp_path, "quoted.csv", quoted))
+        assert ds.row("A", "B").n_pp == 400
+
+    def test_malformed_quoting_names_line(self, tmp_path):
+        bad = GOOD_CSV.replace("C,B,400", '"C"x,B,400')
+        with pytest.raises(DatasetError, match=r"line 4: malformed CSV record"):
+            ingest_counts(write(tmp_path, "bad.csv", bad))
+
+    def test_duplicate_setting_pair_names_line(self, tmp_path):
+        bad = GOOD_CSV.replace("C,D,100,400,400,100", "A,B,1,1,1,1")
+        with pytest.raises(DatasetError, match=r"line 5: duplicate"):
+            ingest_counts(write(tmp_path, "bad.csv", bad))
+
+    @given(
+        rows=st.lists(COUNT_ROWS, max_size=5, unique_by=lambda r: (r.setting_a, r.setting_b)),
+        seed=st.none() | st.integers(),
+    )
+    def test_to_csv_then_ingest_is_identity(self, rows, seed):
+        ds = CountDataset(rows=tuple(rows), seed=seed)
+        back = ingest_bytes(ds.to_csv().encode("utf-8"))
+        assert back.seed == seed
+        assert tuple(dataclasses.replace(r, line=None) for r in back.rows) == ds.rows
+        first = 2 if seed is None else 3
+        assert [r.line for r in back.rows] == list(range(first, first + len(rows)))
+
+    @given(body=st.binary(max_size=300) | FUZZED_CSV)
+    def test_fuzzed_input_raises_only_dataset_or_value_errors(self, body):
+        try:
+            ds = ingest_bytes(body)
+            render_report(run_analysis(ds, AnalysisConfig(r0=1e4)), "json")
+        except ValueError:  # DatasetError is one
+            pass
 
     def test_seed_comment_round_trip(self, tmp_path):
         ds = pdc_dataset(n=100)
@@ -150,6 +234,12 @@ class TestRunAnalysis:
         )
         with pytest.raises(DatasetError, match="zero total"):
             run_analysis(CountDataset(rows=rows), AnalysisConfig())
+
+    def test_zero_coincidences_names_line(self, tmp_path):
+        bad = GOOD_CSV.replace("C,D,100,400,400,100", "C,D,0,0,0,0")
+        ds = ingest_counts(write(tmp_path, "bad.csv", bad))
+        with pytest.raises(DatasetError, match=r"line 5: zero total"):
+            run_analysis(ds, AnalysisConfig())
 
     def test_errors_shrink_like_inverse_sqrt_n(self):
         small = run_analysis(pdc_dataset(n=10**5, seed=1), AnalysisConfig())
@@ -277,3 +367,33 @@ class TestCli:
         path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration=duration))
         assert cli.main(["analyze", str(path)]) == 1
         assert "line 3: column duration" in capsys.readouterr().err
+
+    def test_non_integer_seed_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "counts.csv", "# seed=abc\n" + GOOD_CSV)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert "error: line 1: seed 'abc' is not an integer" in capsys.readouterr().err
+
+    def test_singles_below_coincidences_names_pair_and_line(self, tmp_path, capsys):
+        counts = DURATION_CSV.format(duration="1.0").replace(
+            "A,B,400,100,100,400,2000", "A,B,400,100,100,400,10"
+        )
+        path = write(tmp_path, "counts.csv", counts)
+        config = write(tmp_path, "cfg.ini", "[analysis]\nr0 = 10000\n")
+        assert cli.main(["analyze", str(path), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: singles of setting pair (A, B)")
+        assert "pAB = 0.04 exceeds marginal pA = 0.001" in err
+
+    def test_nan_in_saved_report_is_an_input_error(self, tmp_path, capsys):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        data["s_star"] = float("nan")
+        saved.write_text(json.dumps(data))
+        assert '"s_star": NaN' in saved.read_text()
+        capsys.readouterr()
+        assert cli.main(["report", str(saved), "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from bellkit.inequalities import TwoChannelCounts
 from bellkit.models import validate_model, joint_probability
+from bellkit import search
 from bellkit.search import (
+    OUTCOMES,
     PAIRS,
     DeterministicStrategy,
     StrategyMixture,
@@ -150,6 +153,56 @@ class TestMaximizeSStar:
         result = maximize_s_star(eta)
         assert abs(result.s_star_max - expected) <= 1e-9
         assert result.genuine_s <= 2.0 + 1e-8
+
+
+class TestCachedSearchStructure:
+    def cached_arrays(self):
+        lp = search._search_lp()
+        yield from (lp.c, lp.a_eq, lp.b_eq)
+        for strategies in (lp.strategies1, lp.strategies2):
+            for ind in search._indicators(strategies):
+                yield from (*ind.outcome, ind.detected)
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = list(self.cached_arrays())
+        assert len(arrays) == 3 + 2 * 2 * 4
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.5
+
+    def test_lp_matches_pairwise_construction(self):
+        # reference: each coefficient written out per strategy pair
+        s1 = enumerate_local_strategies(2, side=1)
+        s2 = enumerate_local_strategies(2, OUTCOMES, side=2)
+        pairs = list(itertools.product(s1, s2))
+        value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
+        num, den = [], []
+        for x, y in PAIRS:
+            xi, yi = "AC".index(x), "BD".index(y)
+            num.append([value.get((a.outcomes[xi], b.outcomes[yi]), 0.0) for a, b in pairs])
+            den.append([float("u" not in (a.outcomes[xi], b.outcomes[yi])) for a, b in pairs])
+        num, den = np.array(num), np.array(den)
+        eta = 0.7
+        rows = [[1.0] * len(pairs) + [-1.0]]
+        rows += [[float(a.outcomes[k] != "u") for a, _ in pairs] + [-eta] for k in range(2)]
+        rows += [[float(b.outcomes[k] != "u") for _, b in pairs] + [-eta] for k in range(2)]
+        rows += [list(den[0] - den[k]) + [-0.0] for k in range(1, 4)]
+        rows += [list(den[0]) + [0.0]]
+        c = np.append(-((num[0] - num[3]) + (num[1] + num[2])), 0.0)
+
+        lp = search._search_lp()
+        a_eq = lp.a_eq.copy()
+        a_eq[search._ETA_ROWS, -1] = -eta
+        assert lp.strategies1 == s1 and lp.strategies2 == s2
+        assert a_eq.tobytes() == np.array(rows).tobytes()
+        assert lp.c.tobytes() == c.tobytes()
+        assert lp.b_eq.tolist() == [0.0] * 8 + [1.0]
+
+    def test_repeated_solves_are_identical(self):
+        grid = [k / 20 for k in range(2, 21)]
+        first = [json.dumps(maximize_s_star(eta).to_json()) for eta in grid]
+        again = [json.dumps(maximize_s_star(eta).to_json()) for eta in reversed(grid)]
+        assert first == again[::-1]
 
 
 class TestSampleCounts:
