@@ -57,10 +57,14 @@ def _predict_cascade(section: dict) -> dict:
     }
 
 
-def _predict_pdc(section: dict) -> dict:
-    cfg = experiments.PdcConfig(
+def _pdc_config(section: dict) -> experiments.PdcConfig:
+    return experiments.PdcConfig(
         v=float(section["v"]), eta=float(section["eta"]), r0=float(section.get("r0", 1.0))
     )
+
+
+def _predict_pdc(section: dict) -> dict:
+    cfg = _pdc_config(section)
     angles, _ = experiments.optimal_angles()
     rates = {
         f"phi={phi:+.6f}": experiments.two_channel_rates(cfg, phi) for phi in angles.as_tuple()
@@ -108,11 +112,7 @@ def _cmd_simulate(args) -> int:
     cfg = harness.load_config(args.config)
     if "pdc" not in cfg:
         raise ValueError("simulate requires a [pdc] section")
-    pdc = experiments.PdcConfig(
-        v=float(cfg["pdc"]["v"]),
-        eta=float(cfg["pdc"]["eta"]),
-        r0=float(cfg["pdc"].get("r0", 1.0)),
-    )
+    pdc = _pdc_config(cfg["pdc"])
     n_pairs = int(cfg.get("analysis", {}).get("n_pairs", 10**6))
     stats = {}
     for (x, y), phi in harness.CANONICAL_PHI.items():

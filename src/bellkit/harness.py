@@ -248,6 +248,19 @@ class PairStats:
         }
 
 
+def _reject_non_finite(value, path: str) -> None:
+    """Raise ValueError naming the first NaN or infinite number in a loaded
+    report (json.load accepts them), e.g. at field pairs[2].e_star."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"report field {path} is {value}, not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{k}]")
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     pairs: tuple[PairStats, ...]
@@ -274,6 +287,7 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
+        _reject_non_finite(data, "")
         pairs = tuple(
             PairStats(
                 setting_a=p["settings"][0],
@@ -311,20 +325,20 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     """
     if not ds.rows:
         raise DatasetError("empty dataset")
+    rows = {}
     for x, y in CANONICAL_PAIRS:
         try:
-            ds.row(x, y)
+            rows[(x, y)] = ds.row(x, y)
         except KeyError:
             raise DatasetError(f"dataset lacks canonical setting pair ({x}, {y})") from None
 
     pair_stats = []
     e_star_by_pair = {}
     err_by_pair = {}
-    absolute_ok = cfg.r0 is not None and all(
-        ds.row(x, y).duration is not None for x, y in CANONICAL_PAIRS
-    )
-    for x, y in CANONICAL_PAIRS:
-        row = ds.row(x, y)
+    absolute_ok = cfg.r0 is not None and all(row.duration is not None for row in rows.values())
+    # pairs expected over each row's duration: the absolute normalization
+    n0 = {pair: cfg.r0 * row.duration for pair, row in rows.items()} if absolute_ok else {}
+    for (x, y), row in rows.items():
         n = row.total()
         if n == 0:
             raise DatasetError(
@@ -335,8 +349,7 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         err = math.sqrt(max(0.0, 1.0 - e_star * e_star) / n)
         e_abs = None
         if absolute_ok:
-            n0 = cfg.r0 * row.duration
-            e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0
+            e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0[(x, y)]
         pair_stats.append(
             PairStats(setting_a=x, setting_b=y, n_total=n, e_star=e_star, err=err, e=e_abs)
         )
@@ -357,17 +370,13 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     s_abs = None
     if absolute_ok:
         s_abs = chsh_sum(*(p.e for p in pair_stats))
-        row_ab = ds.row("A", "B")
+        row_ab = rows[("A", "B")]
         if row_ab.singles_a is not None and row_ab.singles_b is not None:
-            n0 = cfg.r0 * row_ab.duration
             try:
                 ps = ProbabilitySet(
-                    pA=row_ab.singles_a / n0,
-                    pB=row_ab.singles_b / n0,
-                    pAB=ds.row("A", "B").n_pp / (cfg.r0 * ds.row("A", "B").duration),
-                    pAD=ds.row("A", "D").n_pp / (cfg.r0 * ds.row("A", "D").duration),
-                    pCB=ds.row("C", "B").n_pp / (cfg.r0 * ds.row("C", "B").duration),
-                    pCD=ds.row("C", "D").n_pp / (cfg.r0 * ds.row("C", "D").duration),
+                    pA=row_ab.singles_a / n0[("A", "B")],
+                    pB=row_ab.singles_b / n0[("A", "B")],
+                    **{f"p{x}{y}": row.n_pp / n0[(x, y)] for (x, y), row in rows.items()},
                 )
             except ValueError as exc:
                 raise DatasetError(

@@ -183,6 +183,15 @@ def joint_probability(model: FactorizableModel, settingA: str, settingB: str) ->
 # lexicographically.
 OUTCOME_TUPLES = tuple(itertools.product((0, 1), repeat=4))
 
+# The point each deterministic outcome gives in ProbabilitySet field order
+# (pA, pB, pAB, pAD, pCB, pCD), one row per entry of OUTCOME_TUPLES: the
+# local polytope is the convex hull of these rows (Fine, PRL 48, 291, 1982).
+OUTCOME_VERTICES = _frozen([(a, b, a * b, a * d, c * b, c * d) for a, c, b, d in OUTCOME_TUPLES])
+
+# Equality system of the feasibility LP over the 16 outcome weights: the
+# weights sum to 1 and reproduce each of the six quantities.
+_FEASIBILITY_A_EQ = _frozen(np.vstack([np.ones(len(OUTCOME_TUPLES)), OUTCOME_VERTICES.T]))
+
 
 @dataclass(frozen=True)
 class FourOutcomeJoint:
@@ -275,8 +284,8 @@ class Infeasible:
     certificate: FacetCertificate
 
 
-# Facets of the projection of the 16-outcome simplex onto the six measurable
-# quantities (pA, pB, pAB, pAD, pCB, pCD).  The CH combination appears with
+# Facets of the hull of OUTCOME_VERTICES, the projection of the 16-outcome
+# simplex onto the six measurable quantities.  The CH combination appears with
 # both its upper and lower bound; the remaining CH relabelings involve the
 # unrecorded marginals p(C), p(D) and survive projection only as the
 # Frechet-style bounds below.  Each entry: (name, coefficients, offset) for
@@ -298,17 +307,19 @@ CH_FAMILY_FACETS: tuple[tuple[str, tuple[float, ...], float], ...] = (
 )
 
 
+def _least_slack_facet(ps: ProbabilitySet) -> FacetCertificate:
+    """The CH-family facet with the least slack at ps, the first on ties."""
+    x = tuple(ps.as_dict().values())
+    lhs = [sum(c * v for c, v in zip(coeff, x)) for _, coeff, _ in CH_FAMILY_FACETS]
+    k = min(range(len(lhs)), key=lambda i: CH_FAMILY_FACETS[i][2] - lhs[i])
+    name, _, offset = CH_FAMILY_FACETS[k]
+    return FacetCertificate(name=name, lhs=lhs[k], rhs=offset)
+
+
 def scan_ch_family(ps: ProbabilitySet, tol: float = DATA_TOL) -> Optional[FacetCertificate]:
     """Return the most violated CH-family facet, or None if all hold."""
-    x = (ps.pA, ps.pB, ps.pAB, ps.pAD, ps.pCB, ps.pCD)
-    worst: Optional[FacetCertificate] = None
-    for name, coeff, offset in CH_FAMILY_FACETS:
-        lhs = sum(c * v for c, v in zip(coeff, x))
-        if lhs > offset + tol:
-            cert = FacetCertificate(name=name, lhs=lhs, rhs=offset)
-            if worst is None or cert.margin < worst.margin:
-                worst = cert
-    return worst
+    cert = _least_slack_facet(ps)
+    return cert if cert.margin < -tol else None
 
 
 def joint_feasibility(
@@ -318,32 +329,16 @@ def joint_feasibility(
 
     Linear-program feasibility over the 16 outcome weights with equality
     constraints for the six given probabilities.  On success the recovered
-    joint is the witness; on failure the certificate is the most violated
-    CH-family facet.
+    joint is the witness; on failure the certificate is the CH-family facet
+    with the least slack at ps.
     """
     from scipy.optimize import linprog
 
-    # columns indexed by OUTCOME_TUPLES (a, c, b, d)
-    rows = []
-    rhs = []
-
-    def add(selector, value):
-        rows.append([1.0 if selector(t) else 0.0 for t in OUTCOME_TUPLES])
-        rhs.append(value)
-
-    add(lambda t: True, 1.0)
-    add(lambda t: t[0] == 1, ps.pA)
-    add(lambda t: t[2] == 1, ps.pB)
-    add(lambda t: t[0] == 1 and t[2] == 1, ps.pAB)
-    add(lambda t: t[0] == 1 and t[3] == 1, ps.pAD)
-    add(lambda t: t[1] == 1 and t[2] == 1, ps.pCB)
-    add(lambda t: t[1] == 1 and t[3] == 1, ps.pCD)
-
     res = linprog(
-        c=np.zeros(16),
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        bounds=[(0.0, 1.0)] * 16,
+        c=np.zeros(len(OUTCOME_TUPLES)),
+        A_eq=_FEASIBILITY_A_EQ,
+        b_eq=(1.0, *ps.as_dict().values()),
+        bounds=(0.0, 1.0),
         method="highs",
     )
     if res.status == 0:
@@ -351,8 +346,4 @@ def joint_feasibility(
         q = q / q.sum()
         witness = FourOutcomeJoint(observables, dict(zip(OUTCOME_TUPLES, map(float, q))))
         return Feasible(witness=witness)
-    cert = scan_ch_family(ps, tol=0.0)
-    if cert is None:
-        # infeasible by LP but no facet flags it: numerically on the boundary
-        cert = FacetCertificate(name="boundary", lhs=0.0, rhs=0.0)
-    return Infeasible(certificate=cert)
+    return Infeasible(certificate=_least_slack_facet(ps))

@@ -65,6 +65,8 @@ class StrategyMixture:
     weights: np.ndarray  # shape (len(strategies1), len(strategies2))
 
     def __post_init__(self):
+        object.__setattr__(self, "strategies1", tuple(self.strategies1))
+        object.__setattr__(self, "strategies2", tuple(self.strategies2))
         w = np.asarray(self.weights, dtype=float)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -91,8 +93,6 @@ class MixtureStatistics:
     detection and plus-outcome marginals are indexed by (side, setting).
     """
 
-    settings1: tuple[str, ...]
-    settings2: tuple[str, ...]
     tables: dict[tuple[str, str], np.ndarray]
     detection: dict[tuple[int, str], float]
     plus: dict[tuple[int, str], float]
@@ -137,36 +137,31 @@ def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> tuple[_Indicat
     return tuple(out)
 
 
-def mixture_statistics(
-    m: StrategyMixture,
-    settings1: tuple[str, ...] = SIDE1_SETTINGS,
-    settings2: tuple[str, ...] = SIDE2_SETTINGS,
-) -> MixtureStatistics:
-    n1 = len(m.strategies1[0].outcomes)
-    n2 = len(m.strategies2[0].outcomes)
-    if len(settings1) != n1 or len(settings2) != n2:
-        raise ValueError("setting labels must match the strategies' setting count")
+def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
+    """Outcome tables and marginals of a mixture of strategies on the
+    settings SIDE1_SETTINGS and SIDE2_SETTINGS."""
+    n_settings = (len(m.strategies1[0].outcomes), len(m.strategies2[0].outcomes))
+    if n_settings != (len(SIDE1_SETTINGS), len(SIDE2_SETTINGS)):
+        raise ValueError(f"strategies have {n_settings} settings per side, not two each")
     ind1 = _indicators(m.strategies1)
     ind2 = _indicators(m.strategies2)
     w = m.weights
     tables: dict[tuple[str, str], np.ndarray] = {}
-    for xi, x in enumerate(settings1):
-        for yi, y in enumerate(settings2):
+    for xi, x in enumerate(SIDE1_SETTINGS):
+        for yi, y in enumerate(SIDE2_SETTINGS):
             tables[(x, y)] = np.array(
                 [[float(a @ w @ b) for b in ind2[yi].outcome] for a in ind1[xi].outcome]
             )
     detection: dict[tuple[int, str], float] = {}
     plus: dict[tuple[int, str], float] = {}
     for side, settings, ind, marginal in (
-        (1, settings1, ind1, w.sum(axis=1)),
-        (2, settings2, ind2, w.sum(axis=0)),
+        (1, SIDE1_SETTINGS, ind1, w.sum(axis=1)),
+        (2, SIDE2_SETTINGS, ind2, w.sum(axis=0)),
     ):
         for k, label in enumerate(settings):
             detection[(side, label)] = float(ind[k].detected @ marginal)
             plus[(side, label)] = float(ind[k].outcome[0] @ marginal)
-    return MixtureStatistics(
-        settings1=settings1, settings2=settings2, tables=tables, detection=detection, plus=plus
-    )
+    return MixtureStatistics(tables=tables, detection=detection, plus=plus)
 
 
 def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_setting: str) -> tuple[float, ...]:
@@ -176,16 +171,10 @@ def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_settin
     is structural, not a numerical accident."""
     xi = _setting_index(SIDE1_SETTINGS, setting)
     _setting_index(SIDE2_SETTINGS, given_side2_setting)  # validate only
-    out = []
-    for o in OUTCOMES:
-        terms = [
-            float(m.weights[i, j])
-            for i, s in enumerate(m.strategies1)
-            if s.outcomes[xi] == o
-            for j in range(len(m.strategies2))
-        ]
-        out.append(math.fsum(terms))
-    return tuple(out)
+    return tuple(
+        math.fsum(m.weights[selected == 1.0].ravel())
+        for selected in _indicators(m.strategies1)[xi].outcome
+    )
 
 
 def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
@@ -196,24 +185,12 @@ def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
     """
     n1, n2 = m.weights.shape
     cells = tuple(f"s{i}x{j}" for i in range(n1) for j in range(n2))
-    weights = m.weights.reshape(-1)
-    t1 = np.array(
-        [
-            [1.0 if m.strategies1[i].outcomes[k] == "+" else 0.0 for k in range(len(SIDE1_SETTINGS))]
-            for i in range(n1)
-            for _ in range(n2)
-        ]
-    )
-    t2 = np.array(
-        [
-            [1.0 if m.strategies2[j].outcomes[k] == "+" else 0.0 for k in range(len(SIDE2_SETTINGS))]
-            for _ in range(n1)
-            for j in range(n2)
-        ]
-    )
-    space = HiddenVariableSpace(cells, weights)
-    r1 = ResponseTable(1, SIDE1_SETTINGS, t1)
-    r2 = ResponseTable(2, SIDE2_SETTINGS, t2)
+    ind1, ind2 = _indicators(m.strategies1), _indicators(m.strategies2)
+    plus1 = np.column_stack([ind1[k].outcome[0] for k in range(len(SIDE1_SETTINGS))])
+    plus2 = np.column_stack([ind2[k].outcome[0] for k in range(len(SIDE2_SETTINGS))])
+    space = HiddenVariableSpace(cells, m.weights.reshape(-1))
+    r1 = ResponseTable(1, SIDE1_SETTINGS, np.repeat(plus1, n2, axis=0))
+    r2 = ResponseTable(2, SIDE2_SETTINGS, np.tile(plus2, (n1, 1)))
     return FactorizableModel(space, r1, r2)
 
 

@@ -397,3 +397,30 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "field, keys, value",
+        [
+            ("s_star", ("s_star",), "nan"),
+            ("pairs[2].e_star", ("pairs", 2, "e_star"), "inf"),
+            ("verdicts[0].lhs", ("verdicts", 0, "lhs"), "-inf"),
+        ],
+    )
+    def test_non_finite_saved_report_names_the_field(
+        self, tmp_path, capsys, fmt, field, keys, value
+    ):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = float(value)
+        saved.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["report", str(saved), "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: report field {field} is {value}, not a finite number\n"

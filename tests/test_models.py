@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from bellkit import models
 from bellkit.inequalities import ProbabilitySet, ch_report
 from bellkit.models import (
+    CH_FAMILY_FACETS,
     FactorizableModel,
     Feasible,
     HiddenVariableSpace,
@@ -178,6 +180,96 @@ class TestJointFeasibility:
         for _ in range(100):
             ps = probability_set_from_model(random_model(rng))
             assert isinstance(joint_feasibility(ps), Feasible)
+
+
+# The 16 deterministic outcomes (a, c, b, d) as points
+# (pA, pB, pAB, pAD, pCB, pCD), written out independently of bellkit.
+VERTICES = np.array(
+    [(a, b, a * b, a * d, c * b, c * d) for a, c, b, d in itertools.product((0, 1), repeat=4)],
+    dtype=float,
+)
+FACET_IDS = [name for name, _, _ in CH_FAMILY_FACETS]
+
+
+def witness_point(witness):
+    return [
+        witness.marginal("A"),
+        witness.marginal("B"),
+        *(witness.pair(x, y) for x, y in (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))),
+    ]
+
+
+class TestLocalPolytope:
+    def test_facets_are_the_hull_of_the_vertices(self):
+        from scipy.spatial import ConvexHull
+
+        distinct = np.unique(VERTICES, axis=0)
+        assert len(distinct) == 12
+        # qhull triangulates: equal unit hyperplanes n.x + d <= 0 repeat
+        hull = {tuple(np.round(eq, 9) + 0.0) for eq in ConvexHull(distinct).equations}
+        listed = set()
+        for _, coeff, offset in CH_FAMILY_FACETS:
+            norm = np.linalg.norm(coeff)
+            listed.add(tuple(np.round(np.append(coeff, -offset) / norm, 9) + 0.0))
+        assert len(listed) == len(CH_FAMILY_FACETS) == 13
+        assert hull == listed
+
+    def test_tables_are_read_only(self):
+        for table in (models.OUTCOME_VERTICES, models._FEASIBILITY_A_EQ):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+
+    def test_lp_matches_per_outcome_construction(self):
+        selectors = (
+            lambda a, c, b, d: 1,
+            lambda a, c, b, d: a,
+            lambda a, c, b, d: b,
+            lambda a, c, b, d: a and b,
+            lambda a, c, b, d: a and d,
+            lambda a, c, b, d: c and b,
+            lambda a, c, b, d: c and d,
+        )
+        rows = [[float(bool(sel(*t))) for t in OUTCOME_TUPLES] for sel in selectors]
+        assert models._FEASIBILITY_A_EQ.tobytes() == np.array(rows).tobytes()
+        assert models.OUTCOME_VERTICES.tobytes() == VERTICES.tobytes()
+
+    @pytest.mark.parametrize("facet", CH_FAMILY_FACETS, ids=FACET_IDS)
+    def test_facet_centroid_is_feasible_and_just_outside_is_not(self, facet):
+        name, coeff, offset = facet
+        on_facet = VERTICES[VERTICES @ np.array(coeff, dtype=float) == offset]
+        centroid = on_facet.mean(axis=0)
+        result = joint_feasibility(ProbabilitySet(*centroid))
+        assert isinstance(result, Feasible)
+        np.testing.assert_allclose(witness_point(result.witness), centroid, rtol=0, atol=1e-9)
+
+        outside = centroid + 1e-6 * np.array(coeff) / np.linalg.norm(coeff)
+        try:
+            ps = ProbabilitySet(*outside)
+        except ValueError:
+            return  # outside the range ProbabilitySet accepts
+        result = joint_feasibility(ps)
+        assert isinstance(result, Infeasible)
+        assert result.certificate.name == name
+        assert result.certificate.lhs > result.certificate.rhs
+
+    def test_every_refusal_on_the_grid_names_a_violated_facet(self):
+        # the first 1000 draws of the point stream of acceptance criterion 6
+        rng = np.random.default_rng(8_2026)
+        grid = np.linspace(0.0, 1.0, 5)
+        refused = 0
+        for _ in range(1000):
+            p_a, p_b = rng.choice(grid, size=2)
+            pairs = rng.choice(grid, size=4) * min(p_a, p_b)
+            try:
+                ps = ProbabilitySet(p_a, p_b, *pairs)
+            except ValueError:
+                continue
+            result = joint_feasibility(ps)
+            if isinstance(result, Infeasible):
+                refused += 1
+                assert result.certificate.name in FACET_IDS
+                assert result.certificate.lhs > result.certificate.rhs
+        assert refused > 0
 
 
 class TestChHoldsForFactorizableModels:

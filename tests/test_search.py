@@ -104,8 +104,56 @@ class TestMixtureStatistics:
         with pytest.raises(ValueError):
             StrategyMixture(s1, s2, np.full((9, 9), 0.5))
 
+    def test_rejects_three_settings_per_side(self):
+        s3 = enumerate_local_strategies(3)
+        mixture = StrategyMixture(s3, s3, np.full((27, 27), 1 / 729))
+        with pytest.raises(ValueError, match="two each"):
+            mixture_statistics(mixture)
+
+    def test_strategy_lists_are_accepted(self):
+        mixture = uniform_mixture()
+        from_lists = StrategyMixture(
+            list(mixture.strategies1), list(mixture.strategies2), mixture.weights
+        )
+        got, expected = mixture_statistics(from_lists), mixture_statistics(mixture)
+        assert got.detection == expected.detection and got.plus == expected.plus
+        assert all((got.tables[k] == t).all() for k, t in expected.tables.items())
+
+    def test_marginals_match_per_strategy_sum(self):
+        # reference: every weight of a strategy pair whose side-1 strategy
+        # gives outcome o, summed exactly
+        rng = np.random.default_rng(13)
+        s1 = enumerate_local_strategies(2, side=1)
+        s2 = enumerate_local_strategies(2, side=2)
+        for alpha in (0.05, 1.0, 5.0):
+            mixture = StrategyMixture(s1, s2, rng.dirichlet(np.full(81, alpha)).reshape(9, 9))
+            for xi, x in enumerate("AC"):
+                expected = tuple(
+                    math.fsum(
+                        float(mixture.weights[i, j])
+                        for i, a in enumerate(s1)
+                        if a.outcomes[xi] == o
+                        for j in range(len(s2))
+                    )
+                    for o in OUTCOMES
+                )
+                for y in "BD":
+                    assert side1_outcome_marginals(mixture, x, y) == expected
+
 
 class TestMixtureToModel:
+    def test_tables_match_per_cell_construction(self):
+        rng = np.random.default_rng(5)
+        s1 = enumerate_local_strategies(2, side=1)
+        s2 = enumerate_local_strategies(2, side=2)
+        mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
+        model = mixture_to_model(mixture)
+        plus = lambda s: [float(o == "+") for o in s.outcomes]
+        cells = list(itertools.product(s1, s2))
+        assert model.response1.values.tobytes() == np.array([plus(a) for a, _ in cells]).tobytes()
+        assert model.response2.values.tobytes() == np.array([plus(b) for _, b in cells]).tobytes()
+        assert model.space.weights.tobytes() == mixture.weights.tobytes()
+
     def test_conversion_is_valid_and_consistent(self):
         rng = np.random.default_rng(3)
         s1 = enumerate_local_strategies(2, side=1)
