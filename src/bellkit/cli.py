@@ -15,8 +15,33 @@ import sys
 import traceback
 
 from . import experiments, harness, search
-from .inequalities import s_star_bound_visibility
 from .models import FactorizableModel, validate_model
+
+_REQUIRED = object()
+_KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
+
+
+def _setting(cfg: dict, section: str, key: str, kind=float, default=_REQUIRED):
+    """The value of [section] key in a loaded config, converted by kind.
+
+    kind float takes a finite number, int what int() takes (so neither 2.7
+    nor 1e6), and list a comma-separated list of finite numbers.  A missing
+    key gives default; without one, and for a malformed value, ValueError
+    names [section] key.
+    """
+    text = cfg.get(section, {}).get(key)
+    if text is None:
+        if default is _REQUIRED:
+            raise ValueError(f"[{section}] {key} is missing")
+        return default
+    items = text.split(",") if kind is list else [text]
+    try:
+        values = [int(item) if kind is int else float(item) for item in items]
+    except ValueError:
+        values = None
+    if values is None or (kind is not int and not all(map(math.isfinite, values))):
+        raise ValueError(f"[{section}] {key} = {text!r} is not {_KIND_NAMES[kind]}")
+    return values if kind is list else values[0]
 
 
 def _write_or_print(text: str, output: str | None) -> None:
@@ -34,22 +59,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _predict_cascade(section: dict) -> dict:
-    cfg = experiments.CascadeConfig(
-        theta=float(section["theta"]),
-        zeta=float(section["zeta"]),
-        r0=float(section.get("r0", 1.0)),
-        alpha=float(section.get("alpha", 1.0)),
+def _predict_cascade(cfg: dict) -> dict:
+    cascade = experiments.CascadeConfig(
+        theta=_setting(cfg, "cascade", "theta"),
+        zeta=_setting(cfg, "cascade", "zeta"),
+        r0=_setting(cfg, "cascade", "r0", default=1.0),
+        alpha=_setting(cfg, "cascade", "alpha", default=1.0),
     )
-    eta, v, alpha = experiments.cascade_optics(cfg.theta, cfg.zeta)
-    lhs, fulfilled = experiments.bi_margin(alpha * cfg.alpha, eta, v)
-    max_lhs, theta_star = experiments.cascade_bi_maximum(cfg.zeta)
-    max_lhs_both, _ = experiments.cascade_bi_maximum(cfg.zeta, both_detectors=True)
-    ch, fc = experiments.cascade_inequality_reports(cfg)
+    eta, v, alpha = experiments.cascade_optics(cascade.theta, cascade.zeta)
+    lhs, fulfilled = experiments.bi_margin(alpha * cascade.alpha, eta, v)
+    max_lhs, theta_star = experiments.cascade_bi_maximum(cascade.zeta)
+    max_lhs_both, _ = experiments.cascade_bi_maximum(cascade.zeta, both_detectors=True)
+    ch, fc = experiments.cascade_inequality_reports(cascade)
     return {
         "eta": eta,
         "v": v,
-        "alpha": alpha * cfg.alpha,
+        "alpha": alpha * cascade.alpha,
         "bell_condition_lhs": lhs,
         "bell_condition_fulfilled": fulfilled,
         "aperture_maximum": {"lhs": max_lhs, "theta": theta_star, "both_detectors": max_lhs_both},
@@ -57,24 +82,26 @@ def _predict_cascade(section: dict) -> dict:
     }
 
 
-def _pdc_config(section: dict) -> experiments.PdcConfig:
+def _pdc_config(cfg: dict) -> experiments.PdcConfig:
     return experiments.PdcConfig(
-        v=float(section["v"]), eta=float(section["eta"]), r0=float(section.get("r0", 1.0))
+        v=_setting(cfg, "pdc", "v"),
+        eta=_setting(cfg, "pdc", "eta"),
+        r0=_setting(cfg, "pdc", "r0", default=1.0),
     )
 
 
-def _predict_pdc(section: dict) -> dict:
-    cfg = _pdc_config(section)
+def _predict_pdc(cfg: dict) -> dict:
+    pdc = _pdc_config(cfg)
     angles, _ = experiments.optimal_angles()
     rates = {
-        f"phi={phi:+.6f}": experiments.two_channel_rates(cfg, phi) for phi in angles.as_tuple()
+        f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in angles.as_tuple()
     }
     out = {
-        "expected_s_star": 2.0 * math.sqrt(2.0) * cfg.v,
+        "expected_s_star": 2.0 * math.sqrt(2.0) * pdc.v,
         "rates_at_canonical_angles": rates,
     }
     try:
-        out["min_efficiency_for_violation"] = experiments.bi1_min_efficiency(cfg.v)
+        out["min_efficiency_for_violation"] = experiments.bi1_min_efficiency(pdc.v)
     except experiments.NoViolationPossibleError:
         out["min_efficiency_for_violation"] = None
     return out
@@ -84,25 +111,20 @@ def _cmd_predict(args) -> int:
     cfg = harness.load_config(args.config)
     out: dict = {}
     if "cascade" in cfg:
-        out["cascade"] = _predict_cascade(cfg["cascade"])
+        out["cascade"] = _predict_cascade(cfg)
     if "pdc" in cfg:
-        out["pdc"] = _predict_pdc(cfg["pdc"])
+        out["pdc"] = _predict_pdc(cfg)
     if not out:
         raise ValueError("config declares neither a [cascade] nor a [pdc] section")
     _write_or_print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
     return 0
 
 
-def _analysis_config(cfg: dict) -> harness.AnalysisConfig:
-    section = cfg.get("analysis", {})
-    r0 = section.get("r0")
-    return harness.AnalysisConfig(r0=float(r0) if r0 is not None else None)
-
-
 def _cmd_analyze(args) -> int:
     ds = harness.ingest_counts(args.counts)
-    cfg = _analysis_config(harness.load_config(args.config) if args.config else {})
-    report = harness.run_analysis(ds, cfg)
+    cfg = harness.load_config(args.config) if args.config else {}
+    r0 = _setting(cfg, "analysis", "r0", default=None)
+    report = harness.run_analysis(ds, harness.AnalysisConfig(r0=r0))
     text = harness.render_report(report, args.format)
     _write_or_print(text, args.output)
     return 0
@@ -112,8 +134,8 @@ def _cmd_simulate(args) -> int:
     cfg = harness.load_config(args.config)
     if "pdc" not in cfg:
         raise ValueError("simulate requires a [pdc] section")
-    pdc = _pdc_config(cfg["pdc"])
-    n_pairs = int(cfg.get("analysis", {}).get("n_pairs", 10**6))
+    pdc = _pdc_config(cfg)
+    n_pairs = _setting(cfg, "analysis", "n_pairs", kind=int, default=10**6)
     stats = {}
     for (x, y), phi in harness.CANONICAL_PHI.items():
         rpp, rpm, rmp, rmm = experiments.two_channel_rates(pdc, phi)
@@ -129,9 +151,9 @@ def _cmd_search(args) -> int:
     if args.eta is not None:
         etas = [args.eta]
     elif "etas" in section:
-        etas = [float(x) for x in str(section["etas"]).split(",")]
+        etas = _setting(cfg, "search", "etas", kind=list)
     elif "eta" in section:
-        etas = [float(section["eta"])]
+        etas = [_setting(cfg, "search", "eta")]
     else:
         raise ValueError("search requires --eta or a [search] eta/etas entry")
     results = [search.maximize_s_star(eta) for eta in etas]
@@ -205,16 +227,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    KeyError,
-    ValueError,
-    json.JSONDecodeError,
-    configparser.Error,
-    harness.DatasetError,
-)
+# Errors that mean bad input (exit 1): OSError for files that cannot be
+# read or written, ValueError for malformed data or values, DatasetError and
+# JSONDecodeError included.
+INPUT_ERRORS = (OSError, ValueError, configparser.Error)
 
 
 def main(argv=None) -> int:

@@ -43,8 +43,8 @@ class CascadeConfig:
             raise ValueError(f"theta = {self.theta} outside (0, pi/2]")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta = {self.zeta} outside [0, 1]")
-        if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ValueError(f"r0 = {self.r0} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class PdcConfig:
             raise ValueError(f"v = {self.v} outside [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta = {self.eta} outside [0, 1]")
-        if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ValueError(f"r0 = {self.r0} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,12 @@ from typing import Optional
 from .inequalities import (
     CANONICAL_PAIRS,
     CANONICAL_PHI,
+    VERDICT_SCHEMA,
     InequalityReport,
     ProbabilitySet,
     TwoChannelCounts,
     ch_report,
+    check_json,
     chsh_sum,
     renormalized_correlation,
     s_statistic,
@@ -261,6 +263,21 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{k}]")
 
 
+# The fields of a saved report, in the check_json schema form.
+REPORT_SCHEMA = {
+    "pairs": [
+        {"settings": [str, str], "n": int, "e": (float, None), "e_star": float, "err": float}
+    ],
+    "s": (float, None),
+    "s_star": float,
+    "s_err": float,
+    "v_b": float,
+    "verdicts": [VERDICT_SCHEMA],
+    "plot_data": [{"phi": (float, None), "e_star": float, "err": float}],
+    "provenance": dict,
+}
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     pairs: tuple[PairStats, ...]
@@ -288,6 +305,7 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
         _reject_non_finite(data, "")
+        check_json(data, REPORT_SCHEMA, "")
         pairs = tuple(
             PairStats(
                 setting_a=p["settings"][0],
@@ -459,25 +477,13 @@ def emit_report(report: AnalysisReport, format: str, path) -> None:
         fh.write(text)
 
 
-def load_config(path) -> dict[str, dict[str, object]]:
+def load_config(path) -> dict[str, dict[str, str]]:
     """Read the [section] key = value configuration file.
 
-    Values are coerced to int or float when they parse as numbers.
+    Values stay the strings the file holds; each reader converts the keys
+    it uses.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    out: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
-        values: dict[str, object] = {}
-        for key, raw in parser.items(section):
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                try:
-                    values[key] = float(raw)
-                except ValueError:
-                    values[key] = raw
-        out[section] = values
-    return out
+    return {section: dict(parser.items(section)) for section in parser.sections()}

@@ -3,12 +3,15 @@
 Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).
+correlations).  check_json, the field-by-field type check of a loaded JSON
+file, lives here as the lowest layer every saved-file reader imports.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 PAIR_TOL = 1e-9
@@ -126,14 +129,71 @@ class InequalityReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "InequalityReport":
-        return cls(
-            name=data["name"],
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            margin=data["margin"],
-            violated=data["violated"],
-            genuine=data["genuine"],
-        )
+        check_json(data, VERDICT_SCHEMA, "")
+        return cls(**{key: data[key] for key in VERDICT_SCHEMA})
+
+
+# The fields of a saved verdict, in the check_json schema form.
+VERDICT_SCHEMA = {
+    "name": str,
+    "lhs": float,
+    "rhs": float,
+    "margin": float,
+    "violated": bool,
+    "genuine": bool,
+}
+
+_JSON_TYPE_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    bool: "true or false",
+    list: "a list",
+    dict: "an object",
+    None: "null",
+}
+
+
+def _has_json_type(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def check_json(value, schema, path: str) -> None:
+    """Raise ValueError naming the first field of a loaded JSON document
+    whose type or shape differs from schema, as in pairs[2].e_star or
+    side1.table[1]; path is the name of value itself, "" at the top level.
+
+    A schema is a type (float for a finite number, int, str, bool, list or
+    dict; a bool is never a number), a tuple of alternatives with None for
+    null, a dict of required fields (others are allowed), a one-item list
+    [item] for a list of such items, or a longer list for a list of exactly
+    those items.
+    """
+    if isinstance(schema, dict):
+        check_json(value, dict, path)
+        for key, item in schema.items():
+            name = f"{path}.{key}" if path else key
+            if key not in value:
+                raise ValueError(f"field {name} is missing")
+            check_json(value[key], item, name)
+    elif isinstance(schema, list):
+        check_json(value, list, path)
+        if len(schema) > 1 and len(value) != len(schema):
+            raise ValueError(f"field {path} must hold {len(schema)} items, found {len(value)}")
+        for k, item in enumerate(value):
+            check_json(item, schema[0] if len(schema) == 1 else schema[k], f"{path}[{k}]")
+    else:
+        kinds = schema if isinstance(schema, tuple) else (schema,)
+        if not any(_has_json_type(value, kind) for kind in kinds):
+            expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
+            where = f"field {path}" if path else "top-level value"
+            raise ValueError(f"{where} must be {expected}, found {json.dumps(value)[:40]}")
 
 
 def _report(name: str, lhs: float, rhs: float, genuine: bool) -> InequalityReport:

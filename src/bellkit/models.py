@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .inequalities import ProbabilitySet
+from .inequalities import ProbabilitySet, check_json
 
 MODEL_TOL = 1e-12
 DATA_TOL = 1e-9
@@ -74,6 +74,11 @@ class ResponseTable:
         return self.values[:, j]
 
 
+# The fields of a saved model, in the check_json schema form.
+_SIDE_SCHEMA = {"settings": [str], "table": [[float]]}
+MODEL_SCHEMA = {"cells": [str], "weights": [float], "side1": _SIDE_SCHEMA, "side2": _SIDE_SCHEMA}
+
+
 @dataclass(frozen=True)
 class FactorizableModel:
     space: HiddenVariableSpace
@@ -106,6 +111,15 @@ class FactorizableModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FactorizableModel":
+        check_json(data, MODEL_SCHEMA, "")
+        for side in ("side1", "side2"):
+            n_settings = len(data[side]["settings"])
+            for k, row in enumerate(data[side]["table"]):
+                if len(row) != n_settings:
+                    raise ValueError(
+                        f"field {side}.table[{k}] holds {len(row)} entries, "
+                        f"not one per setting ({n_settings})"
+                    )
         space = HiddenVariableSpace(tuple(data["cells"]), np.array(data["weights"]))
         r1 = ResponseTable(1, tuple(data["side1"]["settings"]), np.array(data["side1"]["table"]))
         r2 = ResponseTable(2, tuple(data["side2"]["settings"]), np.array(data["side2"]["table"]))

@@ -68,14 +68,17 @@ class StrategyMixture:
         object.__setattr__(self, "strategies1", tuple(self.strategies1))
         object.__setattr__(self, "strategies2", tuple(self.strategies2))
         w = np.asarray(self.weights, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
         if w.shape != (len(self.strategies1), len(self.strategies2)):
             raise ValueError("weights shape must match the strategy lists")
         if w.min() < -WEIGHT_TOL:
             raise ValueError("negative mixture weight")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {w.sum()}, not 1")
+        # rounding residue in [-WEIGHT_TOL, 0) becomes 0, so that every
+        # outcome table of the mixture is a valid TwoChannelCounts
+        w = np.where(w < 0.0, 0.0, w)
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     def to_json(self) -> dict:
         return {
@@ -293,8 +296,10 @@ def maximize_s_star(eta: float) -> SearchResult:
     """
     from scipy.optimize import linprog
 
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
+    # HiGHS drops matrix entries of magnitude 1e-9 or less, and with them
+    # the -eta entries of the detection rows: the LP would read infeasible
+    if not 1e-9 < eta <= 1.0:
+        raise ValueError(f"eta = {eta} outside (1e-9, 1]")
     lp = _search_lp()
     a_eq = lp.a_eq.copy()
     a_eq[_ETA_ROWS, -1] = -eta
@@ -325,8 +330,9 @@ def sample_counts(
     pairs are drawn in sorted label order so a given seed always yields the
     same dataset.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    # numpy draws up to a 64-bit count per call
+    if not 1 <= n_pairs < 2**63:
+        raise ValueError(f"n_pairs = {n_pairs} outside [1, 2**63)")
     rng = np.random.default_rng(seed)
     rows = []
     for (x, y) in sorted(statistics):

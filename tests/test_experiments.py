@@ -186,6 +186,15 @@ class TestCascadeBiMaximum:
                 assert cascade_bi_maximum(zeta, both)[0] < 2.0
 
 
+class TestSourceConfigs:
+    @pytest.mark.parametrize("r0", [0.0, -1.0, math.nan, math.inf])
+    def test_r0_must_be_finite_and_positive(self, r0):
+        with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):
+            PdcConfig(v=0.9, eta=0.1, r0=r0)
+        with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):
+            CascadeConfig(theta=0.5, zeta=0.2, r0=r0)
+
+
 class TestCascadeReports:
     def test_genuine_and_auxiliary_verdicts_from_one_config(self):
         cfg = CascadeConfig(theta=math.pi / 3, zeta=0.2, r0=1e6)

@@ -278,6 +278,9 @@ class TestEmitReport:
         assert strip(a) == strip(b)
 
 
+PDC = "[pdc]\nv = 0.9\neta = 0.1\n"
+SIMULATE = ["simulate", "--seed", "1"]
+
 CONFIG_TEXT = """
 [pdc]
 v = 0.95
@@ -294,10 +297,10 @@ eta = 0.8
 
 class TestLoadConfig:
     def test_sections_and_types(self, tmp_path):
+        # values stay strings: the CLI converts each key where it reads it
         cfg = load_config(write(tmp_path, "cfg.ini", CONFIG_TEXT))
-        assert cfg["pdc"]["v"] == 0.95
-        assert cfg["analysis"]["n_pairs"] == 20000
-        assert isinstance(cfg["analysis"]["n_pairs"], int)
+        assert cfg["pdc"]["v"] == "0.95"
+        assert cfg["analysis"]["n_pairs"] == "20000"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -424,3 +427,110 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: report field {field} is {value}, not a finite number\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("pairs", 5, "field pairs must be a list, found 5"),
+            ("verdicts", [1], "field verdicts[0] must be an object, found 1"),
+            ("plot_data", None, "field plot_data must be a list, found null"),
+            ("s_star", "2.5", 'field s_star must be a finite number, found "2.5"'),
+            ("s", True, "field s must be a finite number or null, found true"),
+            ("provenance", [], "field provenance must be an object, found []"),
+        ],
+    )
+    def test_mistyped_saved_report_names_the_field(
+        self, tmp_path, capsys, fmt, key, value, message
+    ):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        data[key] = value
+        saved.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["report", str(saved), "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("s_err"), "field s_err is missing"),
+            (lambda d: d["pairs"][1].pop("settings"), "field pairs[1].settings is missing"),
+            (
+                lambda d: d["pairs"][0].update(settings=["A"]),
+                "field pairs[0].settings must hold 2 items, found 1",
+            ),
+            (
+                lambda d: d["pairs"][3].update(n=2.5),
+                "field pairs[3].n must be an integer, found 2.5",
+            ),
+            (
+                lambda d: d["verdicts"][0].update(violated="no"),
+                'field verdicts[0].violated must be true or false, found "no"',
+            ),
+            (
+                lambda d: d["plot_data"][2].update(phi="pi/8"),
+                'field plot_data[2].phi must be a finite number or null, found "pi/8"',
+            ),
+            (
+                lambda d: d.update(v_b=10**400),
+                "field v_b must be a finite number, found 1000000000",
+            ),
+        ],
+        ids=["missing", "nested-missing", "short-list", "float-count", "string-bool",
+             "string-angle", "huge-int"],
+    )
+    def test_saved_report_shape_is_checked_field_by_field(self, edit, message):
+        report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
+        data = json.loads(render_report(report, "json"))
+        edit(data)
+        with pytest.raises(ValueError) as exc:
+            AnalysisReport.from_json(data)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            (PDC + "[analysis]\nn_pairs = 2.7\n", SIMULATE,
+             "[analysis] n_pairs = '2.7' is not an integer"),
+            (PDC + "[analysis]\nn_pairs = abc\n", SIMULATE,
+             "[analysis] n_pairs = 'abc' is not an integer"),
+            (PDC + "[analysis]\nn_pairs = 1e6\n", SIMULATE,
+             "[analysis] n_pairs = '1e6' is not an integer"),
+            (PDC + "[analysis]\nn_pairs = 99999999999999999999\n", SIMULATE,
+             "n_pairs = 99999999999999999999 outside [1, 2**63)"),
+            (PDC + "r0 = nan\n", ["predict"], "[pdc] r0 = 'nan' is not a finite number"),
+            ("[pdc]\nv = 0.9\nr0 = 2\n", ["predict"], "[pdc] eta is missing"),
+            ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = inf\n", ["predict"],
+             "[cascade] alpha = 'inf' is not a finite number"),
+            ("[search]\netas = 0.8, abc\n", ["search"],
+             "[search] etas = '0.8, abc' is not a list of finite numbers"),
+            ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
+        ],
+        ids=[
+            "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
+            "pdc-eta-missing", "cascade-alpha-inf", "etas-abc", "eta-decimal-comma",
+        ],
+    )
+    def test_malformed_config_value_names_section_and_key(
+        self, tmp_path, capsys, config, argv, message
+    ):
+        path = write(tmp_path, "cfg.ini", config)
+        out = str(tmp_path / "out")
+        assert cli.main([*argv, "--config", str(path), "--output", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("sub", ["simulate", "analyze", "predict", "search"])
+    def test_output_below_a_file_is_an_input_error(self, tmp_path, capsys, config, sub):
+        counts = str(write(tmp_path, "counts.csv", GOOD_CSV))
+        argv = {
+            "simulate": ["--config", config, "--seed", "1"],
+            "analyze": [counts],
+            "predict": ["--config", config],
+            "search": ["--eta", "0.8"],
+        }[sub]
+        assert cli.main([sub, *argv, "--output", f"{counts}/x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.json" in err

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -287,3 +288,36 @@ class TestSerialization:
         np.testing.assert_allclose(restored.space.weights, model.space.weights)
         np.testing.assert_allclose(restored.response1.values, model.response1.values)
         np.testing.assert_allclose(restored.response2.values, model.response2.values)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [1, 2], "top-level value must be an object, found [1, 2]"),
+            (
+                lambda d: {**d, "weights": [str(w) for w in d["weights"]]},
+                "field weights[0] must be a finite number, found \"",
+            ),
+            (lambda d: {k: v for k, v in d.items() if k != "side2"}, "field side2 is missing"),
+            (
+                lambda d: {**d, "side1": {**d["side1"], "table": [[0.5, 0.5], [0.5]]}},
+                "field side1.table[1] holds 1 entries, not one per setting (2)",
+            ),
+            (
+                lambda d: {**d, "side2": {**d["side2"], "settings": "BD"}},
+                'field side2.settings must be a list, found "BD"',
+            ),
+            (lambda d: {**d, "weights": [math.nan, 1.0]}, "field weights[0] must be a finite"),
+        ],
+        ids=["list", "string-weights", "no-side2", "ragged-table", "string-settings", "nan"],
+    )
+    def test_malformed_model_names_the_field(self, tmp_path, capsys, edit, message):
+        from bellkit import cli
+
+        model = uniform_model(n_cells=2).to_json()
+        with pytest.raises(ValueError) as exc:
+            FactorizableModel.from_json(edit(model))
+        assert str(exc.value).startswith(message)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(model)))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -104,6 +104,24 @@ class TestMixtureStatistics:
         with pytest.raises(ValueError):
             StrategyMixture(s1, s2, np.full((9, 9), 0.5))
 
+    def test_rounding_residue_weight_is_clipped_to_zero(self):
+        # a weight of -8e-17 is what rounding leaves on the boundary of a
+        # closed-form mixture; alone on (++, ++) it would make every
+        # coincidence table entry p++ negative
+        s1 = enumerate_local_strategies(2, side=1)
+        s2 = enumerate_local_strategies(2, side=2)
+        assert s1[0].outcomes == s2[0].outcomes == ("+", "+")
+        assert s1[4].outcomes == s2[4].outcomes == ("-", "-")
+        w = np.zeros((9, 9))
+        w[0, 0], w[4, 4] = -8e-17, 1.0
+        mixture = StrategyMixture(s1, s2, w)
+        assert mixture.weights.min() == 0.0 and not mixture.weights.flags.writeable
+        stats = mixture_statistics(mixture)
+        for x, y in PAIRS:
+            assert stats.two_channel(x, y).ppp == 0.0
+        with pytest.raises(ValueError, match="negative mixture weight"):
+            StrategyMixture(s1, s2, np.where(w < 0, -2e-10, w))
+
     def test_rejects_three_settings_per_side(self):
         s3 = enumerate_local_strategies(3)
         mixture = StrategyMixture(s3, s3, np.full((27, 27), 1 / 729))
@@ -191,6 +209,13 @@ class TestMaximizeSStar:
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
             maximize_s_star(0.0)
+
+    def test_eta_at_the_solver_floor_is_an_input_error(self):
+        # the LP loses eta at 1e-9 and below, which ended in SearchFailure
+        for eta in (1e-9, 5e-324):
+            with pytest.raises(ValueError, match=r"outside \(1e-9, 1\]"):
+                maximize_s_star(eta)
+        assert maximize_s_star(1.001e-9).s_star_max == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("eta", [k / 20 for k in range(2, 21)])
     def test_matches_larsson_closed_form(self, eta):
