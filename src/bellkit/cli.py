@@ -15,6 +15,7 @@ import sys
 import traceback
 
 from . import experiments, harness, search
+from .inequalities import load_json
 from .models import FactorizableModel, validate_model
 
 _REQUIRED = object()
@@ -164,9 +165,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        data = json.load(fh)
-    report = harness.AnalysisReport.from_json(data)
+    report = harness.AnalysisReport.from_json(load_json(args.report))
     _write_or_print(harness.render_report(report, args.format), args.output)
     return 0
 

@@ -37,6 +37,10 @@ from .inequalities import (
 REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
 OPTIONAL_COLUMNS = ("singles_a", "singles_b", "duration")
 
+# The analysis sums a row's four counts and computes in floats: below this
+# bound each count, and the sum of four, is a finite float.
+MAX_COUNT = 2**1021
+
 
 class DatasetError(ValueError):
     """Malformed counts file or a dataset unusable for the analysis."""
@@ -123,6 +127,11 @@ def _parse_count(value: str, column: str, line_no: int) -> int:
         raise DatasetError(f"line {line_no}: column {column} is not an integer: {value!r}") from None
     if n < 0:
         raise DatasetError(f"line {line_no}: column {column} is negative: {n}")
+    if n >= MAX_COUNT:
+        raise DatasetError(
+            f"line {line_no}: column {column} is too large for a float analysis: "
+            f"{len(str(n))} digits, not below 2**1021"
+        )
     return n
 
 

@@ -3,8 +3,9 @@
 Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).  check_json, the field-by-field type check of a loaded JSON
-file, lives here as the lowest layer every saved-file reader imports.
+correlations).  load_json and check_json, the reader and field-by-field type
+check of a saved JSON file, live here as the lowest layer every saved-file
+reader imports.
 """
 
 from __future__ import annotations
@@ -194,6 +195,16 @@ def check_json(value, schema, path: str) -> None:
             expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
             where = f"field {path}" if path else "top-level value"
             raise ValueError(f"{where} must be {expected}, found {json.dumps(value)[:40]}")
+
+
+def load_json(path):
+    """The JSON document in a file.  A nesting too deep for json.load, which
+    ends in RecursionError, is a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _report(name: str, lhs: float, rhs: float, genuine: bool) -> InequalityReport:

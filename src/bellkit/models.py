@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .inequalities import ProbabilitySet, check_json
+from .inequalities import ProbabilitySet, check_json, load_json
 
 MODEL_TOL = 1e-12
 DATA_TOL = 1e-9
@@ -126,18 +127,19 @@ class FactorizableModel:
         return cls(space, r1, r2)
 
     def save(self, path) -> None:
+        # encoded before the file is opened, so a NaN leaves no partial file
+        text = json.dumps(self.to_json(), indent=2, allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "FactorizableModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "negativity" | "normalization" | "range"
+    kind: str  # "negativity" | "normalization" | "range" | "non-finite"
     where: str
     amount: float
 
@@ -153,19 +155,30 @@ class ValidationReport:
     def to_json(self) -> dict:
         return {
             "valid": self.valid,
+            # a non-finite amount is written as its name ("nan", "inf"), not
+            # as a number JSON cannot hold
             "violations": [
-                {"kind": v.kind, "where": v.where, "amount": v.amount} for v in self.violations
+                {
+                    "kind": v.kind,
+                    "where": v.where,
+                    "amount": v.amount if math.isfinite(v.amount) else str(v.amount),
+                }
+                for v in self.violations
             ],
         }
 
 
 def validate_model(model: FactorizableModel, tol: float = MODEL_TOL) -> ValidationReport:
-    """Check the probability conditions: weights >= 0, unit normalization,
-    all responses within [0, 1].  Diagnostics are the return value."""
+    """Check the probability conditions: finite weights >= 0, unit
+    normalization, all responses finite and within [0, 1].  Diagnostics are
+    the return value; a NaN or infinite entry is a "non-finite" violation
+    holding the entry."""
     violations: list[Violation] = []
     w = model.space.weights
     for i, cell in enumerate(model.space.cells):
-        if w[i] < -tol:
+        if not math.isfinite(w[i]):
+            violations.append(Violation("non-finite", f"weight[{cell}]", float(w[i])))
+        elif w[i] < -tol:
             violations.append(Violation("negativity", f"weight[{cell}]", float(-w[i])))
     deficit = 1.0 - float(w.sum())
     if abs(deficit) > tol:
@@ -173,11 +186,12 @@ def validate_model(model: FactorizableModel, tol: float = MODEL_TOL) -> Validati
     for table in (model.response1, model.response2):
         for i, cell in enumerate(model.space.cells):
             for j, setting in enumerate(table.settings):
-                v = table.values[i, j]
-                if v < -tol or v > 1.0 + tol:
-                    violations.append(
-                        Violation("range", f"side{table.side}[{cell},{setting}]", float(v))
-                    )
+                v = float(table.values[i, j])
+                where = f"side{table.side}[{cell},{setting}]"
+                if not math.isfinite(v):
+                    violations.append(Violation("non-finite", where, v))
+                elif v < -tol or v > 1.0 + tol:
+                    violations.append(Violation("range", where, v))
     return ValidationReport(tuple(violations))
 
 
@@ -336,6 +350,39 @@ def scan_ch_family(ps: ProbabilitySet, tol: float = DATA_TOL) -> Optional[FacetC
     return cert if cert.margin < -tol else None
 
 
+# linprog's post-solve tolerance at its default HiGHS tol of 1e-9: a solution
+# counts as optimal only within this of its bounds and equality rows.
+LP_RESIDUAL_TOL = math.sqrt(1e-9) * 10
+
+
+def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: float):
+    """Minimize c.x subject to a_eq x = b_eq and 0 <= x <= upper, by HiGHS.
+
+    milp with no integrality hands HiGHS the same LP as linprog, without
+    linprog's per-call option handling and input cleaning.  It keeps the one
+    check linprog makes after the solve: an optimal status whose x is
+    missing, not finite, outside its bounds, or off an equality row by more
+    than LP_RESIDUAL_TOL becomes status 4.  Returns milp's result, whose
+    status is 0 only for a checked optimum.
+    """
+    from scipy.optimize import milp
+
+    res = milp(c, constraints=(a_eq, b_eq, b_eq), bounds=(0.0, upper))
+    x = res.x
+    if res.status == 0 and not (
+        x is not None
+        and np.isfinite(x).all()
+        and x.min() >= -LP_RESIDUAL_TOL
+        and x.max() <= upper + LP_RESIDUAL_TOL
+        and np.abs(a_eq @ x - b_eq).max() <= LP_RESIDUAL_TOL
+    ):
+        res.status = 4
+        res.message = (
+            f"the solution misses its bounds or equality rows by more than {LP_RESIDUAL_TOL:.2e}"
+        )
+    return res
+
+
 def joint_feasibility(
     ps: ProbabilitySet, observables: tuple[str, str, str, str] = ("A", "C", "B", "D")
 ) -> Union[Feasible, Infeasible]:
@@ -346,15 +393,8 @@ def joint_feasibility(
     joint is the witness; on failure the certificate is the CH-family facet
     with the least slack at ps.
     """
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.zeros(len(OUTCOME_TUPLES)),
-        A_eq=_FEASIBILITY_A_EQ,
-        b_eq=(1.0, *ps.as_dict().values()),
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
+    b_eq = np.array((1.0, *ps.as_dict().values()))
+    res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _FEASIBILITY_A_EQ, b_eq, 1.0)
     if res.status == 0:
         q = np.clip(res.x, 0.0, None)
         q = q / q.sum()

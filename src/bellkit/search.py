@@ -22,7 +22,7 @@ import numpy as np
 from .harness import CountDataset, CountRow
 from .inequalities import CANONICAL_PAIRS as PAIRS
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
-from .models import FactorizableModel, HiddenVariableSpace, ResponseTable
+from .models import FactorizableModel, HiddenVariableSpace, ResponseTable, solve_equality_lp
 
 OUTCOMES = ("+", "-", "u")
 
@@ -294,8 +294,6 @@ def maximize_s_star(eta: float) -> SearchResult:
     normalization row sum(x) = 1 becomes sum(y) = tau, so tau > 0 and
     x = y / tau, and the bounds x <= 1 follow from it.
     """
-    from scipy.optimize import linprog
-
     # HiGHS drops matrix entries of magnitude 1e-9 or less, and with them
     # the -eta entries of the detection rows: the LP would read infeasible
     if not 1e-9 < eta <= 1.0:
@@ -304,7 +302,7 @@ def maximize_s_star(eta: float) -> SearchResult:
     a_eq = lp.a_eq.copy()
     a_eq[_ETA_ROWS, -1] = -eta
 
-    res = linprog(c=lp.c, A_eq=a_eq, b_eq=lp.b_eq, bounds=(0.0, None), method="highs")
+    res = solve_equality_lp(lp.c, a_eq, lp.b_eq, math.inf)
     if res.status != 0:
         raise SearchFailure(f"LP solver status {res.status}: {res.message}")
     best_x = res.x[:-1] / res.x[-1]

@@ -112,6 +112,28 @@ class TestIngestCounts:
         with pytest.raises(DatasetError, match=r"line 3.*n_pm"):
             ingest_counts(write(tmp_path, "bad.csv", bad))
 
+    @pytest.mark.parametrize(
+        "column, row",
+        [
+            ("n_mm", f"C,D,100,400,400,{10**400},2000,2000,1.0"),
+            ("singles_a", f"C,D,100,400,400,100,{10**400},2000,1.0"),
+        ],
+        ids=["n_mm", "singles_a"],
+    )
+    def test_count_too_large_for_a_float_names_line_and_column(self, tmp_path, column, row):
+        counts = DURATION_CSV.format(duration="1.0").replace("C,D,100,400,400,100,2000,2000,1.0", row)
+        with pytest.raises(DatasetError, match=rf"^line 5: column {column} is too large"):
+            ingest_counts(write(tmp_path, "big.csv", counts))
+
+    def test_counts_just_below_the_bound_analyze(self):
+        # four counts of 2**1021 - 1 still sum to a finite float
+        big = 2**1021 - 1
+        row = f"A,B,{big},{big},{big},{big}"
+        ds = ingest_bytes(GOOD_CSV.replace("A,B,400,100,100,400", row).encode())
+        report = run_analysis(ds, AnalysisConfig())
+        assert report.pairs[0].n_total == 4 * big
+        assert report.pairs[0].e_star == 0.0
+
     def test_non_integer_count(self, tmp_path):
         bad = GOOD_CSV.replace("C,B,400,100,100,400", "C,B,400,1.5,100,400")
         with pytest.raises(DatasetError, match=r"line 4.*n_pm"):
@@ -386,6 +408,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: singles of setting pair (A, B)")
         assert "pAB = 0.04 exceeds marginal pA = 0.001" in err
+
+    def test_count_too_large_for_a_float_exit_code(self, tmp_path, capsys):
+        counts = GOOD_CSV.replace("C,D,100,400,400,100", f"C,D,100,400,400,{10**400}")
+        path = write(tmp_path, "counts.csv", counts)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 5: column n_mm is too large")
+
+    def test_deeply_nested_saved_report_names_the_file(self, tmp_path, capsys):
+        saved = write(tmp_path, "report.json", "[" * 100_000)
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr().err == f"error: {saved}: JSON nested too deeply to read\n"
 
     def test_nan_in_saved_report_is_an_input_error(self, tmp_path, capsys):
         saved = tmp_path / "report.json"

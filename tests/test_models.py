@@ -53,6 +53,26 @@ class TestValidateModel:
         assert violation.kind == "normalization"
         assert violation.amount == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_violations(self, value):
+        model = uniform_model(n_cells=2)
+        weights = np.array([value, 0.5])
+        values = model.response2.values.copy()
+        values[1, 1] = value
+        bad = FactorizableModel(
+            HiddenVariableSpace(model.space.cells, weights),
+            model.response1,
+            ResponseTable(2, SIDE2, values),
+        )
+        report = validate_model(bad)
+        assert not report.valid
+        non_finite = [v for v in report.violations if v.kind == "non-finite"]
+        assert [v.where for v in non_finite] == ["weight[c0]", "side2[c1,D]"]
+        data = json.loads(json.dumps(report.to_json(), allow_nan=False))
+        assert [v["amount"] for v in data["violations"] if v["kind"] == "non-finite"] == [
+            str(value)
+        ] * 2
+
     def test_range_violation_with_coordinates(self):
         model = uniform_model(n_cells=4)
         values = model.response1.values.copy()
@@ -182,6 +202,15 @@ class TestJointFeasibility:
             ps = probability_set_from_model(random_model(rng))
             assert isinstance(joint_feasibility(ps), Feasible)
 
+    def test_solution_off_an_equality_row_is_not_feasible(self, milp_off_one_row):
+        # the solver reports an optimum that misses the pCD row by 1e-3; the
+        # post-solve residual check refuses it
+        ps = ProbabilitySet(0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
+        result = joint_feasibility(ps)
+        assert milp_off_one_row == [0]
+        assert isinstance(result, Infeasible)
+        assert result.certificate.name in FACET_IDS
+
 
 # The 16 deterministic outcomes (a, c, b, d) as points
 # (pA, pB, pAB, pAD, pCB, pCD), written out independently of bellkit.
@@ -281,6 +310,28 @@ class TestChHoldsForFactorizableModels:
 
 
 class TestSerialization:
+    def test_save_refuses_nan_and_writes_no_file(self, tmp_path):
+        model = uniform_model(n_cells=2)
+        bad = FactorizableModel(
+            HiddenVariableSpace(model.space.cells, [math.nan, 1.0]),
+            model.response1,
+            model.response2,
+        )
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            bad.save(path)
+        assert not path.exists()
+
+    def test_deeply_nested_model_file_names_the_file(self, tmp_path, capsys):
+        from bellkit import cli
+
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="JSON nested too deeply"):
+            FactorizableModel.load(path)
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
     def test_json_round_trip(self, rng):
         model = random_model(rng)
         restored = FactorizableModel.from_json(model.to_json())

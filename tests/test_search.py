@@ -217,6 +217,13 @@ class TestMaximizeSStar:
                 maximize_s_star(eta)
         assert maximize_s_star(1.001e-9).s_star_max == pytest.approx(4.0, abs=1e-9)
 
+    def test_solution_off_an_equality_row_is_a_search_failure(self, milp_off_one_row):
+        # the solver reports an optimum that misses the denominator row by
+        # 1e-3; the post-solve residual check refuses it
+        with pytest.raises(search.SearchFailure, match="LP solver status 4"):
+            maximize_s_star(0.8)
+        assert milp_off_one_row == [0]
+
     @pytest.mark.parametrize("eta", [k / 20 for k in range(2, 21)])
     def test_matches_larsson_closed_form(self, eta):
         # Larsson's bound 4/eta_c - 2 at the worst-case conditional
