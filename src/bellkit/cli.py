@@ -132,6 +132,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # numpy's generator takes only non-negative seeds, and its message names
+    # no field
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed} is negative")
     cfg = harness.load_config(args.config)
     if "pdc" not in cfg:
         raise ValueError("simulate requires a [pdc] section")

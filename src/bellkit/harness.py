@@ -148,7 +148,9 @@ def ingest_counts(path) -> CountDataset:
     seed: Optional[int] = None
     header: Optional[list[str]] = None
     rows: list[CountRow] = []
-    lines = io.StringIO(raw.decode("utf-8"), newline="")
+    # utf-8-sig drops the byte-order mark Excel writes at the start of a
+    # "CSV UTF-8" file; the digest stays over the bytes as read
+    lines = io.StringIO(raw.decode("utf-8-sig"), newline="")
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:

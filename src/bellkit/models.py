@@ -9,6 +9,7 @@ construction).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -355,19 +356,46 @@ def scan_ch_family(ps: ProbabilitySet, tol: float = DATA_TOL) -> Optional[FacetC
 LP_RESIDUAL_TOL = math.sqrt(1e-9) * 10
 
 
-def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: float):
+def sparse_matrix(a: np.ndarray):
+    """a as the CSC matrix milp hands HiGHS, with read-only data.
+
+    The same matrix milp builds from the dense a (its zeros, -0.0 among
+    them, are not stored); scipy.sparse is imported on the first call, so
+    import bellkit does not load it.
+    """
+    from scipy.sparse import csc_array
+
+    m = csc_array(a)
+    m.data.flags.writeable = False
+    return m
+
+
+@functools.cache
+def _feasibility_matrix():
+    """_FEASIBILITY_A_EQ in sparse form, built on the first solve."""
+    return sparse_matrix(_FEASIBILITY_A_EQ)
+
+
+def solve_equality_lp(c: np.ndarray, a_eq, b_eq: np.ndarray, upper: float):
     """Minimize c.x subject to a_eq x = b_eq and 0 <= x <= upper, by HiGHS.
 
-    milp with no integrality hands HiGHS the same LP as linprog, without
-    linprog's per-call option handling and input cleaning.  It keeps the one
-    check linprog makes after the solve: an optimal status whose x is
-    missing, not finite, outside its bounds, or off an equality row by more
-    than LP_RESIDUAL_TOL becomes status 4.  Returns milp's result, whose
-    status is 0 only for a checked optimum.
+    a_eq is a CSC matrix (sparse_matrix), so milp passes it on as it is
+    instead of converting a dense array on every call.  milp with no
+    integrality hands HiGHS the LP without linprog's per-call option
+    handling and input cleaning, and presolve is off: on LPs of 7 x 16 and
+    9 x 82 it costs more than it saves.  The check linprog makes after the
+    solve is kept: an optimal status whose x is missing, not finite,
+    outside its bounds, or off an equality row by more than
+    LP_RESIDUAL_TOL becomes status 4.  Returns milp's result, whose status
+    is 0 only for a checked optimum.  Where the optimum is not unique, the
+    vertex HiGHS returns without presolve may differ from the one it
+    returned with it.
     """
     from scipy.optimize import milp
 
-    res = milp(c, constraints=(a_eq, b_eq, b_eq), bounds=(0.0, upper))
+    res = milp(
+        c, constraints=(a_eq, b_eq, b_eq), bounds=(0.0, upper), options={"presolve": False}
+    )
     x = res.x
     if res.status == 0 and not (
         x is not None
@@ -394,7 +422,7 @@ def joint_feasibility(
     with the least slack at ps.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))
-    res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _FEASIBILITY_A_EQ, b_eq, 1.0)
+    res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _feasibility_matrix(), b_eq, 1.0)
     if res.status == 0:
         q = np.clip(res.x, 0.0, None)
         q = q / q.sum()

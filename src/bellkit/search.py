@@ -22,7 +22,13 @@ import numpy as np
 from .harness import CountDataset, CountRow
 from .inequalities import CANONICAL_PAIRS as PAIRS
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
-from .models import FactorizableModel, HiddenVariableSpace, ResponseTable, solve_equality_lp
+from .models import (
+    FactorizableModel,
+    HiddenVariableSpace,
+    ResponseTable,
+    solve_equality_lp,
+    sparse_matrix,
+)
 
 OUTCOMES = ("+", "-", "u")
 
@@ -232,7 +238,9 @@ class _SearchLP:
 
     a_eq stacks the equality system [A | -b] over the strategy pairs in
     product order and the denominator row [d | 0]; the tau entries of the
-    _ETA_ROWS hold nan until a solve fills in -eta.
+    _ETA_ROWS hold nan until a solve fills in -eta.  matrix is a_eq in the
+    sparse form the solver takes, and eta_slots are the positions in
+    matrix.data of those nan entries.
     """
 
     strategies1: tuple[DeterministicStrategy, ...]
@@ -240,6 +248,8 @@ class _SearchLP:
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    matrix: object
+    eta_slots: np.ndarray
 
 
 @functools.cache
@@ -274,12 +284,16 @@ def _search_lp() -> _SearchLP:
         b_eq.append(0.0)
 
     a_eq, b_eq = np.array(a_eq), np.array(b_eq)
+    a_eq = _readonly(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]))
+    matrix = sparse_matrix(a_eq)
     return _SearchLP(
         strategies1=s1,
         strategies2=s2,
         c=_readonly(np.append(-chsh_sum(*num_rows), 0.0)),
-        a_eq=_readonly(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)])),
+        a_eq=a_eq,
         b_eq=_readonly(np.append(np.zeros(len(b_eq)), 1.0)),
+        matrix=matrix,
+        eta_slots=_readonly(np.flatnonzero(np.isnan(matrix.data))),
     )
 
 
@@ -299,8 +313,8 @@ def maximize_s_star(eta: float) -> SearchResult:
     if not 1e-9 < eta <= 1.0:
         raise ValueError(f"eta = {eta} outside (1e-9, 1]")
     lp = _search_lp()
-    a_eq = lp.a_eq.copy()
-    a_eq[_ETA_ROWS, -1] = -eta
+    a_eq = lp.matrix.copy()
+    a_eq.data[lp.eta_slots] = -eta
 
     res = solve_equality_lp(lp.c, a_eq, lp.b_eq, math.inf)
     if res.status != 0:

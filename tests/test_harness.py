@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -46,6 +47,12 @@ C,D,100,400,400,100,2000,2000,1.0
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def write_bytes(tmp_path, name, body: bytes):
+    path = tmp_path / name
+    path.write_bytes(body)
     return path
 
 
@@ -392,6 +399,30 @@ class TestCli:
         path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration=duration))
         assert cli.main(["analyze", str(path)]) == 1
         assert "line 3: column duration" in capsys.readouterr().err
+
+    def test_byte_order_mark_analyzes_like_the_plain_file(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        reports = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            body = prefix + b"# seed=7\n" + GOOD_CSV.encode()
+            counts = write_bytes(tmp_path, f"{name}.csv", body)
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["analyze", str(counts), "--output", str(out)]) == 0
+            report = json.loads(out.read_text())
+            # the digests cover the bytes of the file, the mark included
+            assert report["provenance"].pop("input_digest") == hashlib.sha256(body).hexdigest()
+            for key in ("digest", "generated_at"):
+                report.pop(key)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[1]["provenance"]["seed"] == 7
+
+    def test_negative_simulate_seed_names_the_option(self, tmp_path, capsys, config):
+        out = tmp_path / "counts.csv"
+        argv = ["simulate", "--config", config, "--seed", "-1", "--output", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: --seed -1 is negative\n"
+        assert not out.exists()
 
     def test_non_integer_seed_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "counts.csv", "# seed=abc\n" + GOOD_CSV)

@@ -31,6 +31,19 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_sparse_unloaded():
+    # the LP matrices are built in sparse form on the first solve
+    code = (
+        "import sys, bellkit; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_subcommands_without_an_lp_leave_scipy_optimize_unloaded(tmp_path, rng):
     from conftest import random_model
 

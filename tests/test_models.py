@@ -20,6 +20,7 @@ from bellkit.models import (
     joint_probability,
     marginal_probability,
     probability_set_from_model,
+    sparse_matrix,
     validate_model,
 )
 from conftest import random_model
@@ -262,6 +263,35 @@ class TestLocalPolytope:
         rows = [[float(bool(sel(*t))) for t in OUTCOME_TUPLES] for sel in selectors]
         assert models._FEASIBILITY_A_EQ.tobytes() == np.array(rows).tobytes()
         assert models.OUTCOME_VERTICES.tobytes() == VERTICES.tobytes()
+
+    def test_sparse_matrix_equals_the_dense_one(self):
+        matrix = models._feasibility_matrix()
+        assert matrix.format == "csc"
+        assert matrix.toarray().tobytes() == models._FEASIBILITY_A_EQ.tobytes()
+
+    def test_sparse_matrix_is_built_once_and_never_written(self, monkeypatch, rng):
+        calls = []
+
+        def counting(a):
+            calls.append(1)
+            return sparse_matrix(a)
+
+        monkeypatch.setattr(models, "sparse_matrix", counting)
+        models._feasibility_matrix.cache_clear()
+        try:
+            data = models._feasibility_matrix().data.copy()
+            outside = ProbabilitySet(0.5, 0.5, 0.5, 0.5, 0.5, 0.0)
+            for _ in range(25):
+                assert isinstance(joint_feasibility(outside), Infeasible)
+                inside = probability_set_from_model(random_model(rng))
+                assert isinstance(joint_feasibility(inside), Feasible)
+            matrix = models._feasibility_matrix()
+            assert len(calls) == 1
+            assert matrix.data.tobytes() == data.tobytes()
+            with pytest.raises(ValueError):
+                matrix.data[0] = 0.5
+        finally:
+            models._feasibility_matrix.cache_clear()
 
     @pytest.mark.parametrize("facet", CH_FAMILY_FACETS, ids=FACET_IDS)
     def test_facet_centroid_is_feasible_and_just_outside_is_not(self, facet):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellkit.inequalities import TwoChannelCounts
-from bellkit.models import validate_model, joint_probability
+from bellkit.models import joint_probability, sparse_matrix, validate_model
 from bellkit import search
 from bellkit.search import (
     OUTCOMES,
@@ -277,6 +277,42 @@ class TestCachedSearchStructure:
         assert a_eq.tobytes() == np.array(rows).tobytes()
         assert lp.c.tobytes() == c.tobytes()
         assert lp.b_eq.tolist() == [0.0] * 8 + [1.0]
+
+    def test_sparse_matrix_with_eta_filled_equals_the_dense_one(self):
+        lp = search._search_lp()
+        assert lp.matrix.format == "csc"
+        assert len(lp.eta_slots) == 4
+        for eta in [k / 20 for k in range(2, 21)]:
+            dense = lp.a_eq.copy()
+            dense[search._ETA_ROWS, -1] = -eta
+            matrix = lp.matrix.copy()
+            matrix.data[lp.eta_slots] = -eta
+            # a sparse matrix stores no zeros, so the -0.0 entries of the
+            # dense one read back as +0.0
+            assert matrix.toarray().tobytes() == (dense + 0.0).tobytes()
+
+    def test_sparse_matrix_is_built_once_and_never_written(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(1)
+            return sparse_matrix(a)
+
+        monkeypatch.setattr(search, "sparse_matrix", counting)
+        search._search_lp.cache_clear()
+        try:
+            data = search._search_lp().matrix.data.copy()
+            for eta in [k / 20 for k in range(2, 21)] * 3:
+                maximize_s_star(eta)
+            matrix = search._search_lp().matrix
+            assert len(calls) == 1
+            # the eta slots still hold nan: bytes, not ==, compare them
+            assert matrix.data.tobytes() == data.tobytes()
+            assert np.isnan(matrix.data[search._search_lp().eta_slots]).all()
+            with pytest.raises(ValueError):
+                matrix.data[0] = 0.5
+        finally:
+            search._search_lp.cache_clear()
 
     def test_repeated_solves_are_identical(self):
         grid = [k / 20 for k in range(2, 21)]
