@@ -175,9 +175,11 @@ def ingest_counts(path) -> CountDataset:
             for col in REQUIRED_COLUMNS:
                 if col not in header:
                     raise DatasetError(f"line {line_no}: missing required column {col!r}")
-            for col in header:
+            for i, col in enumerate(header):
                 if col not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
                     raise DatasetError(f"line {line_no}: unknown column {col!r}")
+                if col in header[:i]:
+                    raise DatasetError(f"line {line_no}: column {col!r} repeated")
             continue
         if len(cells) != len(header):
             raise DatasetError(
@@ -495,6 +497,7 @@ def load_config(path) -> dict[str, dict[str, str]]:
     it uses.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    # utf-8-sig drops the byte-order mark an editor may write at the start
+    if not parser.read(path, encoding="utf-8-sig"):
         raise FileNotFoundError(f"config file not found: {path}")
     return {section: dict(parser.items(section)) for section in parser.sections()}

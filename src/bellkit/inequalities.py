@@ -101,13 +101,6 @@ class TwoChannelCounts:
     def total(self) -> float:
         return self.ppp + self.ppm + self.pmp + self.pmm
 
-    def scaled(self, factor: float) -> "TwoChannelCounts":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return TwoChannelCounts(
-            self.ppp * factor, self.ppm * factor, self.pmp * factor, self.pmm * factor
-        )
-
 
 @dataclass(frozen=True)
 class InequalityReport:

@@ -123,53 +123,48 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class _Indicators:
-    """Read-only 0/1 vectors over a strategy list at one setting."""
-
-    outcome: tuple[np.ndarray, ...]  # one per entry of OUTCOMES
-    detected: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
-def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> tuple[_Indicators, ...]:
-    """Indicators per setting, built once per strategy list: every
-    mixture_statistics call and the search LP read them."""
-    out = []
-    for k in range(len(strategies[0].outcomes)):
-        outcome = tuple(
-            _readonly(np.array([s.outcomes[k] == o for s in strategies], dtype=float))
-            for o in OUTCOMES
-        )
-        detected = _readonly(np.array([s.outcomes[k] != "u" for s in strategies], dtype=float))
-        out.append(_Indicators(outcome, detected))
-    return tuple(out)
+def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> np.ndarray:
+    """Read-only 0/1 array of shape (settings, len(OUTCOMES), strategies):
+    entry [k, o, i] is 1 where strategy i gives OUTCOMES[o] at setting k.
+    Built once per strategy list; every mixture_statistics call and the
+    search LP read it.  Detection at k is row [k, 0] plus row [k, 1]."""
+    per_setting = np.array([s.outcomes for s in strategies]).T
+    ind = np.stack([per_setting == o for o in OUTCOMES], axis=1)
+    return _readonly(ind.astype(float, order="C"))
 
 
 def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
     """Outcome tables and marginals of a mixture of strategies on the
-    settings SIDE1_SETTINGS and SIDE2_SETTINGS."""
+    settings SIDE1_SETTINGS and SIDE2_SETTINGS.
+
+    All 16 tables come from one product of the weights with the cached
+    indicator arrays of both sides, and each side's marginals from one
+    product with its weight marginal.
+    """
     n_settings = (len(m.strategies1[0].outcomes), len(m.strategies2[0].outcomes))
     if n_settings != (len(SIDE1_SETTINGS), len(SIDE2_SETTINGS)):
         raise ValueError(f"strategies have {n_settings} settings per side, not two each")
     ind1 = _indicators(m.strategies1)
     ind2 = _indicators(m.strategies2)
     w = m.weights
-    tables: dict[tuple[str, str], np.ndarray] = {}
-    for xi, x in enumerate(SIDE1_SETTINGS):
-        for yi, y in enumerate(SIDE2_SETTINGS):
-            tables[(x, y)] = np.array(
-                [[float(a @ w @ b) for b in ind2[yi].outcome] for a in ind1[xi].outcome]
-            )
+    n1, n2 = w.shape
+    # t[x, o1, y, o2]: weight of the pairs giving o1 at x and o2 at y
+    t = (ind1.reshape(-1, n1) @ w @ ind2.reshape(-1, n2).T).reshape(2, 3, 2, 3)
+    tables = {
+        (x, y): t[xi, :, yi]
+        for xi, x in enumerate(SIDE1_SETTINGS)
+        for yi, y in enumerate(SIDE2_SETTINGS)
+    }
     detection: dict[tuple[int, str], float] = {}
     plus: dict[tuple[int, str], float] = {}
     for side, settings, ind, marginal in (
         (1, SIDE1_SETTINGS, ind1, w.sum(axis=1)),
         (2, SIDE2_SETTINGS, ind2, w.sum(axis=0)),
     ):
-        for k, label in enumerate(settings):
-            detection[(side, label)] = float(ind[k].detected @ marginal)
-            plus[(side, label)] = float(ind[k].outcome[0] @ marginal)
+        for label, (p_plus, p_minus, _) in zip(settings, (ind @ marginal).tolist()):
+            detection[(side, label)] = p_plus + p_minus
+            plus[(side, label)] = p_plus
     return MixtureStatistics(tables=tables, detection=detection, plus=plus)
 
 
@@ -182,7 +177,7 @@ def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_settin
     _setting_index(SIDE2_SETTINGS, given_side2_setting)  # validate only
     return tuple(
         math.fsum(m.weights[selected == 1.0].ravel())
-        for selected in _indicators(m.strategies1)[xi].outcome
+        for selected in _indicators(m.strategies1)[xi]
     )
 
 
@@ -194,9 +189,8 @@ def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
     """
     n1, n2 = m.weights.shape
     cells = tuple(f"s{i}x{j}" for i in range(n1) for j in range(n2))
-    ind1, ind2 = _indicators(m.strategies1), _indicators(m.strategies2)
-    plus1 = np.column_stack([ind1[k].outcome[0] for k in range(len(SIDE1_SETTINGS))])
-    plus2 = np.column_stack([ind2[k].outcome[0] for k in range(len(SIDE2_SETTINGS))])
+    plus1 = _indicators(m.strategies1)[:, 0].T
+    plus2 = _indicators(m.strategies2)[:, 0].T
     space = HiddenVariableSpace(cells, m.weights.reshape(-1))
     r1 = ResponseTable(1, SIDE1_SETTINGS, np.repeat(plus1, n2, axis=0))
     r2 = ResponseTable(2, SIDE2_SETTINGS, np.tile(plus2, (n1, 1)))
@@ -257,26 +251,27 @@ def _search_lp() -> _SearchLP:
     s1 = enumerate_local_strategies(2, side=1)
     s2 = enumerate_local_strategies(2, OUTCOMES, side=2)
     ind1, ind2 = _indicators(s1), _indicators(s2)
+    # detection rows: plus row + minus row, exact for 0/1 entries
+    det1, det2 = ind1[:, 0] + ind1[:, 1], ind2[:, 0] + ind2[:, 1]
 
     a_eq = [np.ones(len(s1) * len(s2))]
     b_eq = [1.0]
     for k in range(2):
-        a_eq.append(np.repeat(ind1[k].detected, len(s2)))
+        a_eq.append(np.repeat(det1[k], len(s2)))
         b_eq.append(math.nan)
     for k in range(2):
-        a_eq.append(np.tile(ind2[k].detected, len(s1)))
+        a_eq.append(np.tile(det2[k], len(s1)))
         b_eq.append(math.nan)
 
     num_rows = []
     den_rows = []
     for x, y in PAIRS:
-        a = ind1[SIDE1_SETTINGS.index(x)]
-        b = ind2[SIDE2_SETTINGS.index(y)]
-        (pa, ma, _), (pb, mb, _) = a.outcome, b.outcome
+        xi, yi = SIDE1_SETTINGS.index(x), SIDE2_SETTINGS.index(y)
+        (pa, ma, _), (pb, mb, _) = ind1[xi], ind2[yi]
         # +1 for equal, -1 for opposite outcomes, 0 unless both sides detect
         num = np.outer(pa, pb) + np.outer(ma, mb) - np.outer(pa, mb) - np.outer(ma, pb)
         num_rows.append(num.ravel())
-        den_rows.append(np.outer(a.detected, b.detected).ravel())
+        den_rows.append(np.outer(det1[xi], det2[yi]).ravel())
 
     # equal coincidence totals across the four pairs
     for k in range(1, 4):

@@ -120,6 +120,24 @@ class TestIngestCounts:
             ingest_counts(write(tmp_path, "bad.csv", bad))
 
     @pytest.mark.parametrize(
+        "extra_columns, extra_fields",
+        [(",n_pp", ",999"), (",duration,singles_a,duration", ",1.0,2000,2.0")],
+        ids=["required", "optional"],
+    )
+    def test_repeated_column_names_line_and_column(
+        self, tmp_path, capsys, extra_columns, extra_fields
+    ):
+        # with a repeated column the last value would silently win
+        repeated = extra_columns.rsplit(",", 1)[1]
+        header, *rows = GOOD_CSV.splitlines()
+        lines = [header + extra_columns, *(row + extra_fields for row in rows)]
+        path = write(tmp_path, "repeated.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=rf"^line 1: column '{repeated}' repeated$"):
+            ingest_counts(path)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line 1: column '{repeated}' repeated\n"
+
+    @pytest.mark.parametrize(
         "column, row",
         [
             ("n_mm", f"C,D,100,400,400,{10**400},2000,2000,1.0"),
@@ -416,6 +434,19 @@ class TestCli:
             reports.append(report)
         assert reports[0] == reports[1]
         assert reports[1]["provenance"]["seed"] == 7
+
+    def test_byte_order_mark_config_works_like_the_plain_file(self, tmp_path):
+        # Windows Notepad can save a config as "UTF-8 with BOM"
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            config = str(write_bytes(tmp_path, f"{name}.ini", prefix + CONFIG_TEXT.encode()))
+            outs = []
+            for sub in (["predict"], ["simulate", "--seed", "7"], ["search"]):
+                out = tmp_path / f"{name}-{sub[0]}.out"
+                assert cli.main([*sub, "--config", config, "--output", str(out)]) == 0
+                outs.append(out.read_bytes())
+            outputs.append(outs)
+        assert outputs[0] == outputs[1]
 
     def test_negative_simulate_seed_names_the_option(self, tmp_path, capsys, config):
         out = tmp_path / "counts.csv"
