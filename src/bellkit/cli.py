@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from . import experiments, harness, search
-from .inequalities import load_json
+from .inequalities import load_json, write_text
 from .models import FactorizableModel, validate_model
 
 _REQUIRED = object()
@@ -46,11 +46,12 @@ def _setting(cfg: dict, section: str, key: str, kind=float, default=_REQUIRED):
 
 
 def _write_or_print(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to the --output path through write_text, or to stdout when
+    the option was not given.  main() has already refused an empty path."""
+    if output is None:
         sys.stdout.write(text)
+    else:
+        write_text(output, text)
 
 
 def _cmd_validate(args) -> int:
@@ -239,6 +240,10 @@ INPUT_ERRORS = (OSError, ValueError, configparser.Error)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # every subcommand takes --output; "" would otherwise mean stdout to
+        # some and a nameless file to simulate
+        if args.output == "":
+            raise ValueError("--output is empty")
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .inequalities import (
     renormalized_correlation,
     s_statistic,
     s_star_bound_visibility,
+    write_text,
 )
 
 REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
@@ -116,8 +117,8 @@ class CountDataset:
         return buf.getvalue()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+        """Write to_csv() to path through write_text: UTF-8, in place."""
+        write_text(path, self.to_csv())
 
 
 def _parse_count(value: str, column: str, line_no: int) -> int:
@@ -485,9 +486,8 @@ def render_report(report: AnalysisReport, format: str) -> str:
 
 
 def emit_report(report: AnalysisReport, format: str, path) -> None:
-    text = render_report(report, format)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write render_report(report, format) to path through write_text."""
+    write_text(path, render_report(report, format))
 
 
 def load_config(path) -> dict[str, dict[str, str]]:

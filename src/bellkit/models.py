@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .inequalities import ProbabilitySet, check_json, load_json
+from .inequalities import ProbabilitySet, check_json, load_json, write_text
 
 MODEL_TOL = 1e-12
 DATA_TOL = 1e-9
@@ -128,10 +128,12 @@ class FactorizableModel:
         return cls(space, r1, r2)
 
     def save(self, path) -> None:
-        # encoded before the file is opened, so a NaN leaves no partial file
-        text = json.dumps(self.to_json(), indent=2, allow_nan=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        """Write the model as indented JSON to path through write_text.
+
+        The JSON is built before the file is opened, so a NaN or infinite
+        entry raises ValueError and leaves no file, or the old one intact.
+        """
+        write_text(path, json.dumps(self.to_json(), indent=2, allow_nan=False))
 
     @classmethod
     def load(cls, path) -> "FactorizableModel":

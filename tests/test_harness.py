@@ -448,6 +448,51 @@ class TestCli:
             outputs.append(outs)
         assert outputs[0] == outputs[1]
 
+    def test_byte_order_mark_json_reads_like_the_plain_file(self, tmp_path, capsys, rng):
+        from conftest import random_model
+
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        model = tmp_path / "model.json"
+        random_model(rng).save(model)
+        commands = [(["report"], saved), (["report", "--format", "json"], saved), (["validate"], model)]
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            outs = []
+            for sub, source in commands:
+                path = write_bytes(tmp_path, f"input-{source.name}", prefix + source.read_bytes())
+                assert cli.main([*sub, str(path)]) == 0
+                outs.append(capsys.readouterr())
+            outputs.append(outs)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{config}", "--seed", "7"],
+            ["analyze", "{counts}"],
+            ["report", "{report}"],
+            ["predict", "--config", "{config}"],
+            ["search", "--eta", "0.8"],
+            ["validate", "{model}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_output_is_an_input_error(self, tmp_path, capsys, rng, config, argv):
+        from conftest import random_model
+
+        paths = {"config": config, "counts": str(write(tmp_path, "counts.csv", GOOD_CSV))}
+        paths["report"] = str(tmp_path / "report.json")
+        assert cli.main(["analyze", paths["counts"], "--output", paths["report"]]) == 0
+        paths["model"] = str(tmp_path / "model.json")
+        random_model(rng).save(paths["model"])
+        argv = [arg.format(**paths) for arg in argv]
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, "--output", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --output is empty\n")
+
     def test_negative_simulate_seed_names_the_option(self, tmp_path, capsys, config):
         out = tmp_path / "counts.csv"
         argv = ["simulate", "--config", config, "--seed", "-1", "--output", str(out)]
