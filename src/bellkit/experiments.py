@@ -31,7 +31,8 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    """Atomic-cascade source: lens half-aperture, detector efficiency, rate."""
+    """Atomic-cascade source: lens half-aperture, detector efficiency, rate
+    and the angular-correlation factor alpha."""
 
     theta: float
     zeta: float
@@ -43,8 +44,10 @@ class CascadeConfig:
             raise ValueError(f"theta = {self.theta} outside (0, pi/2]")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta = {self.zeta} outside [0, 1]")
-        if not (math.isfinite(self.r0) and self.r0 > 0):
-            raise ValueError(f"r0 = {self.r0} must be finite and positive")
+        for name in ("r0", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -266,29 +269,17 @@ def spacelike_constraints(k: KinematicsInput) -> SpacelikeConstraints:
     return SpacelikeConstraints(l_min=l_min, dt_arrival=dt_arrival, l_meas=l_meas)
 
 
-def predicted_probability_set(
-    eta: float, v: float, alpha: float = 1.0, angles: Optional[AngleSet] = None
-) -> ProbabilitySet:
-    """CH probabilities for singles rate r0 eta / 2 and coincidence rate
-    r0 eta^2 alpha (1 + V cos 2phi) / 4, as ratios to the production rate."""
-    if angles is None:
-        angles = optimal_angles()[0]
-
-    def pair_prob(phi: float) -> float:
-        return 0.25 * eta * eta * alpha * (1.0 + v * math.cos(2.0 * phi))
-
-    return ProbabilitySet(
-        pA=0.5 * eta,
-        pB=0.5 * eta,
-        pAB=pair_prob(angles.phi1),
-        pAD=pair_prob(angles.phi2),
-        pCB=pair_prob(angles.phi3),
-        pCD=pair_prob(angles.phi4),
-    )
+def predicted_probability_set(eta: float, v: float, alpha: float = 1.0) -> ProbabilitySet:
+    """CH probabilities at the canonical angles: the cascade_rates of a unit
+    production rate, singles eta / 2 and coincidences
+    eta^2 alpha (1 + V cos 2phi) / 4."""
+    rates = [cascade_rates(1.0, eta, v, alpha, phi) for phi in CANONICAL_ANGLES]
+    p1, p2, _ = rates[0]
+    return ProbabilitySet(p1, p2, *(r12 for _, _, r12 in rates))
 
 
 def prediction_reports(
-    eta: float, v: float, alpha: float = 1.0, angles: Optional[AngleSet] = None
+    eta: float, v: float, alpha: float = 1.0
 ) -> tuple[InequalityReport, InequalityReport]:
     """Genuine CH verdict and auxiliary-assumption FC verdict for one source.
 
@@ -296,14 +287,12 @@ def prediction_reports(
     side uses the polarizer-removed coincidences p(A,inf) = p(inf,B) =
     alpha eta^2 / 2.
     """
-    ps = predicted_probability_set(eta, v, alpha, angles)
+    ps = predicted_probability_set(eta, v, alpha)
     p_removed = 0.5 * alpha * eta * eta
     return ch_report(ps), fc_report(ps, p_removed, p_removed)
 
 
-def cascade_inequality_reports(
-    cfg: CascadeConfig, angles: Optional[AngleSet] = None
-) -> tuple[InequalityReport, InequalityReport]:
+def cascade_inequality_reports(cfg: CascadeConfig) -> tuple[InequalityReport, InequalityReport]:
     """CH and FC verdicts with the optics derived from the lens aperture."""
     eta, v, alpha = cascade_optics(cfg.theta, cfg.zeta)
-    return prediction_reports(eta, v, cfg.alpha * alpha, angles)
+    return prediction_reports(eta, v, cfg.alpha * alpha)

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .inequalities import (
@@ -227,12 +227,12 @@ class AnalysisConfig:
     """Analysis options.
 
     r0: pair production rate; together with per-row durations it converts
-    counts into absolute probabilities, enabling the genuine CH test.
-    angles: angle difference per setting pair, used for the plot block.
+    counts into absolute probabilities, enabling the genuine CH test.  The
+    plot block takes each pair's angle from CANONICAL_PHI, and the saved
+    config lists those angles.
     """
 
     r0: Optional[float] = None
-    angles: dict[tuple[str, str], float] = field(default_factory=lambda: dict(CANONICAL_PHI))
 
     def __post_init__(self):
         if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > 0):
@@ -241,7 +241,7 @@ class AnalysisConfig:
     def to_json(self) -> dict:
         return {
             "r0": self.r0,
-            "angles": {f"{x},{y}": phi for (x, y), phi in sorted(self.angles.items())},
+            "angles": {f"{x},{y}": phi for (x, y), phi in sorted(CANONICAL_PHI.items())},
         }
 
 
@@ -365,11 +365,13 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
             raise DatasetError(f"dataset lacks canonical setting pair ({x}, {y})") from None
 
     pair_stats = []
-    e_star_by_pair = {}
-    err_by_pair = {}
     absolute_ok = cfg.r0 is not None and all(row.duration is not None for row in rows.values())
     # pairs expected over each row's duration: the absolute normalization
     n0 = {pair: cfg.r0 * row.duration for pair, row in rows.items()} if absolute_ok else {}
+    for pair, n in n0.items():
+        if not (math.isfinite(n) and n > 0):
+            message = f"r0 = {cfg.r0} times duration {rows[pair].duration} expects {n} pairs"
+            raise DatasetError(_at_line(rows[pair], f"{message}, not a finite positive number"))
     for (x, y), row in rows.items():
         n = row.total()
         if n == 0:
@@ -385,18 +387,11 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         pair_stats.append(
             PairStats(setting_a=x, setting_b=y, n_total=n, e_star=e_star, err=err, e=e_abs)
         )
-        e_star_by_pair[(x, y)] = e_star
-        err_by_pair[(x, y)] = err
 
-    star_verdict = s_statistic(
-        e_star_by_pair[("A", "B")],
-        e_star_by_pair[("A", "D")],
-        e_star_by_pair[("C", "B")],
-        e_star_by_pair[("C", "D")],
-        renormalized=True,
-    )
+    # pair_stats is in CANONICAL_PAIRS order, the argument order of both sums
+    star_verdict = s_statistic(*(p.e_star for p in pair_stats), renormalized=True)
     s_star = star_verdict.lhs
-    s_err = math.sqrt(sum(err * err for err in err_by_pair.values()))
+    s_err = math.sqrt(sum(p.err * p.err for p in pair_stats))
     verdicts = [star_verdict]
 
     s_abs = None
@@ -422,7 +417,7 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
 
     plot_data = tuple(
         {
-            "phi": cfg.angles.get((p.setting_a, p.setting_b)),
+            "phi": CANONICAL_PHI[(p.setting_a, p.setting_b)],
             "e_star": p.e_star,
             "err": p.err,
         }

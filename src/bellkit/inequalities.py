@@ -115,14 +115,7 @@ class InequalityReport:
     genuine: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "violated": self.violated,
-            "genuine": self.genuine,
-        }
+        return {key: getattr(self, key) for key in VERDICT_SCHEMA}
 
     @classmethod
     def from_json(cls, data: dict) -> "InequalityReport":
@@ -305,9 +298,7 @@ def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityRepor
     for name, value in (("pAinf", pAinf), ("pInfB", pInfB)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} = {value} outside [0, 1]")
-    lhs = ps.pAB + ps.pAD + ps.pCB - ps.pCD
-    rhs = pAinf + pInfB
-    return _report("FC", lhs, rhs, genuine=False)
+    return _report("FC", ch_report(ps).lhs, pAinf + pInfB, genuine=False)
 
 
 @dataclass(frozen=True)
@@ -319,21 +310,20 @@ class ChannelProbabilities:
     pmm: float
 
 
-def channel_conversion(
-    tc: TwoChannelCounts, pX: float, pY: float, tol: float = PAIR_TOL
-) -> ChannelProbabilities:
+def channel_conversion(tc: TwoChannelCounts, pX: float, pY: float) -> ChannelProbabilities:
     """Convert normalized two-channel outcomes into CH-style probabilities.
 
     Uses p(X,Y) = p++, p+- = p(X) - p(X,Y), p-- = 1 - p(Y) - p+-, and
-    cross-checks the derived entries against the given table.
+    cross-checks the derived entries against the given table within
+    PAIR_TOL.
     """
     deficit = 1.0 - tc.total()
-    if abs(deficit) > tol:
+    if abs(deficit) > PAIR_TOL:
         raise NormalizationError(deficit)
     pXY = tc.ppp
     ppm = pX - pXY
     pmm = 1.0 - pY - ppm
-    if abs(ppm - tc.ppm) > tol or abs(pmm - tc.pmm) > tol:
+    if abs(ppm - tc.ppm) > PAIR_TOL or abs(pmm - tc.pmm) > PAIR_TOL:
         raise ValueError(
             f"marginals inconsistent with counts: derived p+-={ppm:.6g} vs {tc.ppm:.6g}, "
             f"p--={pmm:.6g} vs {tc.pmm:.6g}"

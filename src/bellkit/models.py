@@ -98,18 +98,10 @@ class FactorizableModel:
         return self.response1 if side == 1 else self.response2
 
     def to_json(self) -> dict:
-        return {
-            "cells": list(self.space.cells),
-            "weights": self.space.weights.tolist(),
-            "side1": {
-                "settings": list(self.response1.settings),
-                "table": self.response1.values.tolist(),
-            },
-            "side2": {
-                "settings": list(self.response2.settings),
-                "table": self.response2.values.tolist(),
-            },
-        }
+        data = {"cells": list(self.space.cells), "weights": self.space.weights.tolist()}
+        for r in (self.response1, self.response2):
+            data[f"side{r.side}"] = {"settings": list(r.settings), "table": r.values.tolist()}
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "FactorizableModel":
@@ -171,20 +163,20 @@ class ValidationReport:
         }
 
 
-def validate_model(model: FactorizableModel, tol: float = MODEL_TOL) -> ValidationReport:
-    """Check the probability conditions: finite weights >= 0, unit
-    normalization, all responses finite and within [0, 1].  Diagnostics are
-    the return value; a NaN or infinite entry is a "non-finite" violation
-    holding the entry."""
+def validate_model(model: FactorizableModel) -> ValidationReport:
+    """Check the probability conditions, each within MODEL_TOL: finite
+    weights >= 0, unit normalization, all responses finite and within
+    [0, 1].  Diagnostics are the return value; a NaN or infinite entry is a
+    "non-finite" violation holding the entry."""
     violations: list[Violation] = []
     w = model.space.weights
     for i, cell in enumerate(model.space.cells):
         if not math.isfinite(w[i]):
             violations.append(Violation("non-finite", f"weight[{cell}]", float(w[i])))
-        elif w[i] < -tol:
+        elif w[i] < -MODEL_TOL:
             violations.append(Violation("negativity", f"weight[{cell}]", float(-w[i])))
     deficit = 1.0 - float(w.sum())
-    if abs(deficit) > tol:
+    if abs(deficit) > MODEL_TOL:
         violations.append(Violation("normalization", "weights", deficit))
     for table in (model.response1, model.response2):
         for i, cell in enumerate(model.space.cells):
@@ -193,7 +185,7 @@ def validate_model(model: FactorizableModel, tol: float = MODEL_TOL) -> Validati
                 where = f"side{table.side}[{cell},{setting}]"
                 if not math.isfinite(v):
                     violations.append(Violation("non-finite", where, v))
-                elif v < -tol or v > 1.0 + tol:
+                elif v < -MODEL_TOL or v > 1.0 + MODEL_TOL:
                     violations.append(Violation("range", where, v))
     return ValidationReport(tuple(violations))
 
@@ -347,10 +339,11 @@ def _least_slack_facet(ps: ProbabilitySet) -> FacetCertificate:
     return FacetCertificate(name=name, lhs=lhs[k], rhs=offset)
 
 
-def scan_ch_family(ps: ProbabilitySet, tol: float = DATA_TOL) -> Optional[FacetCertificate]:
-    """Return the most violated CH-family facet, or None if all hold."""
+def scan_ch_family(ps: ProbabilitySet) -> Optional[FacetCertificate]:
+    """Return the most violated CH-family facet, or None if every facet
+    holds within DATA_TOL."""
     cert = _least_slack_facet(ps)
-    return cert if cert.margin < -tol else None
+    return cert if cert.margin < -DATA_TOL else None
 
 
 # linprog's post-solve tolerance at its default HiGHS tol of 1e-9: a solution
@@ -413,21 +406,19 @@ def solve_equality_lp(c: np.ndarray, a_eq, b_eq: np.ndarray, upper: float):
     return res
 
 
-def joint_feasibility(
-    ps: ProbabilitySet, observables: tuple[str, str, str, str] = ("A", "C", "B", "D")
-) -> Union[Feasible, Infeasible]:
-    """Decide whether a four-observable joint distribution matches ps.
+def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
+    """Decide whether a joint distribution over (A, C, B, D) matches ps.
 
     Linear-program feasibility over the 16 outcome weights with equality
     constraints for the six given probabilities.  On success the recovered
-    joint is the witness; on failure the certificate is the CH-family facet
-    with the least slack at ps.
+    joint, labelled ("A", "C", "B", "D"), is the witness; on failure the
+    certificate is the CH-family facet with the least slack at ps.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))
     res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _feasibility_matrix(), b_eq, 1.0)
     if res.status == 0:
         q = np.clip(res.x, 0.0, None)
         q = q / q.sum()
-        witness = FourOutcomeJoint(observables, dict(zip(OUTCOME_TUPLES, map(float, q))))
+        witness = FourOutcomeJoint(("A", "C", "B", "D"), dict(zip(OUTCOME_TUPLES, map(float, q))))
         return Feasible(witness=witness)
     return Infeasible(certificate=_least_slack_facet(ps))

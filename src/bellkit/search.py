@@ -40,7 +40,9 @@ WEIGHT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    side: int
+    """One outcome per setting; the side is the strategy's place in a
+    StrategyMixture."""
+
     outcomes: tuple[str, ...]  # one entry per setting
 
     def __post_init__(self):
@@ -49,15 +51,16 @@ class DeterministicStrategy:
 
 
 def enumerate_local_strategies(
-    n_settings: int, outcomes: Sequence[str] = OUTCOMES, side: int = 1
+    n_settings: int, outcomes: Sequence[str] = OUTCOMES
 ) -> tuple[DeterministicStrategy, ...]:
-    """All |outcomes|^n_settings deterministic strategies, in product order."""
+    """All |outcomes|^n_settings deterministic strategies, in product order;
+    one list serves either side."""
     if n_settings < 1:
         raise ValueError("n_settings must be >= 1")
     if not set(outcomes) <= set(OUTCOMES):
         raise ValueError(f"outcomes must be a subset of {OUTCOMES}")
     return tuple(
-        DeterministicStrategy(side, combo)
+        DeterministicStrategy(combo)
         for combo in itertools.product(tuple(outcomes), repeat=n_settings)
     )
 
@@ -248,30 +251,26 @@ class _SearchLP:
 
 @functools.cache
 def _search_lp() -> _SearchLP:
-    s1 = enumerate_local_strategies(2, side=1)
-    s2 = enumerate_local_strategies(2, OUTCOMES, side=2)
-    ind1, ind2 = _indicators(s1), _indicators(s2)
+    # both sides draw from the same nine strategies
+    s1 = s2 = enumerate_local_strategies(2)
+    n = len(s1)
+    ind = _indicators(s1)
     # detection rows: plus row + minus row, exact for 0/1 entries
-    det1, det2 = ind1[:, 0] + ind1[:, 1], ind2[:, 0] + ind2[:, 1]
+    det = ind[:, 0] + ind[:, 1]
 
-    a_eq = [np.ones(len(s1) * len(s2))]
-    b_eq = [1.0]
-    for k in range(2):
-        a_eq.append(np.repeat(det1[k], len(s2)))
-        b_eq.append(math.nan)
-    for k in range(2):
-        a_eq.append(np.tile(det2[k], len(s1)))
-        b_eq.append(math.nan)
+    # normalization, then detection at each setting of side 1 and of side 2
+    a_eq = [np.ones(n * n), *np.repeat(det, n, axis=1), *np.tile(det, n)]
+    b_eq = [1.0] + [math.nan] * 4
 
     num_rows = []
     den_rows = []
     for x, y in PAIRS:
         xi, yi = SIDE1_SETTINGS.index(x), SIDE2_SETTINGS.index(y)
-        (pa, ma, _), (pb, mb, _) = ind1[xi], ind2[yi]
+        (pa, ma, _), (pb, mb, _) = ind[xi], ind[yi]
         # +1 for equal, -1 for opposite outcomes, 0 unless both sides detect
         num = np.outer(pa, pb) + np.outer(ma, mb) - np.outer(pa, mb) - np.outer(ma, pb)
         num_rows.append(num.ravel())
-        den_rows.append(np.outer(det1[xi], det2[yi]).ravel())
+        den_rows.append(np.outer(det[xi], det[yi]).ravel())
 
     # equal coincidence totals across the four pairs
     for k in range(1, 4):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import re
@@ -124,6 +125,16 @@ def test_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_predict_output_bytes_are_pinned(files, capsys):
+    # the sha256 of the output as it stands; a change meant to keep every
+    # output byte keeps it, one that alters the predictions re-pins it
+    assert cli.main(["predict", "--config", files["config"]]) == 0
+    out = capsys.readouterr().out
+    assert sorted(json.loads(out)) == ["cascade", "pdc"]
+    digest = "40729e5aa077eca9bf0b74de4b2fffc7fcabad36029650eb72190ad5c26fa42d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Fuzzing the input files of every subcommand: whatever a mutation does to a

@@ -193,6 +193,8 @@ class TestSourceConfigs:
             PdcConfig(v=0.9, eta=0.1, r0=r0)
         with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):
             CascadeConfig(theta=0.5, zeta=0.2, r0=r0)
+        with pytest.raises(ValueError, match="alpha = .* must be finite and positive"):
+            CascadeConfig(theta=0.5, zeta=0.2, r0=1.0, alpha=r0)
 
 
 class TestCascadeReports:

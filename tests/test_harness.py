@@ -418,6 +418,40 @@ class TestCli:
         assert cli.main(["analyze", str(path)]) == 1
         assert "line 3: column duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, pairs", [("1e-300", "0.0"), ("1e300", "inf")])
+    def test_normalization_out_of_float_range_names_line(self, tmp_path, capsys, value, pairs):
+        # r0 * duration underflows to 0 or overflows to inf in floats
+        path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration=value))
+        config = write(tmp_path, "cfg.ini", f"[analysis]\nr0 = {value}\n")
+        assert cli.main(["analyze", str(path), "--config", str(config)]) == 1
+        v = float(value)
+        assert capsys.readouterr() == (
+            "",
+            f"error: line 3: r0 = {v} times duration {v} expects {pairs} pairs, "
+            "not a finite positive number\n",
+        )
+
+    # sha256 digests of the reports as they stand; a change meant to keep
+    # every output byte keeps them, one that alters a report re-pins them
+    @pytest.mark.parametrize(
+        "counts, config, verdicts, digest",
+        [
+            (GOOD_CSV, None, ["CHSH-star"],
+             "8bdfe55d27ea467f0b28fa991e0a8d761f1ecef6822e3de2656ed5ba243e6049"),
+            (DURATION_CSV.format(duration="1.0"), "[analysis]\nr0 = 10000\n", ["CHSH-star", "CH"],
+             "2542c81d8ee92a00b5ddf0a2fa894c022fd9b7a087968982d79c4e90da042e20"),
+        ],
+        ids=["renormalized", "absolute"],
+    )
+    def test_analyze_digest_is_pinned(self, tmp_path, capsys, counts, config, verdicts, digest):
+        argv = ["analyze", str(write(tmp_path, "counts.csv", counts))]
+        if config is not None:
+            argv += ["--config", str(write(tmp_path, "cfg.ini", config))]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [v["name"] for v in report["verdicts"]] == verdicts
+        assert report["digest"] == digest
+
     def test_byte_order_mark_analyzes_like_the_plain_file(self, tmp_path, capsys):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
         reports = []
@@ -645,13 +679,16 @@ class TestCli:
             ("[pdc]\nv = 0.9\nr0 = 2\n", ["predict"], "[pdc] eta is missing"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = inf\n", ["predict"],
              "[cascade] alpha = 'inf' is not a finite number"),
+            ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = -1\n", ["predict"],
+             "alpha = -1.0 must be finite and positive"),
             ("[search]\netas = 0.8, abc\n", ["search"],
              "[search] etas = '0.8, abc' is not a list of finite numbers"),
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
         ],
         ids=[
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
-            "pdc-eta-missing", "cascade-alpha-inf", "etas-abc", "eta-decimal-comma",
+            "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative", "etas-abc",
+            "eta-decimal-comma",
         ],
     )
     def test_malformed_config_value_names_section_and_key(

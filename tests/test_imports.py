@@ -1,7 +1,10 @@
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bellkit
 
@@ -70,3 +73,54 @@ def test_subcommands_without_an_lp_leave_scipy_optimize_unloaded(tmp_path, rng):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False", argv[0]
     assert json.loads(report.read_text())["s_star"] > 2.0
+
+
+# The layer of each module, lowest first: a module imports only from modules
+# of a lower layer.  search imports harness, whose CountDataset sample_counts
+# returns, and that is the one edge allowed to point up or across.
+LAYERS = {"inequalities": 0, "models": 1, "experiments": 1, "search": 2, "harness": 3, "cli": 4}
+KNOWN_BACK_EDGES = {("search", "harness")}
+
+
+def bellkit_imports(source: str) -> set[str]:
+    """The bellkit modules a module's source imports, relatively or not."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("bellkit.")]
+            found.update(name.split(".")[1] for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            # "from .x import y" or "from . import x", or the same from bellkit
+            if node.level:
+                module = node.module
+            elif node.module == "bellkit" or node.module.startswith("bellkit."):
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, imported",
+    [
+        ("from . import cli, search", {"cli", "search"}),
+        ("from .harness import run_analysis", {"harness"}),
+        ("from .inequalities import CANONICAL_PAIRS as PAIRS", {"inequalities"}),
+        ("import bellkit.models", {"models"}),
+        ("from bellkit.search import maximize_s_star", {"search"}),
+        ("from bellkit import experiments", {"experiments"}),
+        ("def f():\n    from .cli import main", {"cli"}),
+        ("import json\nfrom typing import Optional\nimport bellkitx", set()),
+    ],
+)
+def test_layering_guard_finds_every_import_form(source, imported):
+    assert bellkit_imports(source) == imported
+
+
+def test_modules_import_only_from_lower_layers():
+    package = Path(bellkit.__file__).resolve().parent
+    modules = [p for p in package.glob("*.py") if p.stem != "__init__"]
+    assert {p.stem for p in modules} == set(LAYERS)
+    edges = {(p.stem, imported) for p in modules for imported in bellkit_imports(p.read_text())}
+    assert {(a, b) for a, b in edges if LAYERS[b] >= LAYERS[a]} == KNOWN_BACK_EDGES

@@ -23,15 +23,15 @@ from bellkit.search import (
 
 
 def uniform_mixture():
-    s1 = enumerate_local_strategies(2, side=1)
-    s2 = enumerate_local_strategies(2, side=2)
+    s1 = enumerate_local_strategies(2)
+    s2 = enumerate_local_strategies(2)
     w = np.full((9, 9), 1 / 81)
     return StrategyMixture(s1, s2, w)
 
 
 def point_mass(outcomes1, outcomes2):
-    s1 = enumerate_local_strategies(2, side=1)
-    s2 = enumerate_local_strategies(2, side=2)
+    s1 = enumerate_local_strategies(2)
+    s2 = enumerate_local_strategies(2)
     w = np.zeros((9, 9))
     i = [s.outcomes for s in s1].index(outcomes1)
     j = [s.outcomes for s in s2].index(outcomes2)
@@ -65,8 +65,8 @@ class TestMixtureStatistics:
 
     def test_uniform_mixture_by_explicit_enumeration(self):
         # independent count: strategies fixing one outcome at one setting
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         expected = sum(
             1
             for a, b in itertools.product(s1, s2)
@@ -79,8 +79,8 @@ class TestMixtureStatistics:
 
     def test_parameter_independence_is_exact(self):
         rng = np.random.default_rng(7)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         w = rng.dirichlet(np.ones(81)).reshape(9, 9)
         mixture = StrategyMixture(s1, s2, w)
         for setting in ("A", "C"):
@@ -90,8 +90,8 @@ class TestMixtureStatistics:
 
     def test_table_rows_match_marginals(self):
         rng = np.random.default_rng(11)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
         stats = mixture_statistics(mixture)
         for (x, y), table in stats.tables.items():
@@ -99,8 +99,8 @@ class TestMixtureStatistics:
             np.testing.assert_allclose(table.sum(axis=1), expected, atol=1e-14)
 
     def test_weight_validation(self):
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         with pytest.raises(ValueError):
             StrategyMixture(s1, s2, np.full((9, 9), 0.5))
 
@@ -108,8 +108,8 @@ class TestMixtureStatistics:
         # a weight of -8e-17 is what rounding leaves on the boundary of a
         # closed-form mixture; alone on (++, ++) it would make every
         # coincidence table entry p++ negative
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         assert s1[0].outcomes == s2[0].outcomes == ("+", "+")
         assert s1[4].outcomes == s2[4].outcomes == ("-", "-")
         w = np.zeros((9, 9))
@@ -141,8 +141,8 @@ class TestMixtureStatistics:
         # reference: every weight of a strategy pair whose side-1 strategy
         # gives outcome o, summed exactly
         rng = np.random.default_rng(13)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         for alpha in (0.05, 1.0, 5.0):
             mixture = StrategyMixture(s1, s2, rng.dirichlet(np.full(81, alpha)).reshape(9, 9))
             for xi, x in enumerate("AC"):
@@ -164,8 +164,8 @@ class TestMixtureStatistics:
         # cell of its two outcomes and into each side's marginals, every
         # cell then summed exactly; dense mixtures and ~70 % zero weights
         rng = np.random.default_rng(17)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         worst = 0.0
         for k in range(200):
             w = rng.dirichlet(np.ones(81)).reshape(9, 9)
@@ -199,8 +199,8 @@ class TestMixtureStatistics:
 class TestMixtureToModel:
     def test_tables_match_per_cell_construction(self):
         rng = np.random.default_rng(5)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
         model = mixture_to_model(mixture)
         plus = lambda s: [float(o == "+") for o in s.outcomes]
@@ -211,8 +211,8 @@ class TestMixtureToModel:
 
     def test_conversion_is_valid_and_consistent(self):
         rng = np.random.default_rng(3)
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2)
         mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
         model = mixture_to_model(mixture)
         assert validate_model(model).valid
@@ -288,8 +288,8 @@ class TestCachedSearchStructure:
 
     def test_lp_matches_pairwise_construction(self):
         # reference: each coefficient written out per strategy pair
-        s1 = enumerate_local_strategies(2, side=1)
-        s2 = enumerate_local_strategies(2, OUTCOMES, side=2)
+        s1 = enumerate_local_strategies(2)
+        s2 = enumerate_local_strategies(2, OUTCOMES)
         pairs = list(itertools.product(s1, s2))
         value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
         num, den = [], []
@@ -403,4 +403,4 @@ class TestSampleCounts:
 class TestDeterministicStrategy:
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
-            DeterministicStrategy(1, ("+", "x"))
+            DeterministicStrategy(("+", "x"))
