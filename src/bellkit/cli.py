@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from . import experiments, harness, search
-from .inequalities import load_json, write_text
+from .inequalities import CANONICAL_ANGLES, load_json, write_text
 from .models import FactorizableModel, validate_model
 
 _REQUIRED = object()
@@ -65,7 +65,6 @@ def _predict_cascade(cfg: dict) -> dict:
     cascade = experiments.CascadeConfig(
         theta=_setting(cfg, "cascade", "theta"),
         zeta=_setting(cfg, "cascade", "zeta"),
-        r0=_setting(cfg, "cascade", "r0", default=1.0),
         alpha=_setting(cfg, "cascade", "alpha", default=1.0),
     )
     eta, v, alpha = experiments.cascade_optics(cascade.theta, cascade.zeta)
@@ -94,9 +93,8 @@ def _pdc_config(cfg: dict) -> experiments.PdcConfig:
 
 def _predict_pdc(cfg: dict) -> dict:
     pdc = _pdc_config(cfg)
-    angles, _ = experiments.optimal_angles()
     rates = {
-        f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in angles.as_tuple()
+        f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in CANONICAL_ANGLES
     }
     out = {
         "expected_s_star": 2.0 * math.sqrt(2.0) * pdc.v,

@@ -31,12 +31,15 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    """Atomic-cascade source: lens half-aperture, detector efficiency, rate
-    and the angular-correlation factor alpha."""
+    """Atomic-cascade source: lens half-aperture, detector efficiency and
+    the angular-correlation factor alpha.
+
+    alpha may not make any coincidence probability of the source, at the
+    canonical angles, exceed its singles: alpha eta (1 + V cos 2phi) <= 2.
+    """
 
     theta: float
     zeta: float
-    r0: float
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -44,10 +47,17 @@ class CascadeConfig:
             raise ValueError(f"theta = {self.theta} outside (0, pi/2]")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta = {self.zeta} outside [0, 1]")
-        for name in ("r0", "alpha"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} = {value} must be finite and positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha = {self.alpha} must be finite and positive")
+        # the rates at alpha = 1: the coincidences scale with alpha, the singles do not
+        eta, v, optics_alpha = cascade_optics(self.theta, self.zeta)
+        rates = [cascade_rates(1.0, eta, v, optics_alpha, phi) for phi in CANONICAL_ANGLES]
+        singles, peak = rates[0][0], max(r12 for _, _, r12 in rates)
+        if self.alpha * peak > singles:
+            raise ValueError(
+                f"alpha = {self.alpha} exceeds {singles / peak!r}, the largest value at which "
+                "no coincidence probability exceeds the singles"
+            )
 
 
 @dataclass(frozen=True)

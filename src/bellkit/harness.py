@@ -353,7 +353,9 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     Always evaluates the renormalized statistic S* (non-genuine, needs the
     fair-sampling assumption).  When cfg.r0 is declared and rows carry
     durations and +-channel singles, additionally evaluates the genuine CH
-    test on absolute probabilities.
+    test on absolute probabilities.  With cfg.r0 declared, a row whose
+    r0 * duration is not finite and positive, or is below the row's
+    coincidence count, is a DatasetError naming its line.
     """
     if not ds.rows:
         raise DatasetError("empty dataset")
@@ -383,6 +385,11 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         err = math.sqrt(max(0.0, 1.0 - e_star * e_star) / n)
         e_abs = None
         if absolute_ok:
+            # a pair gives at most one coincidence; more would put |e| above 1
+            if n > n0[(x, y)]:
+                expected = f"r0 = {cfg.r0} times duration {row.duration} expects"
+                message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
+                raise DatasetError(_at_line(row, message))
             e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0[(x, y)]
         pair_stats.append(
             PairStats(setting_a=x, setting_b=y, n_total=n, e_star=e_star, err=err, e=e_abs)
@@ -397,12 +404,13 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     s_abs = None
     if absolute_ok:
         s_abs = chsh_sum(*(p.e for p in pair_stats))
-        row_ab = rows[("A", "B")]
+        # p(A) and p(B) are the singles of the first pair, (A, B)
+        row_ab, n_ab = rows[CANONICAL_PAIRS[0]], n0[CANONICAL_PAIRS[0]]
         if row_ab.singles_a is not None and row_ab.singles_b is not None:
             try:
                 ps = ProbabilitySet(
-                    pA=row_ab.singles_a / n0[("A", "B")],
-                    pB=row_ab.singles_b / n0[("A", "B")],
+                    pA=row_ab.singles_a / n_ab,
+                    pB=row_ab.singles_b / n_ab,
                     **{f"p{x}{y}": row.n_pp / n0[(x, y)] for (x, y), row in rows.items()},
                 )
             except ValueError as exc:

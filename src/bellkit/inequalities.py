@@ -22,9 +22,12 @@ PAIR_TOL = 1e-9
 
 CHSH_BOUND = 2.0
 
-# The four setting pairs of the CHSH and CH tests, in the order every
-# statistic takes them, and their signed polarizer angle differences.
-CANONICAL_PAIRS = (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))
+# The one set-up of the CHSH and CH tests, settings A, C on side 1 and B, D
+# on side 2 (Fine, PRL 48, 291, 1982); its four setting pairs, in the order
+# every statistic takes them, and their signed polarizer angle differences.
+SIDE1_SETTINGS = ("A", "C")
+SIDE2_SETTINGS = ("B", "D")
+CANONICAL_PAIRS = tuple((x, y) for x in SIDE1_SETTINGS for y in SIDE2_SETTINGS)
 CANONICAL_ANGLES = (-math.pi / 8, math.pi / 8, math.pi / 8, 3 * math.pi / 8)
 CANONICAL_PHI = dict(zip(CANONICAL_PAIRS, CANONICAL_ANGLES))
 

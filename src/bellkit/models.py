@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .inequalities import CANONICAL_PAIRS, SIDE1_SETTINGS, SIDE2_SETTINGS
 from .inequalities import ProbabilitySet, check_json, load_json, write_text
 
 MODEL_TOL = 1e-12
@@ -202,8 +203,9 @@ def joint_probability(model: FactorizableModel, settingA: str, settingB: str) ->
     return float(model.space.weights @ (p1 * p2))
 
 
-# Outcome tuples are ordered (a, c, b, d) with 1 = "yes", enumerated
-# lexicographically.
+# The observables of the formal joint distribution, side 1 then side 2; the
+# outcome tuples (a, c, b, d), 1 = "yes", are enumerated lexicographically.
+OBSERVABLES = SIDE1_SETTINGS + SIDE2_SETTINGS
 OUTCOME_TUPLES = tuple(itertools.product((0, 1), repeat=4))
 
 # The point each deterministic outcome gives in ProbabilitySet field order
@@ -218,13 +220,12 @@ _FEASIBILITY_A_EQ = _frozen(np.vstack([np.ones(len(OUTCOME_TUPLES)), OUTCOME_VER
 
 @dataclass(frozen=True)
 class FourOutcomeJoint:
-    """Formal joint distribution over the four observables (A, C, B, D).
+    """Formal joint distribution over the four OBSERVABLES (A, C, B, D).
 
     Not directly measurable (A and C are incompatible settings on the same
     side); its existence is what characterizes factorizable statistics.
     """
 
-    observables: tuple[str, str, str, str]
     probabilities: dict[tuple[int, int, int, int], float] = field(compare=False)
 
     def __post_init__(self):
@@ -237,29 +238,25 @@ class FourOutcomeJoint:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 
     def marginal(self, observable: str) -> float:
-        k = self.observables.index(observable)
+        k = OBSERVABLES.index(observable)
         return sum(p for t, p in self.probabilities.items() if t[k] == 1)
 
     def pair(self, obs1: str, obs2: str) -> float:
-        k1 = self.observables.index(obs1)
-        k2 = self.observables.index(obs2)
+        k1 = OBSERVABLES.index(obs1)
+        k2 = OBSERVABLES.index(obs2)
         return sum(p for t, p in self.probabilities.items() if t[k1] == 1 and t[k2] == 1)
 
 
-def formal_joint_distribution(
-    model: FactorizableModel, A: str, C: str, B: str, D: str
-) -> FourOutcomeJoint:
-    """Joint distribution over (A, C, B, D) induced by the hidden variable.
+def formal_joint_distribution(model: FactorizableModel) -> FourOutcomeJoint:
+    """Joint distribution over the OBSERVABLES induced by the hidden variable.
 
     Within each cell the four outcomes are independent with the table
     probabilities; the mixture over cells reproduces every measurable
     marginal and pair probability of the model.
     """
     w = model.space.weights
-    pA = model.response1.column(A)
-    pC = model.response1.column(C)
-    pB = model.response2.column(B)
-    pD = model.response2.column(D)
+    pA, pC = map(model.response1.column, SIDE1_SETTINGS)
+    pB, pD = map(model.response2.column, SIDE2_SETTINGS)
     probs: dict[tuple[int, int, int, int], float] = {}
     for a, c, b, d in OUTCOME_TUPLES:
         qa = pA if a else 1.0 - pA
@@ -267,20 +264,16 @@ def formal_joint_distribution(
         qb = pB if b else 1.0 - pB
         qd = pD if d else 1.0 - pD
         probs[(a, c, b, d)] = float(w @ (qa * qc * qb * qd))
-    return FourOutcomeJoint((A, C, B, D), probs)
+    return FourOutcomeJoint(probs)
 
 
-def probability_set_from_model(
-    model: FactorizableModel, A: str = "A", C: str = "C", B: str = "B", D: str = "D"
-) -> ProbabilitySet:
-    """Collect the six CH quantities of a model at the given settings."""
+def probability_set_from_model(model: FactorizableModel) -> ProbabilitySet:
+    """The six CH quantities of a model: the marginals of its first setting
+    on each side and the pairs of CANONICAL_PAIRS."""
     return ProbabilitySet(
-        pA=marginal_probability(model, A, 1),
-        pB=marginal_probability(model, B, 2),
-        pAB=joint_probability(model, A, B),
-        pAD=joint_probability(model, A, D),
-        pCB=joint_probability(model, C, B),
-        pCD=joint_probability(model, C, D),
+        marginal_probability(model, SIDE1_SETTINGS[0], 1),
+        marginal_probability(model, SIDE2_SETTINGS[0], 2),
+        *(joint_probability(model, x, y) for x, y in CANONICAL_PAIRS),
     )
 
 
@@ -411,14 +404,13 @@ def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
 
     Linear-program feasibility over the 16 outcome weights with equality
     constraints for the six given probabilities.  On success the recovered
-    joint, labelled ("A", "C", "B", "D"), is the witness; on failure the
-    certificate is the CH-family facet with the least slack at ps.
+    joint over the OBSERVABLES is the witness; on failure the certificate is
+    the CH-family facet with the least slack at ps.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))
     res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _feasibility_matrix(), b_eq, 1.0)
     if res.status == 0:
         q = np.clip(res.x, 0.0, None)
         q = q / q.sum()
-        witness = FourOutcomeJoint(("A", "C", "B", "D"), dict(zip(OUTCOME_TUPLES, map(float, q))))
-        return Feasible(witness=witness)
+        return Feasible(witness=FourOutcomeJoint(dict(zip(OUTCOME_TUPLES, map(float, q)))))
     return Infeasible(certificate=_least_slack_facet(ps))

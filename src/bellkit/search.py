@@ -21,6 +21,7 @@ import numpy as np
 
 from .harness import CountDataset, CountRow
 from .inequalities import CANONICAL_PAIRS as PAIRS
+from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
 from .models import (
     FactorizableModel,
@@ -31,9 +32,6 @@ from .models import (
 )
 
 OUTCOMES = ("+", "-", "u")
-
-SIDE1_SETTINGS = ("A", "C")
-SIDE2_SETTINGS = ("B", "D")
 
 WEIGHT_TOL = 1e-10
 
@@ -134,7 +132,7 @@ def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> np.ndarray:
     search LP read it.  Detection at k is row [k, 0] plus row [k, 1]."""
     per_setting = np.array([s.outcomes for s in strategies]).T
     ind = np.stack([per_setting == o for o in OUTCOMES], axis=1)
-    return _readonly(ind.astype(float, order="C"))
+    return _readonly(np.ascontiguousarray(ind, dtype=float))
 
 
 def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:

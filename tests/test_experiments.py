@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bellkit.experiments import (
     cascade_optics,
     cascade_rates,
     optimal_angles,
+    predicted_probability_set,
     spacelike_constraints,
     two_channel_rates,
     visibility_estimators,
@@ -191,15 +193,35 @@ class TestSourceConfigs:
     def test_r0_must_be_finite_and_positive(self, r0):
         with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):
             PdcConfig(v=0.9, eta=0.1, r0=r0)
-        with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):
-            CascadeConfig(theta=0.5, zeta=0.2, r0=r0)
         with pytest.raises(ValueError, match="alpha = .* must be finite and positive"):
-            CascadeConfig(theta=0.5, zeta=0.2, r0=1.0, alpha=r0)
+            CascadeConfig(theta=0.5, zeta=0.2, alpha=r0)
+
+    @pytest.mark.parametrize(
+        "theta, zeta", [(0.5, 0.2), (math.pi / 3, 0.2), (0.3, 0.9), (math.pi / 2, 1.0)]
+    )
+    def test_alpha_bound_agrees_with_probability_set(self, theta, zeta):
+        # the coincidences eta^2 alpha (1 + V cos 2phi) / 4 peak at |phi| = pi/8
+        # and may not exceed the singles eta / 2; ProbabilitySet allows 1e-9
+        # more, below 1e-6 of the singles of these sources
+        eta, v, _ = cascade_optics(theta, zeta)
+        bound = 2.0 / (eta * (1.0 + v * math.cos(math.pi / 4)))
+        CascadeConfig(theta, zeta, alpha=bound * (1 - 1e-6))
+        predicted_probability_set(eta, v, bound * (1 - 1e-6))
+        with pytest.raises(ValueError, match="exceeds marginal"):
+            predicted_probability_set(eta, v, bound * (1 + 1e-6))
+        with pytest.raises(ValueError) as exc:
+            CascadeConfig(theta, zeta, alpha=bound * (1 + 1e-6))
+        stated = re.fullmatch(
+            r"alpha = \S+ exceeds (\S+), the largest value at which "
+            "no coincidence probability exceeds the singles",
+            str(exc.value),
+        )
+        assert stated and float(stated[1]) == pytest.approx(bound, rel=1e-12)
 
 
 class TestCascadeReports:
     def test_genuine_and_auxiliary_verdicts_from_one_config(self):
-        cfg = CascadeConfig(theta=math.pi / 3, zeta=0.2, r0=1e6)
+        cfg = CascadeConfig(theta=math.pi / 3, zeta=0.2)
         ch, fc = cascade_inequality_reports(cfg)
         assert ch.genuine and not fc.genuine
         assert ch.lhs == fc.lhs

@@ -43,6 +43,14 @@ C,B,400,100,100,400,2000,2000,1.0
 C,D,100,400,400,100,2000,2000,1.0
 """
 
+# durations of 1e-10 and no singles columns
+NO_SINGLES_CSV = """setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,duration
+A,B,400,100,100,400,1e-10
+A,D,400,100,100,400,1e-10
+C,B,400,100,100,400,1e-10
+C,D,100,400,400,100,1e-10
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -431,6 +439,21 @@ class TestCli:
             "not a finite positive number\n",
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("r0, pairs", [("1e-5", "1e-15"), ("1e-300", "1e-310")])
+    def test_coincidences_above_expected_pairs_name_line(self, tmp_path, capsys, fmt, r0, pairs):
+        # r0 * duration is finite and positive but below each row's 1000
+        # coincidences, and no singles bound the correlations
+        path = write(tmp_path, "counts.csv", NO_SINGLES_CSV)
+        config = write(tmp_path, "cfg.ini", f"[analysis]\nr0 = {r0}\n")
+        argv = ["analyze", str(path), "--config", str(config), "--format", fmt]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: line 2: 1000 coincidences exceed the {pairs} pairs that r0 = {float(r0)} "
+            "times duration 1e-10 expects\n",
+        )
+
     # sha256 digests of the reports as they stand; a change meant to keep
     # every output byte keeps them, one that alters a report re-pins them
     @pytest.mark.parametrize(
@@ -681,13 +704,17 @@ class TestCli:
              "[cascade] alpha = 'inf' is not a finite number"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = -1\n", ["predict"],
              "alpha = -1.0 must be finite and positive"),
+            ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = 100\n", ["predict"],
+             "alpha = 100.0 exceeds 96.10079530022739, the largest value at which "
+             "no coincidence probability exceeds the singles"),
             ("[search]\netas = 0.8, abc\n", ["search"],
              "[search] etas = '0.8, abc' is not a list of finite numbers"),
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
         ],
         ids=[
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
-            "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative", "etas-abc",
+            "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
+            "cascade-alpha-above-bound", "etas-abc",
             "eta-decimal-comma",
         ],
     )

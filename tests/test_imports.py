@@ -124,3 +124,38 @@ def test_modules_import_only_from_lower_layers():
     assert {p.stem for p in modules} == set(LAYERS)
     edges = {(p.stem, imported) for p in modules for imported in bellkit_imports(p.read_text())}
     assert {(a, b) for a, b in edges if LAYERS[b] >= LAYERS[a]} == KNOWN_BACK_EDGES
+
+
+# The setting labels are written once, in inequalities.py; every other module
+# takes them from SIDE1_SETTINGS, SIDE2_SETTINGS or CANONICAL_PAIRS.
+SETTING_LABELS = {"A", "B", "C", "D"}
+
+
+def setting_labels(source: str) -> list[str]:
+    """The string constants of a module's source that are setting labels."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in SETTING_LABELS
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, labels",
+    [
+        ('SIDE1 = ("A", "C")', ["A", "C"]),
+        ('row = rows[("A", "B")]', ["A", "B"]),
+        ('a = x.astype(float, order="C")', ["C"]),
+        ('def f(m, D="D"):\n    """Settings A, B, C and D."""', ["D"]),
+        ('s = f"p{x}{y}" + "AB" + "a" + "D "', []),
+    ],
+)
+def test_label_guard_finds_every_label_constant(source, labels):
+    assert setting_labels(source) == labels
+
+
+def test_setting_labels_are_written_only_in_inequalities():
+    package = Path(bellkit.__file__).resolve().parent
+    found = {p.name: setting_labels(p.read_text()) for p in package.glob("*.py")}
+    assert found.pop("inequalities.py")
+    assert {name: labels for name, labels in found.items() if labels} == {}

@@ -146,19 +146,19 @@ class TestFormalJointDistribution:
         r1 = ResponseTable(1, SIDE1, np.array([[1.0, 0.0]]))
         r2 = ResponseTable(2, SIDE2, np.array([[0.0, 1.0]]))
         model = FactorizableModel(space, r1, r2)
-        joint = formal_joint_distribution(model, "A", "C", "B", "D")
+        joint = formal_joint_distribution(model)
         assert joint.probabilities[(1, 0, 0, 1)] == pytest.approx(1.0)
         assert sum(joint.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_fair_coins_are_uniform(self):
-        joint = formal_joint_distribution(uniform_model(), "A", "C", "B", "D")
+        joint = formal_joint_distribution(uniform_model())
         for tup in OUTCOME_TUPLES:
             assert joint.probabilities[tup] == pytest.approx(1 / 16, abs=1e-12)
 
     def test_marginals_match_direct_sums(self, rng):
         for _ in range(50):
             model = random_model(rng)
-            joint = formal_joint_distribution(model, "A", "C", "B", "D")
+            joint = formal_joint_distribution(model)
             for setting, side in (("A", 1), ("C", 1), ("B", 2), ("D", 2)):
                 assert joint.marginal(setting) == pytest.approx(
                     marginal_probability(model, setting, side), abs=1e-12
