@@ -14,9 +14,10 @@ import math
 import sys
 import traceback
 
-from . import experiments, harness, search
+# models and search import numpy, which analyze, predict and report never
+# use, so only the commands that need them import them
+from . import experiments, harness
 from .inequalities import CANONICAL_ANGLES, load_json, write_text
-from .models import FactorizableModel, validate_model
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
@@ -55,6 +56,8 @@ def _write_or_print(text: str, output: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .models import FactorizableModel, validate_model
+
     model = FactorizableModel.load(args.model)
     report = validate_model(model)
     _write_or_print(json.dumps(report.to_json(), indent=2, allow_nan=False) + "\n", args.output)
@@ -131,6 +134,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import search
+
     # numpy's generator takes only non-negative seeds, and its message names
     # no field
     if args.seed < 0:
@@ -150,6 +155,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     cfg = harness.load_config(args.config) if args.config else {}
     section = cfg.get("search", {})
     if args.eta is not None:

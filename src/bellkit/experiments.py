@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .inequalities import (
     CANONICAL_ANGLES,
     InequalityReport,
@@ -224,6 +222,8 @@ def visibility_estimators(
     The three agree on exact V cos 2phi data but respond differently to
     distortions; they are distinct estimators, not one quantity.
     """
+    import numpy as np  # the one numpy user here: `predict` needs no numpy
+
     if len(samples) < 4:
         raise InsufficientCoverageError("at least 4 samples required")
     phis = np.array([s[0] for s in samples], dtype=float)

@@ -499,7 +499,9 @@ def load_config(path) -> dict[str, dict[str, str]]:
     Values stay the strings the file holds; each reader converts the keys
     it uses.
     """
-    parser = configparser.ConfigParser()
+    # no interpolation: a value holding "%" reaches its reader, which names
+    # [section] key when it is malformed
+    parser = configparser.ConfigParser(interpolation=None)
     # utf-8-sig drops the byte-order mark an editor may write at the start
     if not parser.read(path, encoding="utf-8-sig"):
         raise FileNotFoundError(f"config file not found: {path}")

@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -224,9 +224,11 @@ class FourOutcomeJoint:
 
     Not directly measurable (A and C are incompatible settings on the same
     side); its existence is what characterizes factorizable statistics.
+    Two joints are equal when their probabilities are; as a dict field makes
+    it, the class is unhashable.
     """
 
-    probabilities: dict[tuple[int, int, int, int], float] = field(compare=False)
+    probabilities: dict[tuple[int, int, int, int], float]
 
     def __post_init__(self):
         if set(self.probabilities) != set(OUTCOME_TUPLES):

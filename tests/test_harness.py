@@ -710,12 +710,14 @@ class TestCli:
             ("[search]\netas = 0.8, abc\n", ["search"],
              "[search] etas = '0.8, abc' is not a list of finite numbers"),
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
+            ("[search]\neta = 80%\n", ["search"], "[search] eta = '80%' is not a finite number"),
+            (PDC + "r0 = %(x)s\n", ["predict"], "[pdc] r0 = '%(x)s' is not a finite number"),
         ],
         ids=[
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
             "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
             "cascade-alpha-above-bound", "etas-abc",
-            "eta-decimal-comma",
+            "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation",
         ],
     )
     def test_malformed_config_value_names_section_and_key(

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -159,3 +160,149 @@ def test_setting_labels_are_written_only_in_inequalities():
     found = {p.name: setting_labels(p.read_text()) for p in package.glob("*.py")}
     assert found.pop("inequalities.py")
     assert {name: labels for name, labels in found.items() if labels} == {}
+
+
+# The public names of `bellkit`, pinned so that no name is lost from the
+# table that resolves them on first use.
+PUBLIC_NAMES = [
+    "ChannelProbabilities", "InequalityReport", "NormalizationError", "ProbabilitySet",
+    "TwoChannelCounts", "ch_report", "channel_conversion", "correlation", "fc_report",
+    "renormalized_correlation", "s_statistic", "FactorizableModel", "Feasible",
+    "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible", "ResponseTable",
+    "ValidationReport", "formal_joint_distribution", "joint_feasibility", "joint_probability",
+    "marginal_probability", "probability_set_from_model", "validate_model", "AngleSet",
+    "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
+    "cascade_bi_maximum", "cascade_optics", "cascade_rates", "optimal_angles",
+    "spacelike_constraints", "two_channel_rates", "visibility_estimators",
+    "DeterministicStrategy", "SearchResult", "StrategyMixture", "enumerate_local_strategies",
+    "maximize_s_star", "mixture_statistics", "mixture_to_model", "sample_counts",
+    "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
+    "emit_report", "ingest_counts", "run_analysis",
+]
+SUBMODULES = ["inequalities", "models", "experiments", "search", "harness"]
+
+
+def run_python(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], cwd=SRC, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_public_names_resolve_from_their_modules():
+    assert bellkit.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(bellkit, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from bellkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+
+
+def test_dir_lists_public_names_and_submodules():
+    assert set(PUBLIC_NAMES + SUBMODULES) <= set(dir(bellkit))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bellkit.no_such_name
+    with pytest.raises(ImportError):
+        from bellkit import no_such_name  # noqa: F401
+
+
+def test_bare_import_loads_no_submodule_and_resolves_them_on_use():
+    code = (
+        "import sys, bellkit; "
+        "print(sorted(m for m in sys.modules if m.startswith(('bellkit.', 'numpy')))); "
+        f"print([getattr(bellkit, m).__name__ for m in {SUBMODULES!r}])"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", str([f"bellkit.{m}" for m in SUBMODULES])]
+
+
+@pytest.fixture
+def saved_report(tmp_path):
+    """A config, the counts simulated from it and their saved JSON analysis."""
+    from bellkit import cli
+
+    config, counts, report = tmp_path / "cfg.ini", tmp_path / "counts.csv", tmp_path / "r.json"
+    config.write_text(CONFIG_TEXT)
+    simulate = ["simulate", "--config", str(config), "--seed", "7", "--output", str(counts)]
+    assert cli.main(simulate) == 0
+    assert cli.main(["analyze", str(counts), "--output", str(report)]) == 0
+    return config, counts, report
+
+
+def test_subcommands_without_arithmetic_leave_numpy_unloaded(tmp_path, saved_report):
+    config, counts, report = saved_report
+    commands = [
+        ["analyze", str(counts), "--output", str(tmp_path / "again.json")],
+        ["report", str(report), "--output", str(tmp_path / "report.txt")],
+        ["predict", "--config", str(config), "--output", str(tmp_path / "predict.json")],
+    ]
+    code = (
+        "import sys; from bellkit import cli; "
+        "code = cli.main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+    )
+    for argv in commands:
+        proc = run_python("-c", code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", argv[0]
+    again = json.loads((tmp_path / "again.json").read_text())
+    assert again["digest"] == json.loads(report.read_text())["digest"]
+
+
+def test_cli_module_runs_under_warnings_as_errors(saved_report):
+    # runpy warns when `python -m bellkit.cli` finds bellkit.cli already
+    # imported by the package
+    _, _, report = saved_report
+    proc = run_python("-W", "error", "-m", "bellkit.cli", "report", str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "S*" in proc.stdout
+
+
+def loaded_on_import(source: str) -> set[str]:
+    """The top-level packages and bellkit modules that a module's source
+    imports outside function bodies, that is, on its own import."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.body = [ast.Pass()]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return (found - {"bellkit"}) | bellkit_imports(ast.unparse(tree))
+
+
+@pytest.mark.parametrize(
+    "source, loaded",
+    [
+        ("import numpy as np", {"numpy"}),
+        ("from numpy.linalg import norm", {"numpy"}),
+        ("try:\n    import numpy\nexcept ImportError:\n    pass", {"numpy"}),
+        ("class C:\n    import numpy", {"numpy"}),
+        ("def f():\n    import numpy as np\n    return np", set()),
+        ("class C:\n    def f(self):\n        from numpy import array", set()),
+        ("from . import harness, search", {"harness", "search"}),
+        ("import bellkit.models", {"models"}),
+        ("def f():\n    from . import search\n    from .models import validate_model", set()),
+    ],
+)
+def test_import_guard_skips_only_function_bodies(source, loaded):
+    assert loaded_on_import(source) == loaded
+
+
+# The modules whose own import loads numpy.  The rest import it, or these
+# modules, only inside the functions that need them, so that `import bellkit`
+# and the commands that do no array arithmetic never load numpy.
+NUMPY_IMPORTERS = {"models", "search"}
+
+
+def test_only_models_and_search_import_numpy_on_import():
+    package = Path(bellkit.__file__).resolve().parent
+    loaded = {p.stem: loaded_on_import(p.read_text()) for p in package.glob("*.py")}
+    assert {stem for stem, names in loaded.items() if "numpy" in names} == NUMPY_IMPORTERS
+    assert loaded["cli"] & NUMPY_IMPORTERS == set()

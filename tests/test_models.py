@@ -11,6 +11,7 @@ from bellkit.models import (
     CH_FAMILY_FACETS,
     FactorizableModel,
     Feasible,
+    FourOutcomeJoint,
     HiddenVariableSpace,
     Infeasible,
     OUTCOME_TUPLES,
@@ -167,6 +168,14 @@ class TestFormalJointDistribution:
                 assert joint.pair(x, y) == pytest.approx(
                     joint_probability(model, x, y), abs=1e-12
                 )
+
+    def test_equality_compares_probabilities(self):
+        uniform = {t: 1 / 16 for t in OUTCOME_TUPLES}
+        point_mass = {t: float(t == (1, 0, 0, 1)) for t in OUTCOME_TUPLES}
+        assert FourOutcomeJoint(uniform) == FourOutcomeJoint(dict(uniform))
+        assert Feasible(FourOutcomeJoint(uniform)) == Feasible(FourOutcomeJoint(dict(uniform)))
+        assert FourOutcomeJoint(point_mass) != FourOutcomeJoint(uniform)
+        assert Feasible(FourOutcomeJoint(point_mass)) != Feasible(FourOutcomeJoint(uniform))
 
 
 class TestJointFeasibility:
