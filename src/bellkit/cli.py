@@ -70,15 +70,15 @@ def _predict_cascade(cfg: dict) -> dict:
         zeta=_setting(cfg, "cascade", "zeta"),
         alpha=_setting(cfg, "cascade", "alpha", default=1.0),
     )
-    eta, v, alpha = experiments.cascade_optics(cascade.theta, cascade.zeta)
-    lhs, fulfilled = experiments.bi_margin(alpha * cascade.alpha, eta, v)
+    eta, v = experiments.cascade_optics(cascade.theta, cascade.zeta)
+    lhs, fulfilled = experiments.bi_margin(cascade.alpha, eta, v)
     max_lhs, theta_star = experiments.cascade_bi_maximum(cascade.zeta)
     max_lhs_both, _ = experiments.cascade_bi_maximum(cascade.zeta, both_detectors=True)
-    ch, fc = experiments.cascade_inequality_reports(cascade)
+    ch, fc = experiments.prediction_reports(eta, v, cascade.alpha)
     return {
         "eta": eta,
         "v": v,
-        "alpha": alpha * cascade.alpha,
+        "alpha": cascade.alpha,
         "bell_condition_lhs": lhs,
         "bell_condition_fulfilled": fulfilled,
         "aperture_maximum": {"lhs": max_lhs, "theta": theta_star, "both_detectors": max_lhs_both},

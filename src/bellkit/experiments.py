@@ -19,6 +19,7 @@ from .inequalities import (
     ch_report,
     chsh_sum,
     fc_report,
+    s_star_bound_visibility,
 )
 
 HBAR = 1.054571817e-34  # J s
@@ -47,10 +48,9 @@ class CascadeConfig:
             raise ValueError(f"zeta = {self.zeta} outside [0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha = {self.alpha} must be finite and positive")
-        # the rates at alpha = 1: the coincidences scale with alpha, the singles do not
-        eta, v, optics_alpha = cascade_optics(self.theta, self.zeta)
-        rates = [cascade_rates(1.0, eta, v, optics_alpha, phi) for phi in CANONICAL_ANGLES]
-        singles, peak = rates[0][0], max(r12 for _, _, r12 in rates)
+        # at alpha = 1: the coincidences scale with alpha, the singles do not
+        ps = predicted_probability_set(*cascade_optics(self.theta, self.zeta))
+        singles, peak = ps.pA, max(ps.pAB, ps.pAD, ps.pCB, ps.pCD)
         if self.alpha * peak > singles:
             raise ValueError(
                 f"alpha = {self.alpha} exceeds {singles / peak!r}, the largest value at which "
@@ -114,27 +114,26 @@ class KinematicsInput:
             raise ValueError("speed must be in (0, c)")
 
 
-def cascade_optics(theta: float, zeta: float) -> tuple[float, float, float]:
-    """Aperture-dependent efficiency, visibility and angular correlation.
+def cascade_optics(theta: float, zeta: float) -> tuple[float, float]:
+    """Aperture-dependent efficiency and visibility of a cascade source.
 
-    eta = (1 - cos theta) zeta / 2,  V = 1 - (2/3)(1 - cos theta)^2,
-    alpha = 1 (near-isotropic pair emission).
+    eta = (1 - cos theta) zeta / 2,  V = 1 - (2/3)(1 - cos theta)^2.  The
+    angular-correlation factor alpha is CascadeConfig.alpha, 1 by default
+    (near-isotropic pair emission).
     """
     u = 1.0 - math.cos(theta)
     eta = 0.5 * u * zeta
     v = 1.0 - (2.0 / 3.0) * u * u
-    return eta, v, 1.0
+    return eta, v
 
 
-def cascade_rates(
-    r0: float, eta: float, v: float, alpha: float, phi: float
-) -> tuple[float, float, float]:
-    """Singles and coincidence rates of a cascade experiment.
+def cascade_rates(eta: float, v: float, alpha: float, phi: float) -> tuple[float, float, float]:
+    """Singles and coincidence rates of a cascade experiment per emitted pair.
 
-    r1 = r2 = r0 eta / 2;  r12 = r0 eta^2 alpha (1 + V cos 2phi) / 4.
+    r1 = r2 = eta / 2;  r12 = eta^2 alpha (1 + V cos 2phi) / 4.
     """
-    r1 = 0.5 * r0 * eta
-    r12 = 0.25 * r0 * eta * eta * alpha * (1.0 + v * math.cos(2.0 * phi))
+    r1 = 0.5 * eta
+    r12 = 0.25 * eta * eta * alpha * (1.0 + v * math.cos(2.0 * phi))
     return r1, r1, r12
 
 
@@ -252,8 +251,7 @@ def visibility_estimators(
         idx = min(range(len(phis)), key=lambda i: dist(float(phis[i])))
         return float(es[idx])
 
-    s_star = chsh_sum(*(nearest(t) for t in CANONICAL_ANGLES))
-    v_b = s_star / (2.0 * SQRT2)
+    v_b = s_star_bound_visibility(chsh_sum(*(nearest(t) for t in CANONICAL_ANGLES)))
     return v_fit, v_a, v_b
 
 
@@ -280,10 +278,9 @@ def spacelike_constraints(k: KinematicsInput) -> SpacelikeConstraints:
 
 
 def predicted_probability_set(eta: float, v: float, alpha: float = 1.0) -> ProbabilitySet:
-    """CH probabilities at the canonical angles: the cascade_rates of a unit
-    production rate, singles eta / 2 and coincidences
-    eta^2 alpha (1 + V cos 2phi) / 4."""
-    rates = [cascade_rates(1.0, eta, v, alpha, phi) for phi in CANONICAL_ANGLES]
+    """CH probabilities at the canonical angles: the cascade_rates, singles
+    eta / 2 and coincidences eta^2 alpha (1 + V cos 2phi) / 4."""
+    rates = [cascade_rates(eta, v, alpha, phi) for phi in CANONICAL_ANGLES]
     p1, p2, _ = rates[0]
     return ProbabilitySet(p1, p2, *(r12 for _, _, r12 in rates))
 
@@ -301,8 +298,3 @@ def prediction_reports(
     p_removed = 0.5 * alpha * eta * eta
     return ch_report(ps), fc_report(ps, p_removed, p_removed)
 
-
-def cascade_inequality_reports(cfg: CascadeConfig) -> tuple[InequalityReport, InequalityReport]:
-    """CH and FC verdicts with the optics derived from the lens aperture."""
-    eta, v, alpha = cascade_optics(cfg.theta, cfg.zeta)
-    return prediction_reports(eta, v, cfg.alpha * alpha)

@@ -264,19 +264,6 @@ class PairStats:
         }
 
 
-def _reject_non_finite(value, path: str) -> None:
-    """Raise ValueError naming the first NaN or infinite number in a loaded
-    report (json.load accepts them), e.g. at field pairs[2].e_star."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"report field {path} is {value}, not a finite number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for k, item in enumerate(value):
-            _reject_non_finite(item, f"{path}[{k}]")
-
-
 # The fields of a saved report, in the check_json schema form.
 REPORT_SCHEMA = {
     "pairs": [
@@ -318,7 +305,6 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
-        _reject_non_finite(data, "")
         check_json(data, REPORT_SCHEMA, "")
         pairs = tuple(
             PairStats(
@@ -497,12 +483,16 @@ def load_config(path) -> dict[str, dict[str, str]]:
     """Read the [section] key = value configuration file.
 
     Values stay the strings the file holds; each reader converts the keys
-    it uses.
+    it uses.  A missing file is a FileNotFoundError naming it; any other
+    file that cannot be read raises the OSError of open().
     """
     # no interpolation: a value holding "%" reaches its reader, which names
     # [section] key when it is malformed
     parser = configparser.ConfigParser(interpolation=None)
     # utf-8-sig drops the byte-order mark an editor may write at the start
-    if not parser.read(path, encoding="utf-8-sig"):
-        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"config file not found: {path}") from None
     return {section: dict(parser.items(section)) for section in parser.sections()}

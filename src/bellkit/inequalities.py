@@ -60,14 +60,15 @@ class ProbabilitySet:
         for name, value in self.as_dict().items():
             if not -PAIR_TOL <= value <= 1.0 + PAIR_TOL:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
-        # pair probability cannot exceed either of its measured marginals
+        # a pair cannot exceed either of its marginals by more than PAIR_TOL
+        # relative, so a marginal in [-PAIR_TOL, 0] allows no pair above 0
         for pair, bound, bname in (
             ("pAB", self.pA, "pA"),
             ("pAB", self.pB, "pB"),
             ("pAD", self.pA, "pA"),
             ("pCB", self.pB, "pB"),
         ):
-            if getattr(self, pair) > bound + PAIR_TOL:
+            if 0.0 < getattr(self, pair) > bound * (1.0 + PAIR_TOL):
                 raise ValueError(f"{pair} = {getattr(self, pair)} exceeds marginal {bname} = {bound}")
 
     def as_dict(self) -> dict[str, float]:
@@ -164,29 +165,44 @@ def check_json(value, schema, path: str) -> None:
 
     A schema is a type (float for a finite number, int, str, bool, list or
     dict; a bool is never a number), a tuple of alternatives with None for
-    null, a dict of required fields (others are allowed), a one-item list
-    [item] for a list of such items, or a longer list for a list of exactly
-    those items.
+    null, a dict of required fields, a one-item list [item] for a list of
+    such items, or a longer list for a list of exactly those items.  A field
+    the schema does not list, and the contents of a bare list or dict, may
+    hold anything but NaN or an infinity (json.load reads NaN, Infinity and
+    1e400): field <path> must be a finite number, found NaN.
     """
+    shape = type(schema) if isinstance(schema, (dict, list)) else schema
+    kinds = shape if isinstance(shape, tuple) else (shape,)
+    if not any(_has_json_type(value, kind) for kind in kinds):
+        expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
+        where = f"field {path}" if path else "top-level value"
+        raise ValueError(f"{where} must be {expected}, found {json.dumps(value)[:40]}")
     if isinstance(schema, dict):
-        check_json(value, dict, path)
         for key, item in schema.items():
             name = f"{path}.{key}" if path else key
             if key not in value:
                 raise ValueError(f"field {name} is missing")
             check_json(value[key], item, name)
+        _check_finite({key: item for key, item in value.items() if key not in schema}, path)
     elif isinstance(schema, list):
-        check_json(value, list, path)
         if len(schema) > 1 and len(value) != len(schema):
             raise ValueError(f"field {path} must hold {len(schema)} items, found {len(value)}")
         for k, item in enumerate(value):
             check_json(item, schema[0] if len(schema) == 1 else schema[k], f"{path}[{k}]")
-    else:
-        kinds = schema if isinstance(schema, tuple) else (schema,)
-        if not any(_has_json_type(value, kind) for kind in kinds):
-            expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
-            where = f"field {path}" if path else "top-level value"
-            raise ValueError(f"{where} must be {expected}, found {json.dumps(value)[:40]}")
+    elif isinstance(value, (dict, list)):
+        _check_finite(value, path)
+
+
+def _check_finite(value, path: str) -> None:
+    """check_json of a value no schema describes: its numbers must be finite."""
+    if isinstance(value, float):
+        check_json(value, float, path)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _check_finite(item, f"{path}[{k}]")
 
 
 def load_json(path):
@@ -261,7 +277,7 @@ def renormalized_correlation(tc: TwoChannelCounts) -> float:
     total = tc.total()
     if total == 0:
         raise ZeroDivisionError("all four outcome entries are zero; E* undefined")
-    return (tc.ppp + tc.pmm - tc.ppm - tc.pmp) / total
+    return correlation(tc) / total
 
 
 def chsh_sum(eAB, eAD, eCB, eCD):

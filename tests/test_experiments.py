@@ -15,11 +15,11 @@ from bellkit.experiments import (
     bi1_min_efficiency,
     bi_margin,
     cascade_bi_maximum,
-    cascade_inequality_reports,
     cascade_optics,
     cascade_rates,
     optimal_angles,
     predicted_probability_set,
+    prediction_reports,
     spacelike_constraints,
     two_channel_rates,
     visibility_estimators,
@@ -31,40 +31,39 @@ SQRT2 = math.sqrt(2.0)
 
 class TestCascadeOptics:
     def test_half_aperture(self):
-        eta, v, alpha = cascade_optics(math.acos(0.5), 1.0)
+        eta, v = cascade_optics(math.acos(0.5), 1.0)
         assert eta == pytest.approx(0.25)
         assert v == pytest.approx(1 - 2 / 3 * 0.25)
-        assert alpha == 1.0
 
     def test_small_aperture_limit(self):
-        eta, v, _ = cascade_optics(1e-6, 1.0)
+        eta, v = cascade_optics(1e-6, 1.0)
         assert eta == pytest.approx(0.0, abs=1e-12)
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_full_aperture(self):
-        eta, v, _ = cascade_optics(math.pi / 2, 1.0)
+        eta, v = cascade_optics(math.pi / 2, 1.0)
         assert eta == pytest.approx(0.5)
         assert v == pytest.approx(1 / 3)
 
     def test_monotonicity_in_theta(self):
         thetas = np.linspace(0.01, math.pi / 2, 200)
-        etas, vs = zip(*[cascade_optics(t, 1.0)[:2] for t in thetas])
+        etas, vs = zip(*[cascade_optics(t, 1.0) for t in thetas])
         assert all(b > a for a, b in zip(etas, etas[1:]))
         assert all(b < a for a, b in zip(vs, vs[1:]))
 
 
 class TestCascadeRates:
     def test_aligned_polarizers(self):
-        _, _, r12 = cascade_rates(r0=1.0, eta=0.3, v=0.9, alpha=1.0, phi=0.0)
+        _, _, r12 = cascade_rates(eta=0.3, v=0.9, alpha=1.0, phi=0.0)
         assert r12 == pytest.approx(0.25 * 0.09 * 1.9)
 
     def test_low_efficiency_scale(self):
-        r1, r2, r12 = cascade_rates(r0=1.0, eta=1e-4, v=0.85, alpha=1.0, phi=0.0)
+        r1, r2, r12 = cascade_rates(eta=1e-4, v=0.85, alpha=1.0, phi=0.0)
         assert r1 == r2 == pytest.approx(5e-5)
         assert r12 == pytest.approx(4.625e-9)
 
     def test_zero_visibility_flat(self):
-        values = {cascade_rates(1.0, 0.2, 0.0, 1.0, phi)[2] for phi in (0.0, 0.4, 1.1)}
+        values = {cascade_rates(0.2, 0.0, 1.0, phi)[2] for phi in (0.0, 0.4, 1.1)}
         assert len(values) == 1
 
 
@@ -197,13 +196,14 @@ class TestSourceConfigs:
             CascadeConfig(theta=0.5, zeta=0.2, alpha=r0)
 
     @pytest.mark.parametrize(
-        "theta, zeta", [(0.5, 0.2), (math.pi / 3, 0.2), (0.3, 0.9), (math.pi / 2, 1.0)]
+        "theta, zeta",
+        [(0.5, 0.2), (math.pi / 3, 0.2), (0.3, 0.9), (math.pi / 2, 1.0), (0.1, 0.5)],
     )
     def test_alpha_bound_agrees_with_probability_set(self, theta, zeta):
         # the coincidences eta^2 alpha (1 + V cos 2phi) / 4 peak at |phi| = pi/8
         # and may not exceed the singles eta / 2; ProbabilitySet allows 1e-9
-        # more, below 1e-6 of the singles of these sources
-        eta, v, _ = cascade_optics(theta, zeta)
+        # more relative, below the 1e-6 tried here even at singles of 6e-4
+        eta, v = cascade_optics(theta, zeta)
         bound = 2.0 / (eta * (1.0 + v * math.cos(math.pi / 4)))
         CascadeConfig(theta, zeta, alpha=bound * (1 - 1e-6))
         predicted_probability_set(eta, v, bound * (1 - 1e-6))
@@ -222,7 +222,7 @@ class TestSourceConfigs:
 class TestCascadeReports:
     def test_genuine_and_auxiliary_verdicts_from_one_config(self):
         cfg = CascadeConfig(theta=math.pi / 3, zeta=0.2)
-        ch, fc = cascade_inequality_reports(cfg)
+        ch, fc = prediction_reports(*cascade_optics(cfg.theta, cfg.zeta), cfg.alpha)
         assert ch.genuine and not fc.genuine
         assert ch.lhs == fc.lhs
 

@@ -358,8 +358,12 @@ class TestLoadConfig:
         assert cfg["analysis"]["n_pairs"] == "20000"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="^config file not found: .*nope.ini$"):
             load_config(tmp_path / "nope.ini")
+
+    def test_unreadable_file_raises_its_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            load_config(tmp_path)
 
 
 class TestCli:
@@ -623,7 +627,61 @@ class TestCli:
         assert cli.main(["report", str(saved), "--format", fmt]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: report field {field} is {value}, not a finite number\n"
+        found = json.dumps(float(value))
+        assert err == f"error: field {field} must be a finite number, found {found}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("token, found", [("NaN", "NaN"), ("-Infinity", "-Infinity"),
+                                              ("1e400", "Infinity")])
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("note[1]", lambda d: d.update(note=[1.0, "@"])),
+            ("provenance.config.r0", lambda d: d["provenance"]["config"].update(r0="@")),
+            ("provenance.extra.x", lambda d: d["provenance"].update(extra={"x": "@"})),
+            ("plot_data[1].weight", lambda d: d["plot_data"][1].update(weight="@")),
+        ],
+        ids=["top-level", "provenance", "provenance-nested", "plot-point"],
+    )
+    def test_non_finite_in_unlisted_report_field_names_it(
+        self, tmp_path, capsys, fmt, token, found, path, edit
+    ):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        edit(data)
+        saved.write_text(json.dumps(data).replace('"@"', token))
+        capsys.readouterr()
+        assert cli.main(["report", str(saved), "--format", fmt]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: field {path} must be a finite number, found {found}\n"
+        )
+
+    @pytest.mark.parametrize("token, found", [("NaN", "NaN"), ("Infinity", "Infinity"),
+                                              ("1e400", "Infinity")])
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("scale", lambda d: d.update(scale="@")),
+            ("side2.gain[1]", lambda d: d["side2"].update(gain=[0.5, "@"])),
+        ],
+        ids=["top-level", "side"],
+    )
+    def test_non_finite_in_unlisted_model_field_names_it(
+        self, tmp_path, capsys, rng, token, found, path, edit
+    ):
+        from conftest import random_model
+
+        model = tmp_path / "model.json"
+        random_model(rng).save(model)
+        data = json.loads(model.read_text())
+        edit(data)
+        model.write_text(json.dumps(data).replace('"@"', token))
+        assert cli.main(["validate", str(model)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: field {path} must be a finite number, found {found}\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -727,6 +785,19 @@ class TestCli:
         out = str(tmp_path / "out")
         assert cli.main([*argv, "--config", str(path), "--output", out]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("sub", ["predict", "simulate", "analyze", "search"])
+    def test_config_that_cannot_be_read_names_the_os_error(self, tmp_path, capsys, sub):
+        counts = str(write(tmp_path, "counts.csv", GOOD_CSV))
+        argv = {
+            "predict": [],
+            "simulate": ["--seed", "1", "--output", str(tmp_path / "out.csv")],
+            "analyze": [counts],
+            "search": [],
+        }[sub]
+        assert cli.main([sub, *argv, "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err, err
 
     @pytest.mark.parametrize("sub", ["simulate", "analyze", "predict", "search"])
     def test_output_below_a_file_is_an_input_error(self, tmp_path, capsys, config, sub):

@@ -306,3 +306,71 @@ def test_only_models_and_search_import_numpy_on_import():
     loaded = {p.stem: loaded_on_import(p.read_text()) for p in package.glob("*.py")}
     assert {stem for stem, names in loaded.items() if "numpy" in names} == NUMPY_IMPORTERS
     assert loaded["cli"] & NUMPY_IMPORTERS == set()
+
+
+# inequalities.load_json is the one reader of a saved JSON file: it reads a
+# byte-order mark and names the file of a document nested too deeply.
+JSON_READERS = {"load", "loads"}
+
+
+def json_reads(source: str) -> list[tuple]:
+    """Each use of json.load or json.loads in a module's source, as an
+    attribute of json under any name `import json` binds it to, or imported
+    from json: the innermost function around it (None at module level) and
+    its line."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in JSON_READERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in JSON_READERS for alias in node.names)
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("import json\njson.load(fh)", [(None, 2)]),
+        ("import json\ndef f(t):\n    return json.loads(t)", [("f", 3)]),
+        ("import json\nparse = json.loads", [(None, 2)]),
+        ("import json as j\nj.load(fh)", [(None, 2)]),
+        ("from json import dumps, loads", [(None, 1)]),
+        ("import json\nclass C:\n    def load_json(self, fh):\n        return json.load(fh)",
+         [("load_json", 4)]),
+        ("import json\njson.dumps(x)\nexcept_ = json.JSONDecodeError", []),
+        ("from json import dumps\nself.load(fh)\nload_json(path)", []),
+        ("import numpy as json_like\njson_like.load(fh)", []),
+    ],
+)
+def test_json_reader_guard_finds_every_read(source, reads):
+    assert json_reads(source) == reads
+
+
+def test_load_json_is_the_only_json_reader_in_the_package():
+    package = Path(bellkit.__file__).resolve().parent
+    found = {
+        (p.name, function) for p in package.glob("*.py") for function, _ in json_reads(p.read_text())
+    }
+    assert found == {("inequalities.py", "load_json")}

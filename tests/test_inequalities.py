@@ -201,3 +201,22 @@ class TestProbabilitySet:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ProbabilitySet(pA=1.2, pB=0.5, pAB=0.1, pAD=0.1, pCB=0.1, pCD=0.1)
+
+    @pytest.mark.parametrize(
+        "pair, marginal", [("pAB", "pA"), ("pAB", "pB"), ("pAD", "pA"), ("pCB", "pB")]
+    )
+    def test_pair_tolerance_is_relative_to_a_small_marginal(self, pair, marginal):
+        # an absolute 1e-9 would let a pair exceed a marginal of 1e-6 by 0.1 %
+        values = dict(pA=0.5, pB=0.5, pAB=0.0, pAD=0.0, pCB=0.0, pCD=0.0)
+        values[marginal] = 1e-6
+        values[pair] = 1e-6 * (1 + 1e-12)
+        ProbabilitySet(**values)
+        values[pair] = 1e-6 * (1 + 1e-8)
+        with pytest.raises(ValueError, match=f"{pair} = .* exceeds marginal {marginal} = 1e-06"):
+            ProbabilitySet(**values)
+
+    @pytest.mark.parametrize("marginal", [-1e-9, -1e-12, -0.0, 0.0])
+    def test_marginal_rounded_below_zero_allows_zero_pairs(self, marginal):
+        ProbabilitySet(pA=marginal, pB=marginal, pAB=0.0, pAD=0.0, pCB=0.0, pCD=0.0)
+        with pytest.raises(ValueError, match="exceeds marginal"):
+            ProbabilitySet(pA=marginal, pB=0.5, pAB=0.0, pAD=1e-15, pCB=0.0, pCD=0.0)
