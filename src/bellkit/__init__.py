@@ -28,8 +28,8 @@ _PUBLIC = {
         "spacelike_constraints", "two_channel_rates", "visibility_estimators",
     ),
     "search": (
-        "DeterministicStrategy", "SearchResult", "StrategyMixture", "enumerate_local_strategies",
-        "maximize_s_star", "mixture_statistics", "mixture_to_model", "sample_counts",
+        "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",
+        "mixture_to_model", "sample_counts",
     ),
     "harness": (
         "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",

@@ -147,8 +147,12 @@ def _cmd_simulate(args) -> int:
     n_pairs = _setting(cfg, "analysis", "n_pairs", kind=int, default=10**6)
     stats = {}
     for (x, y), phi in harness.CANONICAL_PHI.items():
-        rpp, rpm, rmp, rmm = experiments.two_channel_rates(pdc, phi)
-        stats[(x, y)] = harness.TwoChannelCounts(rpp, rpm, rmp, rmm)
+        rates = experiments.two_channel_rates(pdc, phi)
+        # eta = 0, or an eta * r0 below the smallest float, leaves nothing to
+        # sample, and the sampler's message names a pair, not the field
+        if not any(rates):
+            raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives no coincidences")
+        stats[(x, y)] = harness.TwoChannelCounts(*rates)
     ds = search.sample_counts(stats, n_pairs, args.seed)
     ds.save(args.output)
     return 0

@@ -323,7 +323,11 @@ class AnalysisReport:
             s_star=data["s_star"],
             s_err=data["s_err"],
             v_b=data["v_b"],
-            verdicts=tuple(InequalityReport.from_json(v) for v in data["verdicts"]),
+            # the fields check_json has checked; a saved verdict may hold more
+            verdicts=tuple(
+                InequalityReport(**{key: v[key] for key in VERDICT_SCHEMA})
+                for v in data["verdicts"]
+            ),
             plot_data=tuple(data["plot_data"]),
             provenance=dict(data["provenance"]),
         )

@@ -121,11 +121,6 @@ class InequalityReport:
     def to_json(self) -> dict:
         return {key: getattr(self, key) for key in VERDICT_SCHEMA}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "InequalityReport":
-        check_json(data, VERDICT_SCHEMA, "")
-        return cls(**{key: data[key] for key in VERDICT_SCHEMA})
-
 
 # The fields of a saved verdict, in the check_json schema form.
 VERDICT_SCHEMA = {

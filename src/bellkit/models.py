@@ -107,18 +107,29 @@ class FactorizableModel:
     @classmethod
     def from_json(cls, data: dict) -> "FactorizableModel":
         check_json(data, MODEL_SCHEMA, "")
-        for side in ("side1", "side2"):
-            n_settings = len(data[side]["settings"])
-            for k, row in enumerate(data[side]["table"]):
-                if len(row) != n_settings:
+        n_cells = len(data["cells"])
+        if len(data["weights"]) != n_cells:
+            raise ValueError(
+                f"field weights holds {len(data['weights'])} entries, not one per cell ({n_cells})"
+            )
+        responses = []
+        for side in (1, 2):
+            settings, table = data[f"side{side}"]["settings"], data[f"side{side}"]["table"]
+            if len(table) != n_cells:
+                raise ValueError(
+                    f"field side{side}.table holds {len(table)} rows, not one per cell ({n_cells})"
+                )
+            for k, row in enumerate(table):
+                if len(row) != len(settings):
                     raise ValueError(
-                        f"field {side}.table[{k}] holds {len(row)} entries, "
-                        f"not one per setting ({n_settings})"
+                        f"field side{side}.table[{k}] holds {len(row)} entries, "
+                        f"not one per setting ({len(settings)})"
                     )
+            # the shape holds for an empty table too, which np.array reads as (0,)
+            values = np.array(table).reshape(n_cells, len(settings))
+            responses.append(ResponseTable(side, tuple(settings), values))
         space = HiddenVariableSpace(tuple(data["cells"]), np.array(data["weights"]))
-        r1 = ResponseTable(1, tuple(data["side1"]["settings"]), np.array(data["side1"]["table"]))
-        r2 = ResponseTable(2, tuple(data["side2"]["settings"]), np.array(data["side2"]["table"]))
-        return cls(space, r1, r2)
+        return cls(space, *responses)
 
     def save(self, path) -> None:
         """Write the model as indented JSON to path through write_text.

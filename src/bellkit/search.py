@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,50 +32,25 @@ from .models import (
 
 OUTCOMES = ("+", "-", "u")
 
+# The deterministic local strategies of one side: an outcome at each of its
+# two settings, in product order.  Both sides draw from these nine.
+STRATEGIES = tuple(itertools.product(OUTCOMES, repeat=2))
+
 WEIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """One outcome per setting; the side is the strategy's place in a
-    StrategyMixture."""
-
-    outcomes: tuple[str, ...]  # one entry per setting
-
-    def __post_init__(self):
-        if any(o not in OUTCOMES for o in self.outcomes):
-            raise ValueError(f"outcomes must be drawn from {OUTCOMES}")
-
-
-def enumerate_local_strategies(
-    n_settings: int, outcomes: Sequence[str] = OUTCOMES
-) -> tuple[DeterministicStrategy, ...]:
-    """All |outcomes|^n_settings deterministic strategies, in product order;
-    one list serves either side."""
-    if n_settings < 1:
-        raise ValueError("n_settings must be >= 1")
-    if not set(outcomes) <= set(OUTCOMES):
-        raise ValueError(f"outcomes must be a subset of {OUTCOMES}")
-    return tuple(
-        DeterministicStrategy(combo)
-        for combo in itertools.product(tuple(outcomes), repeat=n_settings)
-    )
-
-
-@dataclass(frozen=True)
 class StrategyMixture:
-    """Probability weights over ordered pairs of local strategies."""
+    """Probability weights over ordered pairs of STRATEGIES: weights[i, j]
+    is the weight of side-1 strategy i with side-2 strategy j."""
 
-    strategies1: tuple[DeterministicStrategy, ...]
-    strategies2: tuple[DeterministicStrategy, ...]
-    weights: np.ndarray  # shape (len(strategies1), len(strategies2))
+    weights: np.ndarray  # shape (len(STRATEGIES), len(STRATEGIES))
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies1", tuple(self.strategies1))
-        object.__setattr__(self, "strategies2", tuple(self.strategies2))
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.strategies1), len(self.strategies2)):
-            raise ValueError("weights shape must match the strategy lists")
+        shape = (len(STRATEGIES), len(STRATEGIES))
+        if w.shape != shape:
+            raise ValueError(f"mixture weights must have shape {shape}, not {w.shape}")
         if w.min() < -WEIGHT_TOL:
             raise ValueError("negative mixture weight")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -86,13 +60,6 @@ class StrategyMixture:
         w = np.where(w < 0.0, 0.0, w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    def to_json(self) -> dict:
-        return {
-            "strategies1": [list(s.outcomes) for s in self.strategies1],
-            "strategies2": [list(s.outcomes) for s in self.strategies2],
-            "weights": self.weights.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -124,34 +91,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=8)
-def _indicators(strategies: tuple[DeterministicStrategy, ...]) -> np.ndarray:
-    """Read-only 0/1 array of shape (settings, len(OUTCOMES), strategies):
-    entry [k, o, i] is 1 where strategy i gives OUTCOMES[o] at setting k.
-    Built once per strategy list; every mixture_statistics call and the
-    search LP read it.  Detection at k is row [k, 0] plus row [k, 1]."""
-    per_setting = np.array([s.outcomes for s in strategies]).T
-    ind = np.stack([per_setting == o for o in OUTCOMES], axis=1)
-    return _readonly(np.ascontiguousarray(ind, dtype=float))
+# Read-only 0/1 array of shape (settings, len(OUTCOMES), len(STRATEGIES)):
+# entry [k, o, i] is 1 where strategy i gives OUTCOMES[o] at setting k.
+# Every mixture_statistics call and the search LP read it; detection at k is
+# row [k, 0] plus row [k, 1].
+_INDICATORS = _readonly(
+    np.ascontiguousarray(
+        np.stack([np.array(STRATEGIES).T == o for o in OUTCOMES], axis=1), dtype=float
+    )
+)
 
 
 def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
     """Outcome tables and marginals of a mixture of strategies on the
     settings SIDE1_SETTINGS and SIDE2_SETTINGS.
 
-    All 16 tables come from one product of the weights with the cached
-    indicator arrays of both sides, and each side's marginals from one
-    product with its weight marginal.
+    All 16 tables come from one product of the weights with the indicator
+    array on both sides, and each side's marginals from one product with
+    its weight marginal.
     """
-    n_settings = (len(m.strategies1[0].outcomes), len(m.strategies2[0].outcomes))
-    if n_settings != (len(SIDE1_SETTINGS), len(SIDE2_SETTINGS)):
-        raise ValueError(f"strategies have {n_settings} settings per side, not two each")
-    ind1 = _indicators(m.strategies1)
-    ind2 = _indicators(m.strategies2)
     w = m.weights
-    n1, n2 = w.shape
+    ind = _INDICATORS.reshape(-1, len(STRATEGIES))
     # t[x, o1, y, o2]: weight of the pairs giving o1 at x and o2 at y
-    t = (ind1.reshape(-1, n1) @ w @ ind2.reshape(-1, n2).T).reshape(2, 3, 2, 3)
+    t = (ind @ w @ ind.T).reshape(2, 3, 2, 3)
     tables = {
         (x, y): t[xi, :, yi]
         for xi, x in enumerate(SIDE1_SETTINGS)
@@ -159,11 +121,11 @@ def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
     }
     detection: dict[tuple[int, str], float] = {}
     plus: dict[tuple[int, str], float] = {}
-    for side, settings, ind, marginal in (
-        (1, SIDE1_SETTINGS, ind1, w.sum(axis=1)),
-        (2, SIDE2_SETTINGS, ind2, w.sum(axis=0)),
+    for side, settings, marginal in (
+        (1, SIDE1_SETTINGS, w.sum(axis=1)),
+        (2, SIDE2_SETTINGS, w.sum(axis=0)),
     ):
-        for label, (p_plus, p_minus, _) in zip(settings, (ind @ marginal).tolist()):
+        for label, (p_plus, p_minus, _) in zip(settings, (_INDICATORS @ marginal).tolist()):
             detection[(side, label)] = p_plus + p_minus
             plus[(side, label)] = p_plus
     return MixtureStatistics(tables=tables, detection=detection, plus=plus)
@@ -178,7 +140,7 @@ def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_settin
     _setting_index(SIDE2_SETTINGS, given_side2_setting)  # validate only
     return tuple(
         math.fsum(m.weights[selected == 1.0].ravel())
-        for selected in _indicators(m.strategies1)[xi]
+        for selected in _INDICATORS[xi]
     )
 
 
@@ -188,13 +150,12 @@ def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
     The yes/no observable is detection in the + channel, so '-' and 'u'
     both map to response 0.
     """
-    n1, n2 = m.weights.shape
-    cells = tuple(f"s{i}x{j}" for i in range(n1) for j in range(n2))
-    plus1 = _indicators(m.strategies1)[:, 0].T
-    plus2 = _indicators(m.strategies2)[:, 0].T
+    n = len(STRATEGIES)
+    cells = tuple(f"s{i}x{j}" for i in range(n) for j in range(n))
+    plus = _INDICATORS[:, 0].T
     space = HiddenVariableSpace(cells, m.weights.reshape(-1))
-    r1 = ResponseTable(1, SIDE1_SETTINGS, np.repeat(plus1, n2, axis=0))
-    r2 = ResponseTable(2, SIDE2_SETTINGS, np.tile(plus2, (n1, 1)))
+    r1 = ResponseTable(1, SIDE1_SETTINGS, np.repeat(plus, n, axis=0))
+    r2 = ResponseTable(2, SIDE2_SETTINGS, np.tile(plus, (n, 1)))
     return FactorizableModel(space, r1, r2)
 
 
@@ -238,8 +199,6 @@ class _SearchLP:
     matrix.data of those nan entries.
     """
 
-    strategies1: tuple[DeterministicStrategy, ...]
-    strategies2: tuple[DeterministicStrategy, ...]
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -249,10 +208,8 @@ class _SearchLP:
 
 @functools.cache
 def _search_lp() -> _SearchLP:
-    # both sides draw from the same nine strategies
-    s1 = s2 = enumerate_local_strategies(2)
-    n = len(s1)
-    ind = _indicators(s1)
+    n = len(STRATEGIES)
+    ind = _INDICATORS
     # detection rows: plus row + minus row, exact for 0/1 entries
     det = ind[:, 0] + ind[:, 1]
 
@@ -279,8 +236,6 @@ def _search_lp() -> _SearchLP:
     a_eq = _readonly(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]))
     matrix = sparse_matrix(a_eq)
     return _SearchLP(
-        strategies1=s1,
-        strategies2=s2,
         c=_readonly(np.append(-chsh_sum(*num_rows), 0.0)),
         a_eq=a_eq,
         b_eq=_readonly(np.append(np.zeros(len(b_eq)), 1.0)),
@@ -313,9 +268,8 @@ def maximize_s_star(eta: float) -> SearchResult:
         raise SearchFailure(f"LP solver status {res.status}: {res.message}")
     best_x = res.x[:-1] / res.x[-1]
 
-    w = np.clip(best_x, 0.0, None).reshape(len(lp.strategies1), len(lp.strategies2))
-    w = w / w.sum()
-    mixture = StrategyMixture(lp.strategies1, lp.strategies2, w)
+    w = np.clip(best_x, 0.0, None).reshape(len(STRATEGIES), len(STRATEGIES))
+    mixture = StrategyMixture(w / w.sum())
     stats = mixture_statistics(mixture)
     pair_counts = {(x, y): stats.two_channel(x, y) for x, y in PAIRS}
     s_star = chsh_sum(*(renormalized_correlation(pair_counts[pair]) for pair in PAIRS))

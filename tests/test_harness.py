@@ -561,6 +561,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: --seed -1 is negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta, r0", [("0", "1.0"), ("5e-324", "1.0"), ("1e-300", "1e-30")])
+    def test_zero_simulate_efficiency_names_the_field(self, tmp_path, capsys, eta, r0):
+        # eta = 0, or an eta * r0 that underflows, leaves every pair with
+        # zero probability
+        text = CONFIG_TEXT.replace("eta = 0.1", f"eta = {eta}").replace("r0 = 1.0", f"r0 = {r0}")
+        config = write(tmp_path, "cfg.ini", text)
+        out = tmp_path / "counts.csv"
+        argv = ["simulate", "--config", str(config), "--seed", "7", "--output", str(out)]
+        assert cli.main(argv) == 1
+        message = f"[pdc] eta = {float(eta)!r} with r0 = {float(r0)!r} gives no coincidences"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_non_integer_seed_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "counts.csv", "# seed=abc\n" + GOOD_CSV)
         assert cli.main(["analyze", str(path)]) == 1

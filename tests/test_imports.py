@@ -174,8 +174,8 @@ PUBLIC_NAMES = [
     "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
     "cascade_bi_maximum", "cascade_optics", "cascade_rates", "optimal_angles",
     "spacelike_constraints", "two_channel_rates", "visibility_estimators",
-    "DeterministicStrategy", "SearchResult", "StrategyMixture", "enumerate_local_strategies",
-    "maximize_s_star", "mixture_statistics", "mixture_to_model", "sample_counts",
+    "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",
+    "mixture_to_model", "sample_counts",
     "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
     "emit_report", "ingest_counts", "run_analysis",
 ]

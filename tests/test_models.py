@@ -411,3 +411,51 @@ class TestSerialization:
         path.write_text(json.dumps(edit(model)))
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "edit, code, output",
+        [
+            (
+                lambda d: {**d, "weights": [0.5, 0.25, 0.25]},
+                1,
+                ("", "error: field weights holds 3 entries, not one per cell (2)\n"),
+            ),
+            (
+                lambda d: {**d, "side2": {**d["side2"], "table": [[0.5, 0.5]]}},
+                1,
+                ("", "error: field side2.table holds 1 rows, not one per cell (2)\n"),
+            ),
+            (
+                lambda d: {
+                    "cells": [],
+                    "weights": [],
+                    "side1": {**d["side1"], "table": []},
+                    "side2": {**d["side2"], "table": []},
+                },
+                0,
+                (
+                    json.dumps(
+                        {
+                            "valid": False,
+                            "violations": [
+                                {"kind": "normalization", "where": "weights", "amount": 1.0}
+                            ],
+                        },
+                        indent=2,
+                    )
+                    + "\n",
+                    "",
+                ),
+            ),
+        ],
+        ids=["weights", "table-rows", "no-cells"],
+    )
+    def test_cell_count_mismatch_names_the_field(self, tmp_path, capsys, edit, code, output):
+        # a count that differs from the cells is an input error naming the
+        # field; no cells at all is a model whose weights do not sum to 1
+        from bellkit import cli
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(uniform_model(n_cells=2).to_json())))
+        assert cli.main(["validate", str(path)]) == code
+        assert capsys.readouterr() == output

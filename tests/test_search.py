@@ -11,9 +11,8 @@ from bellkit import search
 from bellkit.search import (
     OUTCOMES,
     PAIRS,
-    DeterministicStrategy,
+    STRATEGIES,
     StrategyMixture,
-    enumerate_local_strategies,
     maximize_s_star,
     mixture_statistics,
     mixture_to_model,
@@ -21,40 +20,23 @@ from bellkit.search import (
     side1_outcome_marginals,
 )
 
+# The strategies of one side written out independently of the module: an
+# outcome at each of the two settings, in product order.
+REFERENCE_STRATEGIES = list(itertools.product(("+", "-", "u"), repeat=2))
+
+
+def test_strategies_are_the_nine_outcome_pairs_in_product_order():
+    assert STRATEGIES == tuple(REFERENCE_STRATEGIES)
+
 
 def uniform_mixture():
-    s1 = enumerate_local_strategies(2)
-    s2 = enumerate_local_strategies(2)
-    w = np.full((9, 9), 1 / 81)
-    return StrategyMixture(s1, s2, w)
+    return StrategyMixture(np.full((9, 9), 1 / 81))
 
 
 def point_mass(outcomes1, outcomes2):
-    s1 = enumerate_local_strategies(2)
-    s2 = enumerate_local_strategies(2)
     w = np.zeros((9, 9))
-    i = [s.outcomes for s in s1].index(outcomes1)
-    j = [s.outcomes for s in s2].index(outcomes2)
-    w[i, j] = 1.0
-    return StrategyMixture(s1, s2, w)
-
-
-class TestEnumeration:
-    def test_three_outcome_count(self):
-        assert len(enumerate_local_strategies(2)) == 9
-
-    def test_two_outcome_count(self):
-        assert len(enumerate_local_strategies(2, ("+", "-"))) == 4
-
-    def test_three_settings(self):
-        assert len(enumerate_local_strategies(3)) == 27
-
-    def test_canonical_order_is_deterministic(self):
-        assert enumerate_local_strategies(2) == enumerate_local_strategies(2)
-
-    def test_invalid_alphabet(self):
-        with pytest.raises(ValueError):
-            enumerate_local_strategies(2, ("+", "?"))
+    w[REFERENCE_STRATEGIES.index(outcomes1), REFERENCE_STRATEGIES.index(outcomes2)] = 1.0
+    return StrategyMixture(w)
 
 
 class TestMixtureStatistics:
@@ -65,12 +47,8 @@ class TestMixtureStatistics:
 
     def test_uniform_mixture_by_explicit_enumeration(self):
         # independent count: strategies fixing one outcome at one setting
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
         expected = sum(
-            1
-            for a, b in itertools.product(s1, s2)
-            if a.outcomes[0] == "+" and b.outcomes[0] == "+"
+            1 for a, b in itertools.product(REFERENCE_STRATEGIES, repeat=2) if a[0] == b[0] == "+"
         ) / 81
         stats = mixture_statistics(uniform_mixture())
         tc = stats.two_channel("A", "B")
@@ -79,10 +57,7 @@ class TestMixtureStatistics:
 
     def test_parameter_independence_is_exact(self):
         rng = np.random.default_rng(7)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
-        w = rng.dirichlet(np.ones(81)).reshape(9, 9)
-        mixture = StrategyMixture(s1, s2, w)
+        mixture = StrategyMixture(rng.dirichlet(np.ones(81)).reshape(9, 9))
         for setting in ("A", "C"):
             assert side1_outcome_marginals(mixture, setting, "B") == side1_outcome_marginals(
                 mixture, setting, "D"
@@ -90,68 +65,51 @@ class TestMixtureStatistics:
 
     def test_table_rows_match_marginals(self):
         rng = np.random.default_rng(11)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
-        mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
+        mixture = StrategyMixture(rng.dirichlet(np.ones(81)).reshape(9, 9))
         stats = mixture_statistics(mixture)
         for (x, y), table in stats.tables.items():
             expected = side1_outcome_marginals(mixture, x, y)
             np.testing.assert_allclose(table.sum(axis=1), expected, atol=1e-14)
 
     def test_weight_validation(self):
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
         with pytest.raises(ValueError):
-            StrategyMixture(s1, s2, np.full((9, 9), 0.5))
+            StrategyMixture(np.full((9, 9), 0.5))
 
     def test_rounding_residue_weight_is_clipped_to_zero(self):
         # a weight of -8e-17 is what rounding leaves on the boundary of a
         # closed-form mixture; alone on (++, ++) it would make every
         # coincidence table entry p++ negative
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
-        assert s1[0].outcomes == s2[0].outcomes == ("+", "+")
-        assert s1[4].outcomes == s2[4].outcomes == ("-", "-")
+        assert REFERENCE_STRATEGIES[0] == ("+", "+")
+        assert REFERENCE_STRATEGIES[4] == ("-", "-")
         w = np.zeros((9, 9))
         w[0, 0], w[4, 4] = -8e-17, 1.0
-        mixture = StrategyMixture(s1, s2, w)
+        mixture = StrategyMixture(w)
         assert mixture.weights.min() == 0.0 and not mixture.weights.flags.writeable
         stats = mixture_statistics(mixture)
         for x, y in PAIRS:
             assert stats.two_channel(x, y).ppp == 0.0
         with pytest.raises(ValueError, match="negative mixture weight"):
-            StrategyMixture(s1, s2, np.where(w < 0, -2e-10, w))
+            StrategyMixture(np.where(w < 0, -2e-10, w))
 
-    def test_rejects_three_settings_per_side(self):
-        s3 = enumerate_local_strategies(3)
-        mixture = StrategyMixture(s3, s3, np.full((27, 27), 1 / 729))
-        with pytest.raises(ValueError, match="two each"):
-            mixture_statistics(mixture)
-
-    def test_strategy_lists_are_accepted(self):
-        mixture = uniform_mixture()
-        from_lists = StrategyMixture(
-            list(mixture.strategies1), list(mixture.strategies2), mixture.weights
-        )
-        got, expected = mixture_statistics(from_lists), mixture_statistics(mixture)
-        assert got.detection == expected.detection and got.plus == expected.plus
-        assert all((got.tables[k] == t).all() for k, t in expected.tables.items())
+    @pytest.mark.parametrize("shape", [(27, 27), (9, 3), (81,), (9, 9, 1)])
+    def test_rejects_weights_of_the_wrong_shape(self, shape):
+        weights = np.full(shape, 1 / math.prod(shape))
+        with pytest.raises(ValueError, match=r"must have shape \(9, 9\), not "):
+            StrategyMixture(weights)
 
     def test_marginals_match_per_strategy_sum(self):
         # reference: every weight of a strategy pair whose side-1 strategy
         # gives outcome o, summed exactly
         rng = np.random.default_rng(13)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
         for alpha in (0.05, 1.0, 5.0):
-            mixture = StrategyMixture(s1, s2, rng.dirichlet(np.full(81, alpha)).reshape(9, 9))
+            mixture = StrategyMixture(rng.dirichlet(np.full(81, alpha)).reshape(9, 9))
             for xi, x in enumerate("AC"):
                 expected = tuple(
                     math.fsum(
                         float(mixture.weights[i, j])
-                        for i, a in enumerate(s1)
-                        if a.outcomes[xi] == o
-                        for j in range(len(s2))
+                        for i, a in enumerate(REFERENCE_STRATEGIES)
+                        if a[xi] == o
+                        for j in range(9)
                     )
                     for o in OUTCOMES
                 )
@@ -164,8 +122,7 @@ class TestMixtureStatistics:
         # cell of its two outcomes and into each side's marginals, every
         # cell then summed exactly; dense mixtures and ~70 % zero weights
         rng = np.random.default_rng(17)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
+        s1 = s2 = REFERENCE_STRATEGIES
         worst = 0.0
         for k in range(200):
             w = rng.dirichlet(np.ones(81)).reshape(9, 9)
@@ -175,17 +132,17 @@ class TestMixtureStatistics:
             terms = {"table": {}, "plus": {}, "detection": {}}
             for (i, a), (j, b) in itertools.product(enumerate(s1), enumerate(s2)):
                 for (xi, x), (yi, y) in itertools.product(enumerate("AC"), enumerate("BD")):
-                    cell = (x, y, OUTCOMES.index(a.outcomes[xi]), OUTCOMES.index(b.outcomes[yi]))
+                    cell = (x, y, OUTCOMES.index(a[xi]), OUTCOMES.index(b[yi]))
                     terms["table"].setdefault(cell, []).append(w[i, j])
                 for side, strategy, settings in ((1, a, "AC"), (2, b, "BD")):
-                    for outcome, label in zip(strategy.outcomes, settings):
+                    for outcome, label in zip(strategy, settings):
                         terms["plus"].setdefault((side, label), [])
                         terms["detection"].setdefault((side, label), [])
                         if outcome == "+":
                             terms["plus"][(side, label)].append(w[i, j])
                         if outcome != "u":
                             terms["detection"][(side, label)].append(w[i, j])
-            stats = mixture_statistics(StrategyMixture(s1, s2, w))
+            stats = mixture_statistics(StrategyMixture(w))
             assert len(stats.tables) == 4
             for (x, y, oi, oj), cell in terms["table"].items():
                 worst = max(worst, abs(stats.tables[(x, y)][oi, oj] - math.fsum(cell)))
@@ -199,21 +156,17 @@ class TestMixtureStatistics:
 class TestMixtureToModel:
     def test_tables_match_per_cell_construction(self):
         rng = np.random.default_rng(5)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
-        mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
+        mixture = StrategyMixture(rng.dirichlet(np.ones(81)).reshape(9, 9))
         model = mixture_to_model(mixture)
-        plus = lambda s: [float(o == "+") for o in s.outcomes]
-        cells = list(itertools.product(s1, s2))
+        plus = lambda s: [float(o == "+") for o in s]
+        cells = list(itertools.product(REFERENCE_STRATEGIES, REFERENCE_STRATEGIES))
         assert model.response1.values.tobytes() == np.array([plus(a) for a, _ in cells]).tobytes()
         assert model.response2.values.tobytes() == np.array([plus(b) for _, b in cells]).tobytes()
         assert model.space.weights.tobytes() == mixture.weights.tobytes()
 
     def test_conversion_is_valid_and_consistent(self):
         rng = np.random.default_rng(3)
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2)
-        mixture = StrategyMixture(s1, s2, rng.dirichlet(np.ones(81)).reshape(9, 9))
+        mixture = StrategyMixture(rng.dirichlet(np.ones(81)).reshape(9, 9))
         model = mixture_to_model(mixture)
         assert validate_model(model).valid
         stats = mixture_statistics(mixture)
@@ -275,33 +228,30 @@ class TestMaximizeSStar:
 class TestCachedSearchStructure:
     def cached_arrays(self):
         lp = search._search_lp()
-        yield from (lp.c, lp.a_eq, lp.b_eq)
-        for strategies in (lp.strategies1, lp.strategies2):
-            yield search._indicators(strategies)
+        yield from (lp.c, lp.a_eq, lp.b_eq, search._INDICATORS)
 
     def test_cached_arrays_are_read_only(self):
         arrays = list(self.cached_arrays())
-        assert len(arrays) == 3 + 2
+        assert len(arrays) == 4
+        assert search._INDICATORS.flags.c_contiguous
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.5
 
     def test_lp_matches_pairwise_construction(self):
         # reference: each coefficient written out per strategy pair
-        s1 = enumerate_local_strategies(2)
-        s2 = enumerate_local_strategies(2, OUTCOMES)
-        pairs = list(itertools.product(s1, s2))
+        pairs = list(itertools.product(REFERENCE_STRATEGIES, REFERENCE_STRATEGIES))
         value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
         num, den = [], []
         for x, y in PAIRS:
             xi, yi = "AC".index(x), "BD".index(y)
-            num.append([value.get((a.outcomes[xi], b.outcomes[yi]), 0.0) for a, b in pairs])
-            den.append([float("u" not in (a.outcomes[xi], b.outcomes[yi])) for a, b in pairs])
+            num.append([value.get((a[xi], b[yi]), 0.0) for a, b in pairs])
+            den.append([float("u" not in (a[xi], b[yi])) for a, b in pairs])
         num, den = np.array(num), np.array(den)
         eta = 0.7
         rows = [[1.0] * len(pairs) + [-1.0]]
-        rows += [[float(a.outcomes[k] != "u") for a, _ in pairs] + [-eta] for k in range(2)]
-        rows += [[float(b.outcomes[k] != "u") for _, b in pairs] + [-eta] for k in range(2)]
+        rows += [[float(a[k] != "u") for a, _ in pairs] + [-eta] for k in range(2)]
+        rows += [[float(b[k] != "u") for _, b in pairs] + [-eta] for k in range(2)]
         rows += [list(den[0] - den[k]) + [-0.0] for k in range(1, 4)]
         rows += [list(den[0]) + [0.0]]
         c = np.append(-((num[0] - num[3]) + (num[1] + num[2])), 0.0)
@@ -309,7 +259,6 @@ class TestCachedSearchStructure:
         lp = search._search_lp()
         a_eq = lp.a_eq.copy()
         a_eq[search._ETA_ROWS, -1] = -eta
-        assert lp.strategies1 == s1 and lp.strategies2 == s2
         assert a_eq.tobytes() == np.array(rows).tobytes()
         assert lp.c.tobytes() == c.tobytes()
         assert lp.b_eq.tolist() == [0.0] * 8 + [1.0]
@@ -398,9 +347,3 @@ class TestSampleCounts:
         ds = sample_counts(self.statistics(), 10, seed=9)
         assert ds.seed == 9
         assert "# seed=9" in ds.to_csv()
-
-
-class TestDeterministicStrategy:
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            DeterministicStrategy(("+", "x"))
