@@ -12,28 +12,26 @@ import importlib
 # Each submodule and the public names it defines.
 _PUBLIC = {
     "inequalities": (
-        "ChannelProbabilities", "InequalityReport", "NormalizationError", "ProbabilitySet",
-        "TwoChannelCounts", "ch_report", "channel_conversion", "correlation", "fc_report",
-        "renormalized_correlation", "s_statistic",
+        "InequalityReport", "NormalizationError", "ProbabilitySet", "TwoChannelCounts",
+        "ch_report", "correlation", "fc_report", "renormalized_correlation", "s_statistic",
     ),
     "models": (
         "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
-        "ResponseTable", "ValidationReport", "formal_joint_distribution", "joint_feasibility",
-        "joint_probability", "marginal_probability", "probability_set_from_model",
-        "validate_model",
+        "ResponseTable", "ValidationReport", "joint_feasibility", "joint_probability",
+        "marginal_probability", "probability_set_from_model", "validate_model",
     ),
     "experiments": (
-        "AngleSet", "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency",
-        "bi_margin", "cascade_bi_maximum", "cascade_optics", "cascade_rates", "optimal_angles",
-        "spacelike_constraints", "two_channel_rates", "visibility_estimators",
+        "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
+        "cascade_bi_maximum", "cascade_optics", "cascade_rates", "spacelike_constraints",
+        "two_channel_rates",
     ),
     "search": (
         "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",
-        "mixture_to_model", "sample_counts",
+        "sample_counts",
     ),
     "harness": (
         "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
-        "emit_report", "ingest_counts", "run_analysis",
+        "ingest_counts", "run_analysis",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .inequalities import (
     CANONICAL_ANGLES,
     InequalityReport,
     ProbabilitySet,
     ch_report,
-    chsh_sum,
     fc_report,
-    s_star_bound_visibility,
 )
 
 HBAR = 1.054571817e-34  # J s
@@ -73,31 +71,6 @@ class PdcConfig:
             raise ValueError(f"eta = {self.eta} outside [0, 1]")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ValueError(f"r0 = {self.r0} must be finite and positive")
-
-
-@dataclass(frozen=True)
-class AngleSet:
-    """Signed polarizer angle differences for pairs (A,B), (A,D), (C,B), (C,D).
-
-    The geometric identity phi1 + phi4 = phi2 + phi3 is enforced on signed
-    values; cosine evaluations downstream are parity-insensitive.
-    """
-
-    phi1: float
-    phi2: float
-    phi3: float
-    phi4: float
-
-    def __post_init__(self):
-        if abs((self.phi1 + self.phi4) - (self.phi2 + self.phi3)) > 1e-12:
-            raise ValueError("angles must satisfy phi1 + phi4 = phi2 + phi3")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.phi1, self.phi2, self.phi3, self.phi4)
-
-    def objective(self) -> float:
-        """cos(2 phi1) + cos(2 phi2) + cos(2 phi3) - cos(2 phi4)."""
-        return chsh_sum(*(math.cos(2 * phi) for phi in self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -175,17 +148,6 @@ def bi1_min_efficiency(v: float) -> float:
     return 2.0 / (1.0 + SQRT2 * v)
 
 
-def optimal_angles() -> tuple[AngleSet, float]:
-    """Angle set maximizing cos2phi1 + cos2phi2 + cos2phi3 - cos2phi4.
-
-    The maximum under phi1 + phi4 = phi2 + phi3 is 2*sqrt(2), reached at
-    magnitudes (pi/8, pi/8, pi/8, 3pi/8); the sign of phi1 makes the signed
-    constraint hold.
-    """
-    angles = AngleSet(*CANONICAL_ANGLES)
-    return angles, 2.0 * SQRT2
-
-
 def cascade_bi_maximum(zeta: float, both_detectors: bool = False) -> tuple[float, float]:
     """Maximum of alpha eta(theta) (1 + sqrt2 V(theta)) over the aperture.
 
@@ -201,58 +163,6 @@ def cascade_bi_maximum(zeta: float, both_detectors: bool = False) -> tuple[float
     if both_detectors:
         max_lhs *= 2.0
     return max_lhs, math.acos(1.0 - u_star)
-
-
-class InsufficientCoverageError(ValueError):
-    """The angle samples do not span a half-period of the correlation curve."""
-
-
-def visibility_estimators(
-    samples: Sequence[tuple[float, float]]
-) -> tuple[float, float, float]:
-    """Three empirical visibility estimates from (phi, E*) samples.
-
-    v_fit: least-squares amplitude of V cos 2phi.
-    v_a: (max - min)/(max + min) of the coincidence-rate curve, which is
-         proportional to 1 + E*(phi), hence (E*max - E*min)/(E*max + E*min + 2)
-         on the correlation samples.
-    v_b: S*/(2 sqrt2) assembled from the samples nearest the canonical angles.
-
-    The three agree on exact V cos 2phi data but respond differently to
-    distortions; they are distinct estimators, not one quantity.
-    """
-    import numpy as np  # the one numpy user here: `predict` needs no numpy
-
-    if len(samples) < 4:
-        raise InsufficientCoverageError("at least 4 samples required")
-    phis = np.array([s[0] for s in samples], dtype=float)
-    es = np.array([s[1] for s in samples], dtype=float)
-    if phis.max() - phis.min() < math.pi / 2 - 1e-9:
-        raise InsufficientCoverageError("samples must span at least a half-period (pi/2)")
-
-    basis = np.cos(2.0 * phis)
-    denom = float(basis @ basis)
-    if denom == 0.0:
-        raise InsufficientCoverageError("all samples at curve nodes; amplitude unconstrained")
-    v_fit = float(basis @ es) / denom
-
-    e_max = float(es.max())
-    e_min = float(es.min())
-    v_a = (e_max - e_min) / (e_max + e_min + 2.0)
-
-    def nearest(target: float) -> float:
-        # the curve depends on phi only through cos 2phi: fold by parity
-        # and pi-periodicity before measuring angular distance
-        def dist(phi: float) -> float:
-            d1 = abs((phi - target + math.pi / 2) % math.pi - math.pi / 2)
-            d2 = abs((phi + target + math.pi / 2) % math.pi - math.pi / 2)
-            return min(d1, d2)
-
-        idx = min(range(len(phis)), key=lambda i: dist(float(phis[i])))
-        return float(es[idx])
-
-    v_b = s_star_bound_visibility(chsh_sum(*(nearest(t) for t in CANONICAL_ANGLES)))
-    return v_fit, v_a, v_b
 
 
 @dataclass(frozen=True)

@@ -478,11 +478,6 @@ def render_report(report: AnalysisReport, format: str) -> str:
     raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
 
 
-def emit_report(report: AnalysisReport, format: str, path) -> None:
-    """Write render_report(report, format) to path through write_text."""
-    write_text(path, render_report(report, format))
-
-
 def load_config(path) -> dict[str, dict[str, str]]:
     """Read the [section] key = value configuration file.
 

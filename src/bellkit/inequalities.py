@@ -315,36 +315,6 @@ def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityRepor
     return _report("FC", ch_report(ps).lhs, pAinf + pInfB, genuine=False)
 
 
-@dataclass(frozen=True)
-class ChannelProbabilities:
-    """Single-channel probabilities recovered from two-channel outcomes."""
-
-    pXY: float
-    ppm: float
-    pmm: float
-
-
-def channel_conversion(tc: TwoChannelCounts, pX: float, pY: float) -> ChannelProbabilities:
-    """Convert normalized two-channel outcomes into CH-style probabilities.
-
-    Uses p(X,Y) = p++, p+- = p(X) - p(X,Y), p-- = 1 - p(Y) - p+-, and
-    cross-checks the derived entries against the given table within
-    PAIR_TOL.
-    """
-    deficit = 1.0 - tc.total()
-    if abs(deficit) > PAIR_TOL:
-        raise NormalizationError(deficit)
-    pXY = tc.ppp
-    ppm = pX - pXY
-    pmm = 1.0 - pY - ppm
-    if abs(ppm - tc.ppm) > PAIR_TOL or abs(pmm - tc.pmm) > PAIR_TOL:
-        raise ValueError(
-            f"marginals inconsistent with counts: derived p+-={ppm:.6g} vs {tc.ppm:.6g}, "
-            f"p--={pmm:.6g} vs {tc.pmm:.6g}"
-        )
-    return ChannelProbabilities(pXY=pXY, ppm=ppm, pmm=pmm)
-
-
 def s_star_bound_visibility(s_star: float) -> float:
     """Visibility implied by a measured S* via S* = 2*sqrt(2)*V."""
     return s_star / (2.0 * math.sqrt(2.0))

@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -25,22 +25,48 @@ MODEL_TOL = 1e-12
 DATA_TOL = 1e-9
 
 
-def _frozen(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+def _frozen(a, dtype=None) -> np.ndarray:
+    """a as a read-only array of dtype, or of its own dtype when dtype is
+    None.  As with np.asarray, an array that already has that dtype is
+    marked in place, not copied; an integer array stays integer."""
+    arr = np.asarray(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True)
+def _value_eq(self, other) -> bool:
+    """Equality of two instances of one dataclass, field by field: arrays
+    are equal when np.array_equal holds, dicts when they hold the same keys
+    with equal values.  The generated __eq__ compares arrays with ==, whose
+    truth value is ambiguous.  A class that sets __eq__ = _value_eq is
+    unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        _equal_values(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+    )
+
+
+def _equal_values(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal_values(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@dataclass(frozen=True, eq=False)
 class HiddenVariableSpace:
     """Discretized hidden-variable density: one weight per cell."""
 
     cells: tuple[str, ...]
     weights: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "weights", _frozen(self.weights))
+        object.__setattr__(self, "weights", _frozen(self.weights, float))
         if self.weights.shape != (len(self.cells),):
             raise ValueError("one weight per cell required")
 
@@ -49,7 +75,7 @@ class HiddenVariableSpace:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseTable:
     """Per-cell detection probabilities for one side's settings.
 
@@ -61,11 +87,13 @@ class ResponseTable:
     settings: tuple[str, ...]
     values: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         if self.side not in (1, 2):
             raise ValueError("side must be 1 or 2")
         object.__setattr__(self, "settings", tuple(self.settings))
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "values", _frozen(self.values, float))
         if self.values.ndim != 2 or self.values.shape[1] != len(self.settings):
             raise ValueError("values must be (n_cells, n_settings)")
 
@@ -222,7 +250,9 @@ OUTCOME_TUPLES = tuple(itertools.product((0, 1), repeat=4))
 # The point each deterministic outcome gives in ProbabilitySet field order
 # (pA, pB, pAB, pAD, pCB, pCD), one row per entry of OUTCOME_TUPLES: the
 # local polytope is the convex hull of these rows (Fine, PRL 48, 291, 1982).
-OUTCOME_VERTICES = _frozen([(a, b, a * b, a * d, c * b, c * d) for a, c, b, d in OUTCOME_TUPLES])
+OUTCOME_VERTICES = _frozen(
+    [(a, b, a * b, a * d, c * b, c * d) for a, c, b, d in OUTCOME_TUPLES], float
+)
 
 # Equality system of the feasibility LP over the 16 outcome weights: the
 # weights sum to 1 and reproduce each of the six quantities.
@@ -258,26 +288,6 @@ class FourOutcomeJoint:
         k1 = OBSERVABLES.index(obs1)
         k2 = OBSERVABLES.index(obs2)
         return sum(p for t, p in self.probabilities.items() if t[k1] == 1 and t[k2] == 1)
-
-
-def formal_joint_distribution(model: FactorizableModel) -> FourOutcomeJoint:
-    """Joint distribution over the OBSERVABLES induced by the hidden variable.
-
-    Within each cell the four outcomes are independent with the table
-    probabilities; the mixture over cells reproduces every measurable
-    marginal and pair probability of the model.
-    """
-    w = model.space.weights
-    pA, pC = map(model.response1.column, SIDE1_SETTINGS)
-    pB, pD = map(model.response2.column, SIDE2_SETTINGS)
-    probs: dict[tuple[int, int, int, int], float] = {}
-    for a, c, b, d in OUTCOME_TUPLES:
-        qa = pA if a else 1.0 - pA
-        qc = pC if c else 1.0 - pC
-        qb = pB if b else 1.0 - pB
-        qd = pD if d else 1.0 - pD
-        probs[(a, c, b, d)] = float(w @ (qa * qc * qb * qd))
-    return FourOutcomeJoint(probs)
 
 
 def probability_set_from_model(model: FactorizableModel) -> ProbabilitySet:
@@ -367,7 +377,7 @@ def sparse_matrix(a: np.ndarray):
     from scipy.sparse import csc_array
 
     m = csc_array(a)
-    m.data.flags.writeable = False
+    _frozen(m.data)  # marks the array m holds
     return m
 
 

@@ -22,13 +22,7 @@ from .harness import CountDataset, CountRow
 from .inequalities import CANONICAL_PAIRS as PAIRS
 from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
-from .models import (
-    FactorizableModel,
-    HiddenVariableSpace,
-    ResponseTable,
-    solve_equality_lp,
-    sparse_matrix,
-)
+from .models import _frozen, _value_eq, solve_equality_lp, sparse_matrix
 
 OUTCOMES = ("+", "-", "u")
 
@@ -39,12 +33,14 @@ STRATEGIES = tuple(itertools.product(OUTCOMES, repeat=2))
 WEIGHT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyMixture:
     """Probability weights over ordered pairs of STRATEGIES: weights[i, j]
     is the weight of side-1 strategy i with side-2 strategy j."""
 
     weights: np.ndarray  # shape (len(STRATEGIES), len(STRATEGIES))
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -57,22 +53,23 @@ class StrategyMixture:
             raise ValueError(f"mixture weights sum to {w.sum()}, not 1")
         # rounding residue in [-WEIGHT_TOL, 0) becomes 0, so that every
         # outcome table of the mixture is a valid TwoChannelCounts
-        w = np.where(w < 0.0, 0.0, w)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(np.where(w < 0.0, 0.0, w)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureStatistics:
     """Per-setting-pair outcome tables and marginals of a mixture.
 
-    tables[(X, Y)] is the 3x3 joint outcome distribution in OUTCOMES order;
-    detection and plus-outcome marginals are indexed by (side, setting).
+    tables[(X, Y)] is the read-only 3x3 joint outcome distribution in
+    OUTCOMES order; detection and plus-outcome marginals are indexed by
+    (side, setting).
     """
 
     tables: dict[tuple[str, str], np.ndarray]
     detection: dict[tuple[int, str], float]
     plus: dict[tuple[int, str], float]
+
+    __eq__ = _value_eq
 
     def two_channel(self, x: str, y: str) -> TwoChannelCounts:
         t = self.tables[(x, y)]
@@ -86,16 +83,11 @@ def _setting_index(settings: tuple[str, ...], label: str) -> int:
         raise KeyError(f"unknown setting {label!r}") from None
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # Read-only 0/1 array of shape (settings, len(OUTCOMES), len(STRATEGIES)):
 # entry [k, o, i] is 1 where strategy i gives OUTCOMES[o] at setting k.
 # Every mixture_statistics call and the search LP read it; detection at k is
 # row [k, 0] plus row [k, 1].
-_INDICATORS = _readonly(
+_INDICATORS = _frozen(
     np.ascontiguousarray(
         np.stack([np.array(STRATEGIES).T == o for o in OUTCOMES], axis=1), dtype=float
     )
@@ -113,7 +105,7 @@ def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
     w = m.weights
     ind = _INDICATORS.reshape(-1, len(STRATEGIES))
     # t[x, o1, y, o2]: weight of the pairs giving o1 at x and o2 at y
-    t = (ind @ w @ ind.T).reshape(2, 3, 2, 3)
+    t = _frozen((ind @ w @ ind.T).reshape(2, 3, 2, 3))
     tables = {
         (x, y): t[xi, :, yi]
         for xi, x in enumerate(SIDE1_SETTINGS)
@@ -142,21 +134,6 @@ def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_settin
         math.fsum(m.weights[selected == 1.0].ravel())
         for selected in _INDICATORS[xi]
     )
-
-
-def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
-    """Lossless conversion: one hidden-variable cell per strategy pair.
-
-    The yes/no observable is detection in the + channel, so '-' and 'u'
-    both map to response 0.
-    """
-    n = len(STRATEGIES)
-    cells = tuple(f"s{i}x{j}" for i in range(n) for j in range(n))
-    plus = _INDICATORS[:, 0].T
-    space = HiddenVariableSpace(cells, m.weights.reshape(-1))
-    r1 = ResponseTable(1, SIDE1_SETTINGS, np.repeat(plus, n, axis=0))
-    r2 = ResponseTable(2, SIDE2_SETTINGS, np.tile(plus, (n, 1)))
-    return FactorizableModel(space, r1, r2)
 
 
 @dataclass(frozen=True)
@@ -188,7 +165,7 @@ class SearchFailure(RuntimeError):
 _ETA_ROWS = slice(1, 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SearchLP:
     """The eta-independent part of the Charnes-Cooper LP in (y, tau).
 
@@ -233,14 +210,14 @@ def _search_lp() -> _SearchLP:
         b_eq.append(0.0)
 
     a_eq, b_eq = np.array(a_eq), np.array(b_eq)
-    a_eq = _readonly(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]))
+    a_eq = _frozen(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]))
     matrix = sparse_matrix(a_eq)
     return _SearchLP(
-        c=_readonly(np.append(-chsh_sum(*num_rows), 0.0)),
+        c=_frozen(np.append(-chsh_sum(*num_rows), 0.0)),
         a_eq=a_eq,
-        b_eq=_readonly(np.append(np.zeros(len(b_eq)), 1.0)),
+        b_eq=_frozen(np.append(np.zeros(len(b_eq)), 1.0)),
         matrix=matrix,
-        eta_slots=_readonly(np.flatnonzero(np.isnan(matrix.data))),
+        eta_slots=_frozen(np.flatnonzero(np.isnan(matrix.data))),
     )
 
 

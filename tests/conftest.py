@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bellkit.models import FactorizableModel, HiddenVariableSpace, ResponseTable
+from bellkit.models import (
+    OUTCOME_TUPLES,
+    FactorizableModel,
+    FourOutcomeJoint,
+    HiddenVariableSpace,
+    ResponseTable,
+)
 
 SIDE1 = ("A", "C")
 SIDE2 = ("B", "D")
@@ -15,6 +21,27 @@ def random_model(rng: np.random.Generator, max_cells: int = 6) -> FactorizableMo
     r1 = ResponseTable(1, SIDE1, rng.random((n, 2)))
     r2 = ResponseTable(2, SIDE2, rng.random((n, 2)))
     return FactorizableModel(HiddenVariableSpace(cells, weights), r1, r2)
+
+
+def formal_joint_distribution(model: FactorizableModel) -> FourOutcomeJoint:
+    """Joint distribution over A, C, B, D induced by the hidden variable
+    (Fine, PRL 48, 291, 1982).
+
+    Within each cell the four outcomes are independent with the table
+    probabilities; the mixture over cells reproduces every measurable
+    marginal and pair probability of the model.
+    """
+    w = model.space.weights
+    pA, pC = map(model.response1.column, SIDE1)
+    pB, pD = map(model.response2.column, SIDE2)
+    probs = {}
+    for a, c, b, d in OUTCOME_TUPLES:
+        qa = pA if a else 1.0 - pA
+        qc = pC if c else 1.0 - pC
+        qb = pB if b else 1.0 - pB
+        qd = pD if d else 1.0 - pD
+        probs[(a, c, b, d)] = float(w @ (qa * qc * qb * qd))
+    return FourOutcomeJoint(probs)
 
 
 @pytest.fixture

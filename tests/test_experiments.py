@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from bellkit.experiments import (
-    AngleSet,
-    CANONICAL_ANGLES,
     CascadeConfig,
-    InsufficientCoverageError,
     KinematicsInput,
     NoViolationPossibleError,
     PdcConfig,
@@ -17,14 +14,12 @@ from bellkit.experiments import (
     cascade_bi_maximum,
     cascade_optics,
     cascade_rates,
-    optimal_angles,
     predicted_probability_set,
     prediction_reports,
     spacelike_constraints,
     two_channel_rates,
-    visibility_estimators,
 )
-from bellkit.inequalities import TwoChannelCounts, renormalized_correlation, s_star_bound_visibility
+from bellkit.inequalities import TwoChannelCounts, renormalized_correlation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,38 +127,6 @@ class TestMinEfficiency:
             assert lhs == pytest.approx(2.0, abs=1e-12)
 
 
-class TestOptimalAngles:
-    def test_canonical_maximum(self):
-        angles, max_value = optimal_angles()
-        assert max_value == pytest.approx(2 * SQRT2, abs=1e-12)
-        assert angles.objective() == pytest.approx(2 * SQRT2, abs=1e-12)
-        assert angles.as_tuple() == CANONICAL_ANGLES
-
-    def test_zero_angles_suboptimal(self):
-        assert AngleSet(0, 0, 0, 0).objective() == pytest.approx(2.0)
-
-    def test_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            AngleSet(0.1, 0.2, 0.3, 0.9)
-
-    def test_grid_search_confirms_global_maximum(self):
-        # two-stage grid over (phi1, phi2, phi3) with phi4 = phi2 + phi3 - phi1
-        def objective(p1, p2, p3):
-            p4 = p2 + p3 - p1
-            return np.cos(2 * p1) + np.cos(2 * p2) + np.cos(2 * p3) - np.cos(2 * p4)
-
-        coarse = np.linspace(-math.pi / 2, math.pi / 2, 64)
-        g1, g2, g3 = np.meshgrid(coarse, coarse, coarse, indexing="ij")
-        values = objective(g1, g2, g3)
-        idx = np.unravel_index(values.argmax(), values.shape)
-        center = (coarse[idx[0]], coarse[idx[1]], coarse[idx[2]])
-        step = coarse[1] - coarse[0]
-        fine = [np.linspace(c - step, c + step, 81) for c in center]
-        f1, f2, f3 = np.meshgrid(*fine, indexing="ij")
-        best = objective(f1, f2, f3).max()
-        assert best == pytest.approx(2 * SQRT2, abs=1e-4)
-
-
 class TestCascadeBiMaximum:
     def test_single_detector_maximum(self):
         max_lhs, theta_star = cascade_bi_maximum(1.0)
@@ -225,36 +188,6 @@ class TestCascadeReports:
         ch, fc = prediction_reports(*cascade_optics(cfg.theta, cfg.zeta), cfg.alpha)
         assert ch.genuine and not fc.genuine
         assert ch.lhs == fc.lhs
-
-
-class TestVisibilityEstimators:
-    @staticmethod
-    def samples(v, offset=0.0, n=9):
-        phis = np.linspace(0, math.pi / 2, n)
-        return [(float(p), v * math.cos(2 * p) + offset) for p in phis]
-
-    def test_exact_curve_all_estimators_agree(self):
-        v_fit, v_a, v_b = visibility_estimators(self.samples(0.9))
-        assert v_fit == pytest.approx(0.9, abs=1e-9)
-        assert v_a == pytest.approx(0.9, abs=1e-9)
-        assert v_b == pytest.approx(0.9, abs=1e-9)
-
-    def test_offset_separates_the_estimators(self):
-        v_fit, v_a, _ = visibility_estimators(self.samples(0.9, offset=0.02))
-        assert v_fit == pytest.approx(0.9, abs=1e-6)
-        assert abs(v_fit - v_a) > 1e-3
-
-    def test_v_b_from_s_star(self):
-        assert s_star_bound_visibility(2.5) == pytest.approx(0.88388, abs=1e-5)
-
-    def test_insufficient_samples(self):
-        with pytest.raises(InsufficientCoverageError):
-            visibility_estimators([(0.0, 0.9), (0.1, 0.85), (0.2, 0.8)])
-
-    def test_insufficient_span(self):
-        narrow = [(p, math.cos(2 * p)) for p in np.linspace(0, 0.5, 8)]
-        with pytest.raises(InsufficientCoverageError):
-            visibility_estimators(narrow)
 
 
 class TestSpacelikeConstraints:

@@ -20,7 +20,6 @@ from bellkit.harness import (
     CountRow,
     DatasetError,
     TwoChannelCounts,
-    emit_report,
     ingest_counts,
     load_config,
     render_report,
@@ -303,27 +302,23 @@ class TestRunAnalysis:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
 
-class TestEmitReport:
-    def test_json_round_trip(self, tmp_path):
+class TestRenderReport:
+    def test_json_round_trip(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
-        path = tmp_path / "report.json"
-        emit_report(report, "json", path)
-        data = json.loads(path.read_text())
+        data = json.loads(render_report(report, "json"))
         assert AnalysisReport.from_json(data) == report
 
-    def test_text_flags_non_genuine_inequality(self, tmp_path):
+    def test_text_flags_non_genuine_inequality(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
-        path = tmp_path / "report.txt"
-        emit_report(report, "text", path)
-        text = path.read_text()
+        text = render_report(report, "text")
         assert "not a genuine Bell inequality" in text
         assert text.count("verdict") == len(report.verdicts)
         assert "plot data" in text
 
-    def test_unknown_format(self, tmp_path):
+    def test_unknown_format(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
         with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(report, "xml", tmp_path / "report.xml")
+            render_report(report, "xml")
 
     def test_deterministic_modulo_timestamp(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())

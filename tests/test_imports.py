@@ -165,19 +165,23 @@ def test_setting_labels_are_written_only_in_inequalities():
 # The public names of `bellkit`, pinned so that no name is lost from the
 # table that resolves them on first use.
 PUBLIC_NAMES = [
-    "ChannelProbabilities", "InequalityReport", "NormalizationError", "ProbabilitySet",
-    "TwoChannelCounts", "ch_report", "channel_conversion", "correlation", "fc_report",
-    "renormalized_correlation", "s_statistic", "FactorizableModel", "Feasible",
-    "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible", "ResponseTable",
-    "ValidationReport", "formal_joint_distribution", "joint_feasibility", "joint_probability",
-    "marginal_probability", "probability_set_from_model", "validate_model", "AngleSet",
+    "InequalityReport", "NormalizationError", "ProbabilitySet", "TwoChannelCounts",
+    "ch_report", "correlation", "fc_report", "renormalized_correlation", "s_statistic",
+    "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
+    "ResponseTable", "ValidationReport", "joint_feasibility", "joint_probability",
+    "marginal_probability", "probability_set_from_model", "validate_model",
     "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
-    "cascade_bi_maximum", "cascade_optics", "cascade_rates", "optimal_angles",
-    "spacelike_constraints", "two_channel_rates", "visibility_estimators",
-    "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",
-    "mixture_to_model", "sample_counts",
+    "cascade_bi_maximum", "cascade_optics", "cascade_rates", "spacelike_constraints",
+    "two_channel_rates",
+    "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics", "sample_counts",
     "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
-    "emit_report", "ingest_counts", "run_analysis",
+    "ingest_counts", "run_analysis",
+]
+# Names the package once exported and no longer does.
+REMOVED_NAMES = [
+    "AngleSet", "optimal_angles", "visibility_estimators", "InsufficientCoverageError",
+    "channel_conversion", "ChannelProbabilities", "emit_report", "formal_joint_distribution",
+    "mixture_to_model",
 ]
 SUBMODULES = ["inequalities", "models", "experiments", "search", "harness"]
 
@@ -205,6 +209,9 @@ def test_dir_lists_public_names_and_submodules():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         bellkit.no_such_name
+    for name in REMOVED_NAMES:
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(bellkit, name)
     with pytest.raises(ImportError):
         from bellkit import no_such_name  # noqa: F401
 
@@ -261,6 +268,18 @@ def test_cli_module_runs_under_warnings_as_errors(saved_report):
     assert proc.stderr == "" and "S*" in proc.stdout
 
 
+def imported_packages(tree: ast.AST) -> set[str]:
+    """The top-level packages other than bellkit that a syntax tree imports
+    anywhere, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found - {"bellkit"}
+
+
 def loaded_on_import(source: str) -> set[str]:
     """The top-level packages and bellkit modules that a module's source
     imports outside function bodies, that is, on its own import."""
@@ -268,13 +287,7 @@ def loaded_on_import(source: str) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node.body = [ast.Pass()]
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found.update(a.name.partition(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.add(node.module.partition(".")[0])
-    return (found - {"bellkit"}) | bellkit_imports(ast.unparse(tree))
+    return imported_packages(tree) | bellkit_imports(ast.unparse(tree))
 
 
 @pytest.mark.parametrize(
@@ -306,6 +319,26 @@ def test_only_models_and_search_import_numpy_on_import():
     loaded = {p.stem: loaded_on_import(p.read_text()) for p in package.glob("*.py")}
     assert {stem for stem, names in loaded.items() if "numpy" in names} == NUMPY_IMPORTERS
     assert loaded["cli"] & NUMPY_IMPORTERS == set()
+
+
+@pytest.mark.parametrize(
+    "source, packages",
+    [
+        ("import numpy as np", {"numpy"}),
+        ("def f():\n    import numpy as np\n    return np", {"numpy"}),
+        ("class C:\n    def f(self):\n        from numpy.linalg import norm", {"numpy"}),
+        ("from . import search\nimport bellkit.models\nimport math", {"math"}),
+    ],
+)
+def test_package_guard_counts_function_bodies(source, packages):
+    assert imported_packages(ast.parse(source)) == packages
+
+
+def test_no_other_module_imports_numpy_even_in_a_function():
+    # the other modules reach numpy only through models and search
+    package = Path(bellkit.__file__).resolve().parent
+    imports = {p.stem: imported_packages(ast.parse(p.read_text())) for p in package.glob("*.py")}
+    assert {stem for stem, names in imports.items() if "numpy" in names} == NUMPY_IMPORTERS
 
 
 # inequalities.load_json is the one reader of a saved JSON file: it reads a
@@ -374,3 +407,59 @@ def test_load_json_is_the_only_json_reader_in_the_package():
         (p.name, function) for p in package.glob("*.py") for function, _ in json_reads(p.read_text())
     }
     assert found == {("inequalities.py", "load_json")}
+
+
+# models._frozen is the one place that makes an array read-only: every
+# array a value type or a cached constant holds goes through it.
+def writeable_assignments(source: str) -> list[tuple]:
+    """Each assignment to an attribute `<x>.flags.writeable` in a module's
+    source: the innermost function around it (None at module level) and
+    its line."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "writeable"
+                    and isinstance(sub.value, ast.Attribute)
+                    and sub.value.attr == "flags"
+                ):
+                    found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, assignments",
+    [
+        ("a.flags.writeable = False", [(None, 1)]),
+        ("def f(w):\n    w.data.flags.writeable = False", [("f", 2)]),
+        ("class C:\n    def g(self):\n        x = self.w.flags.writeable = 0", [("g", 3)]),
+        ("a, b.flags.writeable = 1, False", [(None, 1)]),
+        ("ok = a.flags.writeable\nassert not b.flags.writeable\nf(writeable=False)", []),
+    ],
+)
+def test_writeable_guard_finds_every_assignment(source, assignments):
+    assert writeable_assignments(source) == assignments
+
+
+def test_only_frozen_sets_the_writeable_flag():
+    package = Path(bellkit.__file__).resolve().parent
+    found = {
+        (p.name, function)
+        for p in package.glob("*.py")
+        for function, _ in writeable_assignments(p.read_text())
+    }
+    assert found == {("models.py", "_frozen")}

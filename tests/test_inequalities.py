@@ -1,20 +1,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
-    ChannelProbabilities,
     NormalizationError,
     ProbabilitySet,
     TwoChannelCounts,
     ch_report,
-    channel_conversion,
+    chsh_sum,
     correlation,
     fc_report,
     renormalized_correlation,
+    s_star_bound_visibility,
     s_statistic,
 )
 
@@ -164,33 +165,40 @@ class TestFcReport:
         assert fc_report(ps, 0.4, 0.4).lhs == ch_report(ps).lhs
 
 
-class TestChannelConversion:
-    def test_equal_quarters(self):
-        tc = TwoChannelCounts(0.25, 0.25, 0.25, 0.25, normalized=True)
-        result = channel_conversion(tc, 0.5, 0.5)
-        assert result == ChannelProbabilities(pXY=0.25, ppm=0.25, pmm=0.25)
+def test_canonical_angles_reach_the_chsh_maximum():
+    phi1, phi2, phi3, phi4 = CANONICAL_ANGLES
+    assert abs((phi1 + phi4) - (phi2 + phi3)) <= 1e-12
+    s = chsh_sum(*(math.cos(2 * phi) for phi in CANONICAL_ANGLES))
+    assert abs(s - 2 * SQRT2) <= 1e-12
 
-    def test_round_trip_identity(self):
-        mod = 0.9 * math.cos(math.pi / 4)
-        entries = [(1 + mod) / 4, (1 - mod) / 4, (1 - mod) / 4, (1 + mod) / 4]
-        tc = TwoChannelCounts(*entries, normalized=True)
-        px = entries[0] + entries[1]
-        py = entries[0] + entries[2]
-        result = channel_conversion(tc, px, py)
-        assert result.pXY == pytest.approx(tc.ppp, abs=1e-15)
-        assert result.ppm == pytest.approx(tc.ppm, abs=1e-12)
-        assert result.pmm == pytest.approx(tc.pmm, abs=1e-12)
 
+def test_grid_search_confirms_global_maximum():
+    # two-stage grid over (phi1, phi2, phi3) with phi4 = phi2 + phi3 - phi1
+    def objective(p1, p2, p3):
+        p4 = p2 + p3 - p1
+        return np.cos(2 * p1) + np.cos(2 * p2) + np.cos(2 * p3) - np.cos(2 * p4)
+
+    coarse = np.linspace(-math.pi / 2, math.pi / 2, 64)
+    g1, g2, g3 = np.meshgrid(coarse, coarse, coarse, indexing="ij")
+    values = objective(g1, g2, g3)
+    idx = np.unravel_index(values.argmax(), values.shape)
+    center = (coarse[idx[0]], coarse[idx[1]], coarse[idx[2]])
+    step = coarse[1] - coarse[0]
+    fine = [np.linspace(c - step, c + step, 81) for c in center]
+    f1, f2, f3 = np.meshgrid(*fine, indexing="ij")
+    best = objective(f1, f2, f3).max()
+    assert best == pytest.approx(2 * SQRT2, abs=1e-4)
+
+
+def test_v_b_from_s_star():
+    assert s_star_bound_visibility(2.5) == pytest.approx(0.88388, abs=1e-5)
+
+
+class TestTwoChannelCounts:
     def test_normalization_deficit_reported(self):
-        tc = TwoChannelCounts(0.1, 0.1, 0.1, 0.1)
         with pytest.raises(NormalizationError) as exc:
-            channel_conversion(tc, 0.2, 0.2)
+            TwoChannelCounts(0.1, 0.1, 0.1, 0.1, normalized=True)
         assert exc.value.deficit == pytest.approx(0.6)
-
-    def test_inconsistent_marginals_rejected(self):
-        tc = TwoChannelCounts(0.25, 0.25, 0.25, 0.25, normalized=True)
-        with pytest.raises(ValueError, match="inconsistent"):
-            channel_conversion(tc, 0.9, 0.5)
 
 
 class TestProbabilitySet:

@@ -16,7 +16,6 @@ from bellkit.models import (
     Infeasible,
     OUTCOME_TUPLES,
     ResponseTable,
-    formal_joint_distribution,
     joint_feasibility,
     joint_probability,
     marginal_probability,
@@ -24,7 +23,7 @@ from bellkit.models import (
     sparse_matrix,
     validate_model,
 )
-from conftest import random_model
+from conftest import formal_joint_distribution, random_model
 
 SIDE1 = ("A", "C")
 SIDE2 = ("B", "D")

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from bellkit.inequalities import TwoChannelCounts
-from bellkit.models import joint_probability, sparse_matrix, validate_model
+from bellkit.models import (
+    FactorizableModel,
+    HiddenVariableSpace,
+    ResponseTable,
+    joint_probability,
+    sparse_matrix,
+    validate_model,
+)
 from bellkit import search
 from bellkit.search import (
     OUTCOMES,
     PAIRS,
     STRATEGIES,
+    MixtureStatistics,
     StrategyMixture,
     maximize_s_star,
     mixture_statistics,
-    mixture_to_model,
     sample_counts,
     side1_outcome_marginals,
 )
@@ -70,6 +77,12 @@ class TestMixtureStatistics:
         for (x, y), table in stats.tables.items():
             expected = side1_outcome_marginals(mixture, x, y)
             np.testing.assert_allclose(table.sum(axis=1), expected, atol=1e-14)
+
+    def test_tables_are_read_only(self):
+        stats = mixture_statistics(uniform_mixture())
+        for table in stats.tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.5
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -153,6 +166,67 @@ class TestMixtureStatistics:
                     worst = max(worst, abs(got[key] - math.fsum(cell)))
         assert worst <= 1e-15
 
+def array_valued_instances() -> dict[str, tuple]:
+    """For each frozen dataclass that holds arrays: two equal instances
+    built from separate arrays, and a third with one entry changed."""
+    w = np.full((9, 9), 1 / 81)
+    w_changed = w.copy()
+    w_changed[0, 0] += 1e-12
+    table = np.array([[0.5, 0.25], [1.0, 0.0]])
+    table_changed = table.copy()
+    table_changed[1, 1] = 0.75
+    stats = mixture_statistics(StrategyMixture(w))
+    cd = stats.tables[("C", "D")].copy()
+    cd[2, 2] += 0.25
+    cells = ("c0", "c1")
+    return {
+        "StrategyMixture": (
+            StrategyMixture(w), StrategyMixture(w.copy()), StrategyMixture(w_changed)
+        ),
+        "HiddenVariableSpace": (
+            HiddenVariableSpace(cells, table[1]),
+            HiddenVariableSpace(cells, table[1].copy()),
+            HiddenVariableSpace(cells, table_changed[1]),
+        ),
+        "ResponseTable": (
+            ResponseTable(1, ("A", "C"), table),
+            ResponseTable(1, ("A", "C"), table.copy()),
+            ResponseTable(1, ("A", "C"), table_changed),
+        ),
+        "MixtureStatistics": (
+            stats,
+            mixture_statistics(StrategyMixture(w.copy())),
+            MixtureStatistics({**stats.tables, ("C", "D"): cd}, stats.detection, stats.plus),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["StrategyMixture", "HiddenVariableSpace", "ResponseTable", "MixtureStatistics"]
+)
+def test_array_valued_types_compare_by_value(name):
+    a, b, changed = array_valued_instances()[name]
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b
+    assert a != changed and not a == changed
+    assert a != name
+
+
+def mixture_to_model(m: StrategyMixture) -> FactorizableModel:
+    """Lossless conversion: one hidden-variable cell per strategy pair.
+
+    The yes/no observable is detection in the + channel, so '-' and 'u'
+    both map to response 0.
+    """
+    n = len(REFERENCE_STRATEGIES)
+    cells = tuple(f"s{i}x{j}" for i in range(n) for j in range(n))
+    plus = np.array([[float(o == "+") for o in s] for s in REFERENCE_STRATEGIES])
+    space = HiddenVariableSpace(cells, m.weights.reshape(-1))
+    r1 = ResponseTable(1, ("A", "C"), np.repeat(plus, n, axis=0))
+    r2 = ResponseTable(2, ("B", "D"), np.tile(plus, (n, 1)))
+    return FactorizableModel(space, r1, r2)
+
+
 class TestMixtureToModel:
     def test_tables_match_per_cell_construction(self):
         rng = np.random.default_rng(5)
@@ -228,12 +302,14 @@ class TestMaximizeSStar:
 class TestCachedSearchStructure:
     def cached_arrays(self):
         lp = search._search_lp()
-        yield from (lp.c, lp.a_eq, lp.b_eq, search._INDICATORS)
+        yield from (lp.c, lp.a_eq, lp.b_eq, lp.eta_slots, search._INDICATORS)
 
     def test_cached_arrays_are_read_only(self):
         arrays = list(self.cached_arrays())
-        assert len(arrays) == 4
+        assert len(arrays) == 5
         assert search._INDICATORS.flags.c_contiguous
+        # eta_slots index matrix.data, so they stay integers
+        assert search._search_lp().eta_slots.dtype.kind == "i"
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.5

@@ -13,7 +13,7 @@ import pytest
 
 import bellkit
 from bellkit import cli
-from bellkit.harness import AnalysisConfig, emit_report, render_report, run_analysis
+from bellkit.harness import AnalysisConfig, render_report, run_analysis
 from bellkit.inequalities import write_text
 from conftest import random_model
 from test_harness import pdc_dataset
@@ -147,7 +147,7 @@ def test_each_writer_writes_the_bytes_open_w_wrote(tmp_path, rng, existing):
     }
     for fmt in ("json", "text"):
         writers[f"report-{fmt}"] = (
-            lambda p, fmt=fmt: emit_report(report, fmt, p),
+            lambda p, fmt=fmt: cli._write_or_print(render_report(report, fmt), str(p)),
             lambda p, fmt=fmt: write_with_open(p, render_report(report, fmt)),
         )
     for name, (write, reference) in writers.items():
