@@ -12,8 +12,8 @@ import importlib
 # Each submodule and the public names it defines.
 _PUBLIC = {
     "inequalities": (
-        "InequalityReport", "NormalizationError", "ProbabilitySet", "TwoChannelCounts",
-        "ch_report", "correlation", "fc_report", "renormalized_correlation", "s_statistic",
+        "InequalityReport", "ProbabilitySet", "TwoChannelCounts", "ch_report", "correlation",
+        "fc_report", "renormalized_correlation", "s_statistic",
     ),
     "models": (
         "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",

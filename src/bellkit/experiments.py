@@ -81,8 +81,12 @@ class KinematicsInput:
     measure_time: Optional[float] = None  # s
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass = {self.mass} must be finite and positive")
+        for name in ("separation", "measure_time"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value} must be finite and positive")
         if not 0.0 < self.speed < C_LIGHT:
             raise ValueError("speed must be in (0, c)")
 
@@ -139,12 +143,12 @@ def bi1_min_efficiency(v: float) -> float:
     perfect detector reaches equality, and below it the condition holds for
     every efficiency, so no threshold exists.
     """
+    if not v <= 1.0:  # nan too
+        raise ValueError(f"V = {v} outside (sqrt(2)/2, 1]")
     if v < SQRT2 / 2.0:
         raise NoViolationPossibleError(
             f"V = {v} <= sqrt(2)/2: no detection efficiency allows a violation"
         )
-    if v > 1.0:
-        raise ValueError(f"V = {v} outside (sqrt(2)/2, 1]")
     return 2.0 / (1.0 + SQRT2 * v)
 
 

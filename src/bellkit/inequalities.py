@@ -32,14 +32,6 @@ CANONICAL_ANGLES = (-math.pi / 8, math.pi / 8, math.pi / 8, 3 * math.pi / 8)
 CANONICAL_PHI = dict(zip(CANONICAL_PAIRS, CANONICAL_ANGLES))
 
 
-class NormalizationError(ValueError):
-    """Raised when counts declared normalized fail the unit-sum condition."""
-
-    def __init__(self, deficit: float):
-        self.deficit = deficit
-        super().__init__(f"outcome probabilities do not sum to 1 (deficit {deficit:.6g})")
-
-
 @dataclass(frozen=True)
 class ProbabilitySet:
     """The six measurable quantities of the Clauser-Horne test.
@@ -86,24 +78,20 @@ class ProbabilitySet:
 class TwoChannelCounts:
     """Outcome probabilities (or counts) for one setting pair.
 
-    ``normalized`` declares that the four entries are coincidence
-    probabilities summing to one, i.e. that every pair yields a detected
-    two-channel outcome.  Only then is the plain CHSH statistic a genuine
-    Bell quantity.
+    The plain CHSH statistic is a genuine Bell quantity only when the four
+    entries are coincidence probabilities summing to one, i.e. when every
+    pair yields a detected two-channel outcome.
     """
 
     ppp: float
     ppm: float
     pmp: float
     pmm: float
-    normalized: bool = False
 
     def __post_init__(self):
         for name in ("ppp", "ppm", "pmp", "pmm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} = {getattr(self, name)} is negative")
-        if self.normalized and abs(self.total() - 1.0) > PAIR_TOL:
-            raise NormalizationError(1.0 - self.total())
 
     def total(self) -> float:
         return self.ppp + self.ppm + self.pmp + self.pmm

@@ -26,10 +26,10 @@ DATA_TOL = 1e-9
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
-    """a as a read-only array of dtype, or of its own dtype when dtype is
-    None.  As with np.asarray, an array that already has that dtype is
-    marked in place, not copied; an integer array stays integer."""
-    arr = np.asarray(a, dtype=dtype)
+    """A read-only copy of a, of dtype, or of its own dtype when dtype is
+    None (an integer array stays integer).  The caller's array is left
+    writable, and a later write to it does not reach the copy."""
+    arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -242,9 +242,9 @@ def joint_probability(model: FactorizableModel, settingA: str, settingB: str) ->
     return float(model.space.weights @ (p1 * p2))
 
 
-# The observables of the formal joint distribution, side 1 then side 2; the
-# outcome tuples (a, c, b, d), 1 = "yes", are enumerated lexicographically.
-OBSERVABLES = SIDE1_SETTINGS + SIDE2_SETTINGS
+# The outcomes (a, c, b, d) of the formal joint distribution over the
+# settings A, C of side 1 and B, D of side 2, 1 = "yes", in lexicographic
+# order.
 OUTCOME_TUPLES = tuple(itertools.product((0, 1), repeat=4))
 
 # The point each deterministic outcome gives in ProbabilitySet field order
@@ -261,7 +261,7 @@ _FEASIBILITY_A_EQ = _frozen(np.vstack([np.ones(len(OUTCOME_TUPLES)), OUTCOME_VER
 
 @dataclass(frozen=True)
 class FourOutcomeJoint:
-    """Formal joint distribution over the four OBSERVABLES (A, C, B, D).
+    """Formal joint distribution over the four settings (A, C, B, D).
 
     Not directly measurable (A and C are incompatible settings on the same
     side); its existence is what characterizes factorizable statistics.
@@ -279,15 +279,6 @@ class FourOutcomeJoint:
             raise ValueError("negative outcome probability")
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
-
-    def marginal(self, observable: str) -> float:
-        k = OBSERVABLES.index(observable)
-        return sum(p for t, p in self.probabilities.items() if t[k] == 1)
-
-    def pair(self, obs1: str, obs2: str) -> float:
-        k1 = OBSERVABLES.index(obs1)
-        k2 = OBSERVABLES.index(obs2)
-        return sum(p for t, p in self.probabilities.items() if t[k1] == 1 and t[k2] == 1)
 
 
 def probability_set_from_model(model: FactorizableModel) -> ProbabilitySet:
@@ -377,7 +368,7 @@ def sparse_matrix(a: np.ndarray):
     from scipy.sparse import csc_array
 
     m = csc_array(a)
-    _frozen(m.data)  # marks the array m holds
+    m.data = _frozen(m.data)
     return m
 
 
@@ -427,7 +418,7 @@ def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
 
     Linear-program feasibility over the 16 outcome weights with equality
     constraints for the six given probabilities.  On success the recovered
-    joint over the OBSERVABLES is the witness; on failure the certificate is
+    joint over (A, C, B, D) is the witness; on failure the certificate is
     the CH-family facet with the least slack at ps.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))

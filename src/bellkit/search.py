@@ -58,29 +58,16 @@ class StrategyMixture:
 
 @dataclass(frozen=True, eq=False)
 class MixtureStatistics:
-    """Per-setting-pair outcome tables and marginals of a mixture.
-
-    tables[(X, Y)] is the read-only 3x3 joint outcome distribution in
-    OUTCOMES order; detection and plus-outcome marginals are indexed by
-    (side, setting).
-    """
+    """Per-setting-pair outcome tables of a mixture: tables[(X, Y)] is the
+    read-only 3x3 joint outcome distribution in OUTCOMES order."""
 
     tables: dict[tuple[str, str], np.ndarray]
-    detection: dict[tuple[int, str], float]
-    plus: dict[tuple[int, str], float]
 
     __eq__ = _value_eq
 
     def two_channel(self, x: str, y: str) -> TwoChannelCounts:
         t = self.tables[(x, y)]
         return TwoChannelCounts(ppp=t[0, 0], ppm=t[0, 1], pmp=t[1, 0], pmm=t[1, 1])
-
-
-def _setting_index(settings: tuple[str, ...], label: str) -> int:
-    try:
-        return settings.index(label)
-    except ValueError:
-        raise KeyError(f"unknown setting {label!r}") from None
 
 
 # Read-only 0/1 array of shape (settings, len(OUTCOMES), len(STRATEGIES)):
@@ -95,44 +82,21 @@ _INDICATORS = _frozen(
 
 
 def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
-    """Outcome tables and marginals of a mixture of strategies on the
-    settings SIDE1_SETTINGS and SIDE2_SETTINGS.
+    """Outcome tables of a mixture of strategies on the settings
+    SIDE1_SETTINGS and SIDE2_SETTINGS.
 
     All 16 tables come from one product of the weights with the indicator
-    array on both sides, and each side's marginals from one product with
-    its weight marginal.
+    array on both sides.
     """
-    w = m.weights
     ind = _INDICATORS.reshape(-1, len(STRATEGIES))
     # t[x, o1, y, o2]: weight of the pairs giving o1 at x and o2 at y
-    t = _frozen((ind @ w @ ind.T).reshape(2, 3, 2, 3))
-    tables = {
-        (x, y): t[xi, :, yi]
-        for xi, x in enumerate(SIDE1_SETTINGS)
-        for yi, y in enumerate(SIDE2_SETTINGS)
-    }
-    detection: dict[tuple[int, str], float] = {}
-    plus: dict[tuple[int, str], float] = {}
-    for side, settings, marginal in (
-        (1, SIDE1_SETTINGS, w.sum(axis=1)),
-        (2, SIDE2_SETTINGS, w.sum(axis=0)),
-    ):
-        for label, (p_plus, p_minus, _) in zip(settings, (_INDICATORS @ marginal).tolist()):
-            detection[(side, label)] = p_plus + p_minus
-            plus[(side, label)] = p_plus
-    return MixtureStatistics(tables=tables, detection=detection, plus=plus)
-
-
-def side1_outcome_marginals(m: StrategyMixture, setting: str, given_side2_setting: str) -> tuple[float, ...]:
-    """Side-1 outcome distribution at a setting, conditioned on the remote
-    setting choice.  Computed with order-independent exact summation, so the
-    result is bit-identical for every remote setting: parameter independence
-    is structural, not a numerical accident."""
-    xi = _setting_index(SIDE1_SETTINGS, setting)
-    _setting_index(SIDE2_SETTINGS, given_side2_setting)  # validate only
-    return tuple(
-        math.fsum(m.weights[selected == 1.0].ravel())
-        for selected in _INDICATORS[xi]
+    t = _frozen((ind @ m.weights @ ind.T).reshape(2, 3, 2, 3))
+    return MixtureStatistics(
+        tables={
+            (x, y): t[xi, :, yi]
+            for xi, x in enumerate(SIDE1_SETTINGS)
+            for yi, y in enumerate(SIDE2_SETTINGS)
+        }
     )
 
 

@@ -5,6 +5,7 @@ so a plain ``pytest -s tests/test_acceptance.py`` gives a readable scorecard.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import re
@@ -33,10 +34,15 @@ from bellkit.models import (
     joint_feasibility,
     probability_set_from_model,
 )
-from bellkit.search import maximize_s_star, sample_counts, side1_outcome_marginals
+from bellkit.search import maximize_s_star, mixture_statistics, sample_counts
 from conftest import random_model
 
 SQRT2 = math.sqrt(2.0)
+
+# The strategies of one side, written out independently of bellkit: an
+# outcome in {+, -, u} (u = undetected) at each of its two settings.
+OUTCOMES = ("+", "-", "u")
+STRATEGIES = list(itertools.product(OUTCOMES, repeat=2))
 
 
 @contextlib.contextmanager
@@ -136,12 +142,22 @@ def test_criterion_7_detection_loophole_optimizer():
             result = maximize_s_star(float(eta))
             values.append(result.s_star_max)
             assert result.genuine_s <= 2.0 + 1e-8
-            for setting in ("B", "D"):
-                reference = side1_outcome_marginals(result.mixture, "A", setting)
-                assert side1_outcome_marginals(result.mixture, "C", setting) is not None
-            m_b = side1_outcome_marginals(result.mixture, "A", "B")
-            m_d = side1_outcome_marginals(result.mixture, "A", "D")
-            assert m_b == m_d
+            # parameter independence: side 1's outcome distribution at X,
+            # the row sums of table (X, B) and of table (X, D), is one and the
+            # same, the summed weight of the strategies giving each outcome
+            tables = mixture_statistics(result.mixture).tables
+            weights = result.mixture.weights.tolist()
+            for xi, x in enumerate(("A", "C")):
+                reference = [
+                    math.fsum(
+                        w for s, row in zip(STRATEGIES, weights) if s[xi] == o for w in row
+                    )
+                    for o in OUTCOMES
+                ]
+                rows_b, rows_d = (tables[(x, y)].sum(axis=1) for y in ("B", "D"))
+                assert np.abs(rows_b - rows_d).max() <= 1e-15
+                assert np.abs(rows_b - reference).max() <= 1e-15
+                assert np.abs(rows_d - reference).max() <= 1e-15
         for lo_eta, hi_eta in zip(values[1:], values[:-1]):
             assert lo_eta <= hi_eta + 1e-9
         assert time.monotonic() - start < 120

@@ -121,6 +121,11 @@ class TestMinEfficiency:
         with pytest.raises(NoViolationPossibleError):
             bi1_min_efficiency(0.5)
 
+    @pytest.mark.parametrize("v", [math.nan, 1.5])
+    def test_nan_or_above_one_is_an_error(self, v):
+        with pytest.raises(ValueError, match=r"^V = .* outside \(sqrt\(2\)/2, 1\]"):
+            bi1_min_efficiency(v)
+
     def test_inverse_consistency_with_bi_margin(self):
         for v in np.linspace(SQRT2 / 2 + 1e-9, 1.0, 100):
             lhs, _ = bi_margin(1.0, bi1_min_efficiency(v), v)
@@ -214,3 +219,21 @@ class TestSpacelikeConstraints:
             KinematicsInput(mass=-1.0, speed=100.0)
         with pytest.raises(ValueError):
             KinematicsInput(mass=1e-26, speed=4e8)
+        # each non-finite or non-positive value is refused by name, not
+        # turned into a nan, a zero, a negative length or a math domain error
+        for field, value in (
+            ("mass", math.nan),
+            ("mass", math.inf),
+            ("mass", 0.0),
+            ("separation", -1.0),
+            ("separation", 0.0),
+            ("separation", math.nan),
+            ("separation", math.inf),
+            ("measure_time", -1.0),
+            ("measure_time", 0.0),
+            ("measure_time", math.nan),
+            ("measure_time", math.inf),
+        ):
+            inputs = {"mass": 1e-26, "speed": 1000.0, field: value}
+            with pytest.raises(ValueError, match=f"^{field} = "):
+                KinematicsInput(**inputs)

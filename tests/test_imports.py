@@ -165,8 +165,8 @@ def test_setting_labels_are_written_only_in_inequalities():
 # The public names of `bellkit`, pinned so that no name is lost from the
 # table that resolves them on first use.
 PUBLIC_NAMES = [
-    "InequalityReport", "NormalizationError", "ProbabilitySet", "TwoChannelCounts",
-    "ch_report", "correlation", "fc_report", "renormalized_correlation", "s_statistic",
+    "InequalityReport", "ProbabilitySet", "TwoChannelCounts", "ch_report", "correlation",
+    "fc_report", "renormalized_correlation", "s_statistic",
     "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
     "ResponseTable", "ValidationReport", "joint_feasibility", "joint_probability",
     "marginal_probability", "probability_set_from_model", "validate_model",
@@ -181,7 +181,7 @@ PUBLIC_NAMES = [
 REMOVED_NAMES = [
     "AngleSet", "optimal_angles", "visibility_estimators", "InsufficientCoverageError",
     "channel_conversion", "ChannelProbabilities", "emit_report", "formal_joint_distribution",
-    "mixture_to_model",
+    "mixture_to_model", "NormalizationError",
 ]
 SUBMODULES = ["inequalities", "models", "experiments", "search", "harness"]
 

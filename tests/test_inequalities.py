@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
-    NormalizationError,
     ProbabilitySet,
     TwoChannelCounts,
     ch_report,
@@ -192,13 +191,6 @@ def test_grid_search_confirms_global_maximum():
 
 def test_v_b_from_s_star():
     assert s_star_bound_visibility(2.5) == pytest.approx(0.88388, abs=1e-5)
-
-
-class TestTwoChannelCounts:
-    def test_normalization_deficit_reported(self):
-        with pytest.raises(NormalizationError) as exc:
-            TwoChannelCounts(0.1, 0.1, 0.1, 0.1, normalized=True)
-        assert exc.value.deficit == pytest.approx(0.6)
 
 
 class TestProbabilitySet:

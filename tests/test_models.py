@@ -37,6 +37,18 @@ def uniform_model(n_cells=8, value=0.5):
     return FactorizableModel(space, r1, r2)
 
 
+# The position of each setting in an outcome tuple (a, c, b, d).
+POSITION = {"A": 0, "C": 1, "B": 2, "D": 3}
+
+
+def yes_probability(joint, *settings):
+    """The probability under a FourOutcomeJoint that every one of the
+    settings gives "yes": a marginal for one setting, a pair for two."""
+    return sum(
+        p for t, p in joint.probabilities.items() if all(t[POSITION[s]] for s in settings)
+    )
+
+
 class TestValidateModel:
     def test_uniform_model_valid(self):
         assert validate_model(uniform_model()).valid
@@ -86,6 +98,23 @@ class TestValidateModel:
         assert violation.kind == "range"
         assert violation.where == "side1[c3,A]"
         assert violation.amount == pytest.approx(1.2)
+
+
+class TestHeldArrays:
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # the instances hold read-only copies: the caller's arrays stay
+        # writable, and a later write to them does not reach the instance
+        w = np.array([0.25, 0.75])
+        table = np.array([[1.0, 0.0], [0.5, 0.5]])
+        space = HiddenVariableSpace(("a", "b"), w)
+        response = ResponseTable(1, SIDE1, table)
+        w[0] = 1.0
+        table[0, 0] = 0.0
+        assert space.weights.tolist() == [0.25, 0.75]
+        assert response.values.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        for held in (space.weights, response.values):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
 
 
 class TestMarginalProbability:
@@ -160,11 +189,11 @@ class TestFormalJointDistribution:
             model = random_model(rng)
             joint = formal_joint_distribution(model)
             for setting, side in (("A", 1), ("C", 1), ("B", 2), ("D", 2)):
-                assert joint.marginal(setting) == pytest.approx(
+                assert yes_probability(joint, setting) == pytest.approx(
                     marginal_probability(model, setting, side), abs=1e-12
                 )
             for x, y in itertools.product(SIDE1, SIDE2):
-                assert joint.pair(x, y) == pytest.approx(
+                assert yes_probability(joint, x, y) == pytest.approx(
                     joint_probability(model, x, y), abs=1e-12
                 )
 
@@ -203,8 +232,8 @@ class TestJointFeasibility:
         result = joint_feasibility(ps)
         assert isinstance(result, Feasible)
         w = result.witness
-        assert w.marginal("A") == pytest.approx(0.5, abs=1e-7)
-        assert w.pair("C", "D") == pytest.approx(0.25, abs=1e-7)
+        assert yes_probability(w, "A") == pytest.approx(0.5, abs=1e-7)
+        assert yes_probability(w, "C", "D") == pytest.approx(0.25, abs=1e-7)
 
     def test_model_derived_sets_always_feasible(self, rng):
         for _ in range(100):
@@ -232,9 +261,9 @@ FACET_IDS = [name for name, _, _ in CH_FAMILY_FACETS]
 
 def witness_point(witness):
     return [
-        witness.marginal("A"),
-        witness.marginal("B"),
-        *(witness.pair(x, y) for x, y in (("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"))),
+        yes_probability(witness, "A"),
+        yes_probability(witness, "B"),
+        *(yes_probability(witness, x, y) for x, y in itertools.product(SIDE1, SIDE2)),
     ]
 
 
