@@ -21,9 +21,8 @@ _PUBLIC = {
         "marginal_probability", "probability_set_from_model", "validate_model",
     ),
     "experiments": (
-        "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
-        "cascade_bi_maximum", "cascade_optics", "cascade_rates", "spacelike_constraints",
-        "two_channel_rates",
+        "CascadeConfig", "PdcConfig", "bi1_min_efficiency", "bi_margin", "cascade_bi_maximum",
+        "cascade_optics", "cascade_rates", "spacelike_constraints", "two_channel_rates",
     ),
     "search": (
         "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",

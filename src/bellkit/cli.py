@@ -73,7 +73,8 @@ def _predict_cascade(cfg: dict) -> dict:
     eta, v = experiments.cascade_optics(cascade.theta, cascade.zeta)
     lhs, fulfilled = experiments.bi_margin(cascade.alpha, eta, v)
     max_lhs, theta_star = experiments.cascade_bi_maximum(cascade.zeta)
-    max_lhs_both, _ = experiments.cascade_bi_maximum(cascade.zeta, both_detectors=True)
+    # each photon may reach either detector, which doubles the maximum
+    aperture_maximum = {"lhs": max_lhs, "theta": theta_star, "both_detectors": 2.0 * max_lhs}
     ch, fc = experiments.prediction_reports(eta, v, cascade.alpha)
     return {
         "eta": eta,
@@ -81,7 +82,7 @@ def _predict_cascade(cfg: dict) -> dict:
         "alpha": cascade.alpha,
         "bell_condition_lhs": lhs,
         "bell_condition_fulfilled": fulfilled,
-        "aperture_maximum": {"lhs": max_lhs, "theta": theta_star, "both_detectors": max_lhs_both},
+        "aperture_maximum": aperture_maximum,
         "verdicts": [ch.to_json(), fc.to_json()],
     }
 
@@ -99,15 +100,11 @@ def _predict_pdc(cfg: dict) -> dict:
     rates = {
         f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in CANONICAL_ANGLES
     }
-    out = {
+    return {
         "expected_s_star": 2.0 * math.sqrt(2.0) * pdc.v,
         "rates_at_canonical_angles": rates,
+        "min_efficiency_for_violation": experiments.bi1_min_efficiency(pdc.v),
     }
-    try:
-        out["min_efficiency_for_violation"] = experiments.bi1_min_efficiency(pdc.v)
-    except experiments.NoViolationPossibleError:
-        out["min_efficiency_for_violation"] = None
-    return out
 
 
 def _cmd_predict(args) -> int:
@@ -149,9 +146,12 @@ def _cmd_simulate(args) -> int:
     for (x, y), phi in harness.CANONICAL_PHI.items():
         rates = experiments.two_channel_rates(pdc, phi)
         # eta = 0, or an eta * r0 below the smallest float, leaves nothing to
-        # sample, and the sampler's message names a pair, not the field
-        if not any(rates):
-            raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives no coincidences")
+        # sample, and rates whose sum overflows leave no probabilities; the
+        # sampler's message names a pair, not the fields
+        total = sum(rates)
+        if not 0.0 < total < math.inf:
+            outcome = "no coincidences" if total == 0.0 else "rates whose sum overflows"
+            raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives {outcome}")
         stats[(x, y)] = harness.TwoChannelCounts(*rates)
     ds = search.sample_counts(stats, n_pairs, args.seed)
     ds.save(args.output)

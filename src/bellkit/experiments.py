@@ -42,8 +42,8 @@ class CascadeConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= math.pi / 2:
             raise ValueError(f"theta = {self.theta} outside (0, pi/2]")
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError(f"zeta = {self.zeta} outside [0, 1]")
+        if not 0.0 < self.zeta <= 1.0:
+            raise ValueError(f"zeta = {self.zeta} outside (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha = {self.alpha} must be finite and positive")
         # at alpha = 1: the coincidences scale with alpha, the singles do not
@@ -71,24 +71,6 @@ class PdcConfig:
             raise ValueError(f"eta = {self.eta} outside [0, 1]")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ValueError(f"r0 = {self.r0} must be finite and positive")
-
-
-@dataclass(frozen=True)
-class KinematicsInput:
-    mass: float  # kg
-    speed: float  # m/s
-    separation: Optional[float] = None  # source-detector distance L, m
-    measure_time: Optional[float] = None  # s
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass = {self.mass} must be finite and positive")
-        for name in ("separation", "measure_time"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} = {value} must be finite and positive")
-        if not 0.0 < self.speed < C_LIGHT:
-            raise ValueError("speed must be in (0, c)")
 
 
 def cascade_optics(theta: float, zeta: float) -> tuple[float, float]:
@@ -132,40 +114,31 @@ def bi_margin(alpha: float, eta: float, v: float) -> tuple[float, bool]:
     return lhs, lhs <= 2.0
 
 
-class NoViolationPossibleError(ValueError):
-    """The visibility is at or below sqrt(2)/2: no efficiency violates the test."""
-
-
-def bi1_min_efficiency(v: float) -> float:
+def bi1_min_efficiency(v: float) -> Optional[float]:
     """Smallest detection efficiency at which zeta (1 + sqrt2 V) <= 2 can fail.
 
     zeta_min = 2 / (1 + sqrt2 V); at the boundary visibility sqrt(2)/2 only a
     perfect detector reaches equality, and below it the condition holds for
-    every efficiency, so no threshold exists.
+    every efficiency, so no threshold exists and the result is None.
     """
     if not v <= 1.0:  # nan too
-        raise ValueError(f"V = {v} outside (sqrt(2)/2, 1]")
+        raise ValueError(f"V = {v} must be a number at most 1")
     if v < SQRT2 / 2.0:
-        raise NoViolationPossibleError(
-            f"V = {v} <= sqrt(2)/2: no detection efficiency allows a violation"
-        )
+        return None
     return 2.0 / (1.0 + SQRT2 * v)
 
 
-def cascade_bi_maximum(zeta: float, both_detectors: bool = False) -> tuple[float, float]:
+def cascade_bi_maximum(zeta: float) -> tuple[float, float]:
     """Maximum of alpha eta(theta) (1 + sqrt2 V(theta)) over the aperture.
 
     With u = 1 - cos theta the objective is zeta (u (1+sqrt2) - 2 sqrt2 u^3/3)/2,
     a cubic in u whose only stationary point in (0, 1] is its maximum,
     u* = sqrt((1+sqrt2)/(2 sqrt2)); returns that value and theta* = acos(1 - u*).
-    both_detectors doubles the value (each photon may reach either detector).
     """
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta = {zeta} outside (0, 1]")
     u_star = math.sqrt((1.0 + SQRT2) / (2.0 * SQRT2))
     max_lhs = 0.5 * zeta * (u_star * (1.0 + SQRT2) - (2.0 * SQRT2 / 3.0) * u_star**3)
-    if both_detectors:
-        max_lhs *= 2.0
     return max_lhs, math.acos(1.0 - u_star)
 
 
@@ -176,18 +149,32 @@ class SpacelikeConstraints:
     l_meas: Optional[float]
 
 
-def spacelike_constraints(k: KinematicsInput) -> SpacelikeConstraints:
+def spacelike_constraints(
+    mass: float,
+    speed: float,
+    separation: Optional[float] = None,
+    measure_time: Optional[float] = None,
+) -> SpacelikeConstraints:
     """Kinematic bounds for spacelike-separated massive-particle tests.
 
-    l_min = 2 hbar c^2 / (m v^3): minimum source-detector distance before
-    the quantum arrival-time spread sqrt(2 hbar L / (m v^3)) fits inside the
-    light-travel window.  l_meas = c t_m: separation needed so a measurement
-    of duration t_m stays outside the remote light cone.
+    mass in kg, speed in m/s, separation the source-detector distance L in
+    m, measure_time t_m in s.  l_min = 2 hbar c^2 / (m v^3): minimum
+    source-detector distance before the quantum arrival-time spread
+    sqrt(2 hbar L / (m v^3)) fits inside the light-travel window.
+    l_meas = c t_m: separation needed so a measurement of duration t_m stays
+    outside the remote light cone.
     """
-    mv3 = k.mass * k.speed**3
+    if not (math.isfinite(mass) and mass > 0):
+        raise ValueError(f"mass = {mass} must be finite and positive")
+    for name, value in (("separation", separation), ("measure_time", measure_time)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} = {value} must be finite and positive")
+    if not 0.0 < speed < C_LIGHT:
+        raise ValueError("speed must be in (0, c)")
+    mv3 = mass * speed**3
     l_min = 2.0 * HBAR * C_LIGHT**2 / mv3
-    dt_arrival = math.sqrt(2.0 * HBAR * k.separation / mv3) if k.separation is not None else None
-    l_meas = C_LIGHT * k.measure_time if k.measure_time is not None else None
+    dt_arrival = math.sqrt(2.0 * HBAR * separation / mv3) if separation is not None else None
+    l_meas = C_LIGHT * measure_time if measure_time is not None else None
     return SpacelikeConstraints(l_min=l_min, dt_arrival=dt_arrival, l_meas=l_meas)
 
 

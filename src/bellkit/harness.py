@@ -264,7 +264,9 @@ class PairStats:
         }
 
 
-# The fields of a saved report, in the check_json schema form.
+# The fields of a saved report, in the check_json schema form.  v_b and
+# plot_data are derived from s_star and pairs: checked on load, then
+# recomputed whenever the report is written or printed.
 REPORT_SCHEMA = {
     "pairs": [
         {"settings": [str, str], "n": int, "e": (float, None), "e_star": float, "err": float}
@@ -285,23 +287,25 @@ class AnalysisReport:
     s: Optional[float]
     s_star: float
     s_err: float
-    v_b: float
     verdicts: tuple[InequalityReport, ...]
-    plot_data: tuple[dict, ...]
     provenance: dict
 
     def to_json(self) -> dict:
-        body = {
+        return {
             "pairs": [p.to_json() for p in self.pairs],
             "s": self.s,
             "s_star": self.s_star,
             "s_err": self.s_err,
-            "v_b": self.v_b,
+            "v_b": s_star_bound_visibility(self.s_star),
             "verdicts": [v.to_json() for v in self.verdicts],
-            "plot_data": list(self.plot_data),
+            # a pair outside CANONICAL_PHI, as a saved report may hold, has no angle
+            "plot_data": [
+                {"phi": CANONICAL_PHI.get((p.setting_a, p.setting_b)), "e_star": p.e_star,
+                 "err": p.err}
+                for p in self.pairs
+            ],
             "provenance": dict(self.provenance),
         }
-        return body
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
@@ -322,13 +326,11 @@ class AnalysisReport:
             s=data["s"],
             s_star=data["s_star"],
             s_err=data["s_err"],
-            v_b=data["v_b"],
             # the fields check_json has checked; a saved verdict may hold more
             verdicts=tuple(
                 InequalityReport(**{key: v[key] for key in VERDICT_SCHEMA})
                 for v in data["verdicts"]
             ),
-            plot_data=tuple(data["plot_data"]),
             provenance=dict(data["provenance"]),
         )
 
@@ -413,31 +415,19 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
                 ) from None
             verdicts.append(ch_report(ps))
 
-    plot_data = tuple(
-        {
-            "phi": CANONICAL_PHI[(p.setting_a, p.setting_b)],
-            "e_star": p.e_star,
-            "err": p.err,
-        }
-        for p in pair_stats
-    )
-
     provenance = {
         "input_digest": ds.source_digest,
         "seed": ds.seed,
         "config": cfg.to_json(),
     }
-    report = AnalysisReport(
+    return AnalysisReport(
         pairs=tuple(pair_stats),
         s=s_abs,
         s_star=s_star,
         s_err=s_err,
-        v_b=s_star_bound_visibility(s_star),
         verdicts=tuple(verdicts),
-        plot_data=plot_data,
         provenance=provenance,
     )
-    return report
 
 
 def _verdict_line(v: InequalityReport) -> str:
@@ -452,8 +442,8 @@ def _verdict_line(v: InequalityReport) -> str:
 def render_report(report: AnalysisReport, format: str) -> str:
     """Serialize a report; 'json' round-trips losslessly, 'text' is for
     human reading and carries one verdict line per inequality."""
+    body = report.to_json()
     if format == "json":
-        body = report.to_json()
         digest = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
         body["digest"] = digest
         body["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -466,11 +456,11 @@ def render_report(report: AnalysisReport, format: str) -> str:
         lines.append(f"S* = {report.s_star:.6f} +/- {report.s_err:.6f}")
         if report.s is not None:
             lines.append(f"S (absolute) = {report.s:.6g}")
-        lines.append(f"V_B = {report.v_b:.6f}")
+        lines.append(f"V_B = {body['v_b']:.6f}")
         for v in report.verdicts:
             lines.append(_verdict_line(v))
         lines.append("plot data (phi, e_star, err):")
-        for point in report.plot_data:
+        for point in body["plot_data"]:
             phi = point["phi"]
             phi_text = f"{phi:+.6f}" if phi is not None else "n/a"
             lines.append(f"  {phi_text}, {point['e_star']:+.6f}, {point['err']:.6f}")

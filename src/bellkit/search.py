@@ -237,8 +237,8 @@ def sample_counts(
     for (x, y) in sorted(statistics):
         tc = statistics[(x, y)]
         total = tc.total()
-        if total <= 0:
-            raise ValueError(f"pair ({x},{y}) has zero total probability")
+        if not 0 < total < math.inf:
+            raise ValueError(f"pair ({x},{y}) has total {total}, not finite and positive")
         probs = np.array([tc.ppp, tc.ppm, tc.pmp, tc.pmm]) / total
         n_pp, n_pm, n_mp, n_mm = (int(n) for n in rng.multinomial(n_pairs, probs))
         rows.append(

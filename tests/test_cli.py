@@ -137,6 +137,21 @@ def test_predict_output_bytes_are_pinned(files, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_predict_writes_both_detectors_as_twice_the_single_maximum(files, capsys):
+    assert cli.main(["predict", "--config", files["config"]]) == 0
+    maximum = json.loads(capsys.readouterr().out)["cascade"]["aperture_maximum"]
+    assert maximum["both_detectors"] == 2.0 * maximum["lhs"]
+
+
+def test_predict_below_the_boundary_visibility_has_no_threshold(files, capsys):
+    config = files["dir"] / "low.ini"
+    config.write_text(CONFIG_TEXT.replace("v = 0.95", "v = 0.5"))
+    assert cli.main(["predict", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["pdc"]["min_efficiency_for_violation"] is None
+    assert '"min_efficiency_for_violation": null' in out
+
+
 # Fuzzing the input files of every subcommand: whatever a mutation does to a
 # valid file, main() exits 0 or 1 and prints no traceback.
 

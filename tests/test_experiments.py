@@ -6,8 +6,6 @@ import pytest
 
 from bellkit.experiments import (
     CascadeConfig,
-    KinematicsInput,
-    NoViolationPossibleError,
     PdcConfig,
     bi1_min_efficiency,
     bi_margin,
@@ -117,13 +115,12 @@ class TestMinEfficiency:
         assert bi1_min_efficiency(0.9) == pytest.approx(2 / (1 + SQRT2 * 0.9), abs=1e-12)
         assert bi1_min_efficiency(0.9) == pytest.approx(0.88, abs=5e-3)
 
-    def test_below_boundary_is_an_error(self):
-        with pytest.raises(NoViolationPossibleError):
-            bi1_min_efficiency(0.5)
+    def test_below_boundary_has_no_threshold(self):
+        assert bi1_min_efficiency(0.5) is None
 
     @pytest.mark.parametrize("v", [math.nan, 1.5])
     def test_nan_or_above_one_is_an_error(self, v):
-        with pytest.raises(ValueError, match=r"^V = .* outside \(sqrt\(2\)/2, 1\]"):
+        with pytest.raises(ValueError, match=r"^V = .* must be a number at most 1$"):
             bi1_min_efficiency(v)
 
     def test_inverse_consistency_with_bi_margin(self):
@@ -138,21 +135,15 @@ class TestCascadeBiMaximum:
         assert max_lhs == pytest.approx(0.7436, abs=1e-3)
         assert 1 - math.cos(theta_star) == pytest.approx(0.9239, abs=1e-4)
 
-    def test_both_detectors_doubles(self):
-        max_single, _ = cascade_bi_maximum(1.0)
-        max_both, _ = cascade_bi_maximum(1.0, both_detectors=True)
-        assert max_both == pytest.approx(2 * max_single, abs=1e-12)
-        assert max_both == pytest.approx(1.4871, abs=2e-3)
-
     def test_linear_in_zeta(self):
         full, _ = cascade_bi_maximum(1.0)
         half, _ = cascade_bi_maximum(0.5)
         assert half == pytest.approx(full / 2, abs=1e-9)
 
     def test_never_reaches_the_bound(self):
+        # even with both detectors, which doubles the maximum
         for zeta in np.linspace(0.05, 1.0, 20):
-            for both in (False, True):
-                assert cascade_bi_maximum(zeta, both)[0] < 2.0
+            assert 2 * cascade_bi_maximum(zeta)[0] < 2.0
 
 
 class TestSourceConfigs:
@@ -162,6 +153,14 @@ class TestSourceConfigs:
             PdcConfig(v=0.9, eta=0.1, r0=r0)
         with pytest.raises(ValueError, match="alpha = .* must be finite and positive"):
             CascadeConfig(theta=0.5, zeta=0.2, alpha=r0)
+
+    @pytest.mark.parametrize("zeta", [0.0, -0.1, 1.5, math.nan])
+    def test_zeta_outside_the_range_cascade_bi_maximum_takes(self, zeta):
+        # the same range (0, 1] as cascade_bi_maximum, which predict calls
+        with pytest.raises(ValueError, match=r"^zeta = .* outside \(0, 1\]$"):
+            CascadeConfig(theta=0.5, zeta=zeta)
+        with pytest.raises(ValueError, match=r"^zeta = .* outside \(0, 1\]$"):
+            cascade_bi_maximum(zeta)
 
     @pytest.mark.parametrize(
         "theta, zeta",
@@ -196,29 +195,29 @@ class TestCascadeReports:
 
 
 class TestSpacelikeConstraints:
-    SODIUM = KinematicsInput(mass=3.818e-26, speed=3000.0, separation=1.0, measure_time=1e-4)
+    SODIUM = {"mass": 3.818e-26, "speed": 3000.0, "separation": 1.0, "measure_time": 1e-4}
 
     def test_measurement_time_separation(self):
-        result = spacelike_constraints(self.SODIUM)
+        result = spacelike_constraints(**self.SODIUM)
         assert result.l_meas == pytest.approx(2.99792458e4, rel=1e-9)
 
     def test_minimum_distance(self):
-        result = spacelike_constraints(self.SODIUM)
+        result = spacelike_constraints(**self.SODIUM)
         assert result.l_min == pytest.approx(1.84e-2, rel=1e-2)
 
     def test_arrival_time_spread(self):
-        result = spacelike_constraints(self.SODIUM)
+        result = spacelike_constraints(**self.SODIUM)
         assert result.dt_arrival == pytest.approx(4.52e-10, rel=1e-2)
 
     def test_optional_fields_absent(self):
-        result = spacelike_constraints(KinematicsInput(mass=1e-26, speed=1000.0))
+        result = spacelike_constraints(mass=1e-26, speed=1000.0)
         assert result.dt_arrival is None and result.l_meas is None
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            KinematicsInput(mass=-1.0, speed=100.0)
-        with pytest.raises(ValueError):
-            KinematicsInput(mass=1e-26, speed=4e8)
+        with pytest.raises(ValueError, match="^mass = -1.0 must be finite and positive$"):
+            spacelike_constraints(mass=-1.0, speed=100.0)
+        with pytest.raises(ValueError, match=r"^speed must be in \(0, c\)$"):
+            spacelike_constraints(mass=1e-26, speed=4e8)
         # each non-finite or non-positive value is refused by name, not
         # turned into a nan, a zero, a negative length or a math domain error
         for field, value in (
@@ -236,4 +235,4 @@ class TestSpacelikeConstraints:
         ):
             inputs = {"mass": 1e-26, "speed": 1000.0, field: value}
             with pytest.raises(ValueError, match=f"^{field} = "):
-                KinematicsInput(**inputs)
+                spacelike_constraints(**inputs)

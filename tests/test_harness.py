@@ -242,7 +242,7 @@ class TestRunAnalysis:
         (verdict,) = report.verdicts
         assert verdict.name == "CHSH-star"
         assert verdict.violated and not verdict.genuine
-        assert report.v_b == pytest.approx(report.s_star / (2 * math.sqrt(2)))
+        assert report.to_json()["v_b"] == pytest.approx(report.s_star / (2 * math.sqrt(2)))
         assert report.s is None
 
     def test_ch_gated_on_absolute_normalization(self):
@@ -314,6 +314,31 @@ class TestRenderReport:
         assert "not a genuine Bell inequality" in text
         assert text.count("verdict") == len(report.verdicts)
         assert "plot data" in text
+
+    def test_saved_plot_data_and_v_b_are_recomputed(self):
+        # plot_data and v_b follow from pairs and s_star; hand-edited values
+        # in a saved report are checked on load, then not rendered
+        report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
+        data = json.loads(render_report(report, "json"))
+        for point in data["plot_data"]:
+            point["e_star"] = 0.5
+        data["v_b"] = 0.25
+        loaded = AnalysisReport.from_json(data)
+        assert render_report(loaded, "text") == render_report(report, "text")
+        again = json.loads(render_report(loaded, "json"))
+        assert again["v_b"] == data["s_star"] / (2 * math.sqrt(2))
+        assert [p["e_star"] for p in again["plot_data"]] == [p["e_star"] for p in data["pairs"]]
+        assert again["digest"] == json.loads(render_report(report, "json"))["digest"]
+
+    def test_pair_outside_the_canonical_angles_is_plotted_without_one(self):
+        report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
+        data = json.loads(render_report(report, "json"))
+        data["pairs"][3]["settings"] = ["C", "X"]
+        loaded = AnalysisReport.from_json(data)
+        assert json.loads(render_report(loaded, "json"))["plot_data"][3]["phi"] is None
+        last = report.pairs[3]
+        text = render_report(loaded, "text")
+        assert text.endswith(f"  n/a, {last.e_star:+.6f}, {last.err:.6f}\n")
 
     def test_unknown_format(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
@@ -569,6 +594,18 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_overflowing_simulate_rates_name_the_fields(self, tmp_path, capsys):
+        # a rate sum that overflows to inf left every probability 0 and put
+        # every count into n_mm
+        text = CONFIG_TEXT.replace("eta = 0.1", "eta = 1.0").replace("r0 = 1.0", "r0 = 1e308")
+        config = write(tmp_path, "cfg.ini", text)
+        out = tmp_path / "counts.csv"
+        argv = ["simulate", "--config", str(config), "--seed", "7", "--output", str(out)]
+        assert cli.main(argv) == 1
+        message = "[pdc] eta = 1.0 with r0 = 1e+308 gives rates whose sum overflows"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_non_integer_seed_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "counts.csv", "# seed=abc\n" + GOOD_CSV)
         assert cli.main(["analyze", str(path)]) == 1
@@ -773,6 +810,7 @@ class TestCli:
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = 100\n", ["predict"],
              "alpha = 100.0 exceeds 96.10079530022739, the largest value at which "
              "no coincidence probability exceeds the singles"),
+            ("[cascade]\ntheta = 0.5\nzeta = 0\n", ["predict"], "zeta = 0.0 outside (0, 1]"),
             ("[search]\netas = 0.8, abc\n", ["search"],
              "[search] etas = '0.8, abc' is not a list of finite numbers"),
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
@@ -782,7 +820,7 @@ class TestCli:
         ids=[
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
             "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
-            "cascade-alpha-above-bound", "etas-abc",
+            "cascade-alpha-above-bound", "cascade-zeta-zero", "etas-abc",
             "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation",
         ],
     )

@@ -170,9 +170,8 @@ PUBLIC_NAMES = [
     "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
     "ResponseTable", "ValidationReport", "joint_feasibility", "joint_probability",
     "marginal_probability", "probability_set_from_model", "validate_model",
-    "CascadeConfig", "KinematicsInput", "PdcConfig", "bi1_min_efficiency", "bi_margin",
-    "cascade_bi_maximum", "cascade_optics", "cascade_rates", "spacelike_constraints",
-    "two_channel_rates",
+    "CascadeConfig", "PdcConfig", "bi1_min_efficiency", "bi_margin", "cascade_bi_maximum",
+    "cascade_optics", "cascade_rates", "spacelike_constraints", "two_channel_rates",
     "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics", "sample_counts",
     "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
     "ingest_counts", "run_analysis",
@@ -181,7 +180,7 @@ PUBLIC_NAMES = [
 REMOVED_NAMES = [
     "AngleSet", "optimal_angles", "visibility_estimators", "InsufficientCoverageError",
     "channel_conversion", "ChannelProbabilities", "emit_report", "formal_joint_distribution",
-    "mixture_to_model", "NormalizationError",
+    "mixture_to_model", "NormalizationError", "KinematicsInput",
 ]
 SUBMODULES = ["inequalities", "models", "experiments", "search", "harness"]
 

@@ -408,3 +408,14 @@ class TestSampleCounts:
         ds = sample_counts(self.statistics(), 10, seed=9)
         assert ds.seed == 9
         assert "# seed=9" in ds.to_csv()
+
+    @pytest.mark.parametrize(
+        "rates", [(0.0, 0.0, 0.0, 0.0), (1e308, 1e307, 1e307, 1e308)], ids=["zero", "overflow"]
+    )
+    def test_total_that_is_not_finite_and_positive_names_the_pair(self, rates):
+        # a total that overflows to inf would make every probability 0, and
+        # the multinomial would put every draw into n_mm
+        stats = self.statistics()
+        stats[("C", "B")] = TwoChannelCounts(*rates)
+        with pytest.raises(ValueError, match=r"^pair \(C,B\) has total .*, not finite"):
+            sample_counts(stats, 1000, seed=1)
