@@ -46,6 +46,14 @@ def _setting(cfg: dict, section: str, key: str, kind=float, default=_REQUIRED):
     return values if kind is list else values[0]
 
 
+def _in_section(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with [section] before the message of its ValueError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from None
+
+
 def _write_or_print(text: str, output: str | None) -> None:
     """Write text to the --output path through write_text, or to stdout when
     the option was not given.  main() has already refused an empty path."""
@@ -65,7 +73,8 @@ def _cmd_validate(args) -> int:
 
 
 def _predict_cascade(cfg: dict) -> dict:
-    cascade = experiments.CascadeConfig(
+    cascade = _in_section(
+        "cascade", experiments.CascadeConfig,
         theta=_setting(cfg, "cascade", "theta"),
         zeta=_setting(cfg, "cascade", "zeta"),
         alpha=_setting(cfg, "cascade", "alpha", default=1.0),
@@ -88,7 +97,8 @@ def _predict_cascade(cfg: dict) -> dict:
 
 
 def _pdc_config(cfg: dict) -> experiments.PdcConfig:
-    return experiments.PdcConfig(
+    return _in_section(
+        "pdc", experiments.PdcConfig,
         v=_setting(cfg, "pdc", "v"),
         eta=_setting(cfg, "pdc", "eta"),
         r0=_setting(cfg, "pdc", "r0", default=1.0),
@@ -124,7 +134,7 @@ def _cmd_analyze(args) -> int:
     ds = harness.ingest_counts(args.counts)
     cfg = harness.load_config(args.config) if args.config else {}
     r0 = _setting(cfg, "analysis", "r0", default=None)
-    report = harness.run_analysis(ds, harness.AnalysisConfig(r0=r0))
+    report = harness.run_analysis(ds, _in_section("analysis", harness.AnalysisConfig, r0=r0))
     text = harness.render_report(report, args.format)
     _write_or_print(text, args.output)
     return 0
@@ -153,7 +163,7 @@ def _cmd_simulate(args) -> int:
             outcome = "no coincidences" if total == 0.0 else "rates whose sum overflows"
             raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives {outcome}")
         stats[(x, y)] = harness.TwoChannelCounts(*rates)
-    ds = search.sample_counts(stats, n_pairs, args.seed)
+    ds = _in_section("analysis", search.sample_counts, stats, n_pairs, args.seed)
     ds.save(args.output)
     return 0
 

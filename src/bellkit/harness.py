@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .inequalities import (
+    CANONICAL_ANGLES,
     CANONICAL_PAIRS,
     CANONICAL_PHI,
+    PAIR_TOL,
     VERDICT_SCHEMA,
     InequalityReport,
     ProbabilitySet,
@@ -30,8 +32,8 @@ from .inequalities import (
     check_json,
     chsh_sum,
     renormalized_correlation,
-    s_statistic,
     s_star_bound_visibility,
+    s_statistic,
     write_text,
 )
 
@@ -228,8 +230,7 @@ class AnalysisConfig:
 
     r0: pair production rate; together with per-row durations it converts
     counts into absolute probabilities, enabling the genuine CH test.  The
-    plot block takes each pair's angle from CANONICAL_PHI, and the saved
-    config lists those angles.
+    saved config lists the CANONICAL_PHI angles the plot block uses.
     """
 
     r0: Optional[float] = None
@@ -251,8 +252,12 @@ class PairStats:
     setting_b: str
     n_total: int
     e_star: float
-    err: float
     e: Optional[float] = None  # plain correlation; needs absolute normalization
+
+    @property
+    def err(self) -> float:
+        # first-order multinomial error on a +/-1 outcome mean over n events
+        return math.sqrt(max(0.0, 1.0 - self.e_star * self.e_star) / self.n_total)
 
     def to_json(self) -> dict:
         return {
@@ -264,13 +269,12 @@ class PairStats:
         }
 
 
-# The fields of a saved report, in the check_json schema form.  v_b and
-# plot_data are derived from s_star and pairs: checked on load, then
-# recomputed whenever the report is written or printed.
+# The fields of a saved report, in the check_json schema form: four pairs,
+# in CANONICAL_PAIRS order.  Only pairs, the CH verdict's lhs and rhs, and
+# provenance are read; every other field is checked on load, then recomputed.
 REPORT_SCHEMA = {
-    "pairs": [
-        {"settings": [str, str], "n": int, "e": (float, None), "e_star": float, "err": float}
-    ],
+    "pairs": [{"settings": [str, str], "n": int, "e": (float, None), "e_star": float,
+               "err": float}] * len(CANONICAL_PAIRS),
     "s": (float, None),
     "s_star": float,
     "s_err": float,
@@ -283,56 +287,67 @@ REPORT_SCHEMA = {
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The pairs measured, in CANONICAL_PAIRS order, the CH verdict when the
+    counts were absolutely normalized, and their provenance; S, S*, its error
+    and the verdicts follow from these."""
+
     pairs: tuple[PairStats, ...]
-    s: Optional[float]
-    s_star: float
-    s_err: float
-    verdicts: tuple[InequalityReport, ...]
+    ch: Optional[InequalityReport]
     provenance: dict
 
+    @property
+    def s(self) -> Optional[float]:
+        es = [p.e for p in self.pairs]
+        return None if None in es else chsh_sum(*es)
+
+    @property
+    def s_star(self) -> float:
+        return self.verdicts[0].lhs
+
+    @property
+    def s_err(self) -> float:
+        return math.sqrt(sum(p.err * p.err for p in self.pairs))
+
+    @property
+    def verdicts(self) -> tuple[InequalityReport, ...]:
+        star = s_statistic(*(p.e_star for p in self.pairs), renormalized=True)
+        return (star,) if self.ch is None else (star, self.ch)
+
     def to_json(self) -> dict:
+        pairs = [p.to_json() for p in self.pairs]
+        verdicts = self.verdicts
         return {
-            "pairs": [p.to_json() for p in self.pairs],
+            "pairs": pairs,
             "s": self.s,
-            "s_star": self.s_star,
+            "s_star": verdicts[0].lhs,
             "s_err": self.s_err,
-            "v_b": s_star_bound_visibility(self.s_star),
-            "verdicts": [v.to_json() for v in self.verdicts],
-            # a pair outside CANONICAL_PHI, as a saved report may hold, has no angle
-            "plot_data": [
-                {"phi": CANONICAL_PHI.get((p.setting_a, p.setting_b)), "e_star": p.e_star,
-                 "err": p.err}
-                for p in self.pairs
-            ],
+            "v_b": s_star_bound_visibility(verdicts[0].lhs),
+            "verdicts": [v.to_json() for v in verdicts],
+            "plot_data": [{"phi": phi, "e_star": p["e_star"], "err": p["err"]}
+                          for phi, p in zip(CANONICAL_ANGLES, pairs)],
             "provenance": dict(self.provenance),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
+        """The report a saved one holds, refused unless run_analysis could
+        have written its pairs."""
         check_json(data, REPORT_SCHEMA, "")
-        pairs = tuple(
-            PairStats(
-                setting_a=p["settings"][0],
-                setting_b=p["settings"][1],
-                n_total=p["n"],
-                e_star=p["e_star"],
-                err=p["err"],
-                e=p["e"],
-            )
-            for p in data["pairs"]
-        )
-        return cls(
-            pairs=pairs,
-            s=data["s"],
-            s_star=data["s_star"],
-            s_err=data["s_err"],
-            # the fields check_json has checked; a saved verdict may hold more
-            verdicts=tuple(
-                InequalityReport(**{key: v[key] for key in VERDICT_SCHEMA})
-                for v in data["verdicts"]
-            ),
-            provenance=dict(data["provenance"]),
-        )
+        pairs = []
+        for k, (p, pair) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)):
+            for key, ok, expected in [
+                ("settings", p["settings"] == list(pair), '["{}", "{}"]'.format(*pair)),
+                ("n", 1 <= p["n"] < 4 * MAX_COUNT, "in [1, 2**1023)"),
+                ("e_star", abs(p["e_star"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
+                ("e", p["e"] is None or abs(p["e"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
+            ]:
+                if not ok:
+                    found = json.dumps(p[key])[:40]
+                    raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
+            pairs.append(PairStats(*pair, n_total=p["n"], e_star=p["e_star"], e=p["e"]))
+        ch = [InequalityReport("CH", v["lhs"], v["rhs"]) for v in data["verdicts"]
+              if v["name"] == "CH"]
+        return cls(tuple(pairs), ch[0] if ch else None, dict(data["provenance"]))
 
 
 def _canonical_json(data: dict) -> str:
@@ -369,12 +384,7 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     for (x, y), row in rows.items():
         n = row.total()
         if n == 0:
-            raise DatasetError(
-                _at_line(row, f"zero total coincidences for setting pair ({x}, {y})")
-            )
-        e_star = renormalized_correlation(row.two_channel())
-        # first-order multinomial error on a +/-1 outcome mean over n events
-        err = math.sqrt(max(0.0, 1.0 - e_star * e_star) / n)
+            raise DatasetError(_at_line(row, f"zero total coincidences for setting pair ({x}, {y})"))
         e_abs = None
         if absolute_ok:
             # a pair gives at most one coincidence; more would put |e| above 1
@@ -383,19 +393,11 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
                 message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
                 raise DatasetError(_at_line(row, message))
             e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0[(x, y)]
-        pair_stats.append(
-            PairStats(setting_a=x, setting_b=y, n_total=n, e_star=e_star, err=err, e=e_abs)
-        )
+        e_star = renormalized_correlation(row.two_channel())
+        pair_stats.append(PairStats(x, y, n_total=n, e_star=e_star, e=e_abs))
 
-    # pair_stats is in CANONICAL_PAIRS order, the argument order of both sums
-    star_verdict = s_statistic(*(p.e_star for p in pair_stats), renormalized=True)
-    s_star = star_verdict.lhs
-    s_err = math.sqrt(sum(p.err * p.err for p in pair_stats))
-    verdicts = [star_verdict]
-
-    s_abs = None
+    ch = None
     if absolute_ok:
-        s_abs = chsh_sum(*(p.e for p in pair_stats))
         # p(A) and p(B) are the singles of the first pair, (A, B)
         row_ab, n_ab = rows[CANONICAL_PAIRS[0]], n0[CANONICAL_PAIRS[0]]
         if row_ab.singles_a is not None and row_ab.singles_b is not None:
@@ -413,30 +415,19 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
                         f"give no valid CH probability set: {exc}",
                     )
                 ) from None
-            verdicts.append(ch_report(ps))
+            ch = ch_report(ps)
 
-    provenance = {
-        "input_digest": ds.source_digest,
-        "seed": ds.seed,
-        "config": cfg.to_json(),
-    }
-    return AnalysisReport(
-        pairs=tuple(pair_stats),
-        s=s_abs,
-        s_star=s_star,
-        s_err=s_err,
-        verdicts=tuple(verdicts),
-        provenance=provenance,
-    )
+    provenance = {"input_digest": ds.source_digest, "seed": ds.seed, "config": cfg.to_json()}
+    return AnalysisReport(pairs=tuple(pair_stats), ch=ch, provenance=provenance)
 
 
-def _verdict_line(v: InequalityReport) -> str:
-    status = "VIOLATED" if v.violated else "fulfilled"
-    if v.genuine:
+def _verdict_line(v: dict) -> str:
+    status = "VIOLATED" if v["violated"] else "fulfilled"
+    if v["genuine"]:
         flag = "genuine Bell inequality"
     else:
         flag = "not a genuine Bell inequality (auxiliary assumption required)"
-    return f"verdict {v.name}: lhs {v.lhs:.6f} vs rhs {v.rhs:.6f}: {status}; {flag}"
+    return f"verdict {v['name']}: lhs {v['lhs']:.6f} vs rhs {v['rhs']:.6f}: {status}; {flag}"
 
 
 def render_report(report: AnalysisReport, format: str) -> str:
@@ -444,26 +435,22 @@ def render_report(report: AnalysisReport, format: str) -> str:
     human reading and carries one verdict line per inequality."""
     body = report.to_json()
     if format == "json":
-        digest = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
-        body["digest"] = digest
+        body["digest"] = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
         body["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if format == "text":
         lines = ["coincidence analysis"]
-        for p in report.pairs:
-            prefix = f"pair {p.setting_a},{p.setting_b}:"
-            lines.append(f"{prefix} E* = {p.e_star:+.6f} +/- {p.err:.6f} (n = {p.n_total})")
-        lines.append(f"S* = {report.s_star:.6f} +/- {report.s_err:.6f}")
-        if report.s is not None:
-            lines.append(f"S (absolute) = {report.s:.6g}")
+        for p in body["pairs"]:
+            x, y = p["settings"]
+            lines.append(f"pair {x},{y}: E* = {p['e_star']:+.6f} +/- {p['err']:.6f} (n = {p['n']})")
+        lines.append(f"S* = {body['s_star']:.6f} +/- {body['s_err']:.6f}")
+        if body["s"] is not None:
+            lines.append(f"S (absolute) = {body['s']:.6g}")
         lines.append(f"V_B = {body['v_b']:.6f}")
-        for v in report.verdicts:
-            lines.append(_verdict_line(v))
+        lines.extend(_verdict_line(v) for v in body["verdicts"])
         lines.append("plot data (phi, e_star, err):")
         for point in body["plot_data"]:
-            phi = point["phi"]
-            phi_text = f"{phi:+.6f}" if phi is not None else "n/a"
-            lines.append(f"  {phi_text}, {point['e_star']:+.6f}, {point['err']:.6f}")
+            lines.append(f"  {point['phi']:+.6f}, {point['e_star']:+.6f}, {point['err']:.6f}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
 

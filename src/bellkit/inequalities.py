@@ -97,14 +97,32 @@ class TwoChannelCounts:
         return self.ppp + self.ppm + self.pmp + self.pmm
 
 
+# Whether a violation of each inequality refutes factorizability itself
+# (genuine) or only an auxiliary assumption it needs.
+GENUINE = {"CH": True, "CHSH": True, "CHSH-star": False, "FC": False}
+
+
 @dataclass(frozen=True)
 class InequalityReport:
-    name: str  # one of CH, CHSH, CHSH-star, FC
+    name: str  # a key of GENUINE; the verdict is lhs <= rhs
     lhs: float
     rhs: float
-    margin: float
-    violated: bool
-    genuine: bool
+
+    def __post_init__(self):
+        if self.name not in GENUINE:
+            raise ValueError(f"unknown inequality {self.name!r}")
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def violated(self) -> bool:
+        return self.margin < 0
+
+    @property
+    def genuine(self) -> bool:
+        return GENUINE[self.name]
 
     def to_json(self) -> dict:
         return {key: getattr(self, key) for key in VERDICT_SCHEMA}
@@ -228,13 +246,6 @@ def write_text(path, text: str) -> None:
         os.close(fd)
 
 
-def _report(name: str, lhs: float, rhs: float, genuine: bool) -> InequalityReport:
-    margin = rhs - lhs
-    return InequalityReport(
-        name=name, lhs=lhs, rhs=rhs, margin=margin, violated=margin < 0, genuine=genuine
-    )
-
-
 def ch_report(ps: ProbabilitySet) -> InequalityReport:
     """Clauser-Horne test: p(A,B)+p(A,D)+p(C,B)-p(C,D) <= p(A)+p(B).
 
@@ -243,7 +254,7 @@ def ch_report(ps: ProbabilitySet) -> InequalityReport:
     """
     lhs = ps.pAB + ps.pAD + ps.pCB - ps.pCD
     rhs = ps.pA + ps.pB
-    return _report("CH", lhs, rhs, genuine=True)
+    return InequalityReport("CH", lhs, rhs)
 
 
 def correlation(tc: TwoChannelCounts) -> float:
@@ -285,9 +296,8 @@ def s_statistic(
     for name, value in (("eAB", eAB), ("eAD", eAD), ("eCB", eCB), ("eCD", eCD)):
         if not -1.0 - PAIR_TOL <= value <= 1.0 + PAIR_TOL:
             raise ValueError(f"{name} = {value} outside [-1, 1]")
-    lhs = chsh_sum(eAB, eAD, eCB, eCD)
     name = "CHSH-star" if renormalized else "CHSH"
-    return _report(name, lhs, CHSH_BOUND, genuine=not renormalized)
+    return InequalityReport(name, chsh_sum(eAB, eAD, eCB, eCD), CHSH_BOUND)
 
 
 def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityReport:
@@ -300,7 +310,7 @@ def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityRepor
     for name, value in (("pAinf", pAinf), ("pInfB", pInfB)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} = {value} outside [0, 1]")
-    return _report("FC", ch_report(ps).lhs, pAinf + pInfB, genuine=False)
+    return InequalityReport("FC", ch_report(ps).lhs, pAinf + pInfB)
 
 
 def s_star_bound_visibility(s_star: float) -> float:

@@ -170,7 +170,7 @@ CONFIG_VALUES = st.one_of(
 )
 
 JSON_VALUES = st.one_of(
-    st.sampled_from([5, "2.5", None, [], {}, [1], True, "A", 0]),
+    st.sampled_from([5, "2.5", None, [], {}, [1], True, "A", 0, -1, 2**1023]),
     st.floats(),
     st.integers(-(2**70), 2**70),
     st.text(max_size=8),

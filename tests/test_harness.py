@@ -19,6 +19,7 @@ from bellkit.harness import (
     CountDataset,
     CountRow,
     DatasetError,
+    InequalityReport,
     TwoChannelCounts,
     ingest_counts,
     load_config,
@@ -316,29 +317,51 @@ class TestRenderReport:
         assert "plot data" in text
 
     def test_saved_plot_data_and_v_b_are_recomputed(self):
-        # plot_data and v_b follow from pairs and s_star; hand-edited values
-        # in a saved report are checked on load, then not rendered
+        # every figure but the pairs, the CH verdict's lhs and rhs and the
+        # provenance follows from the pairs; hand-edited values in a saved
+        # report are checked on load, then not rendered
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
         data = json.loads(render_report(report, "json"))
         for point in data["plot_data"]:
             point["e_star"] = 0.5
-        data["v_b"] = 0.25
+        for pair in data["pairs"]:
+            pair["err"] = 0.5
+        data.update(v_b=0.25, s=1.5, s_star=0.0, s_err=9.0)
+        data["verdicts"][0].update(lhs=1.0, margin=1.0, violated=False, genuine=True)
         loaded = AnalysisReport.from_json(data)
         assert render_report(loaded, "text") == render_report(report, "text")
         again = json.loads(render_report(loaded, "json"))
-        assert again["v_b"] == data["s_star"] / (2 * math.sqrt(2))
+        expected = json.loads(render_report(report, "json"))
+        assert {key: again[key] for key in again if key != "generated_at"} == {
+            key: expected[key] for key in expected if key != "generated_at"
+        }
+        assert again["v_b"] == again["s_star"] / (2 * math.sqrt(2))
         assert [p["e_star"] for p in again["plot_data"]] == [p["e_star"] for p in data["pairs"]]
-        assert again["digest"] == json.loads(render_report(report, "json"))["digest"]
 
-    def test_pair_outside_the_canonical_angles_is_plotted_without_one(self):
+        # a verdict relabelled CH is read as a CH verdict with the lhs and rhs
+        # it holds, its flags recomputed; the CHSH-star verdict comes back
+        # from the pairs
+        data["verdicts"][0].update(name="CH", lhs=2.5, rhs=2.0, violated=False, genuine=True)
+        relabelled = AnalysisReport.from_json(data)
+        star = report.verdicts[0]
+        assert relabelled.verdicts == (star, InequalityReport("CH", 2.5, 2.0))
+        ch_line = "verdict CH: lhs 2.500000 vs rhs 2.000000: VIOLATED; genuine Bell inequality\n"
+        assert render_report(relabelled, "text") == render_report(report, "text").replace(
+            "plot data", ch_line + "plot data"
+        )
+        ch = {"name": "CH", "lhs": 2.5, "rhs": 2.0, "margin": -0.5, "violated": True,
+              "genuine": True}
+        assert json.loads(render_report(relabelled, "json"))["verdicts"] == [star.to_json(), ch]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_saved_pair_counts_up_to_the_float_bound_render(self, fmt):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
         data = json.loads(render_report(report, "json"))
-        data["pairs"][3]["settings"] = ["C", "X"]
+        data["pairs"][0]["n"] = 2**1023 - 1
         loaded = AnalysisReport.from_json(data)
-        assert json.loads(render_report(loaded, "json"))["plot_data"][3]["phi"] is None
-        last = report.pairs[3]
-        text = render_report(loaded, "text")
-        assert text.endswith(f"  n/a, {last.e_star:+.6f}, {last.err:.6f}\n")
+        e_star = loaded.pairs[0].e_star
+        assert loaded.pairs[0].err == math.sqrt((1.0 - e_star * e_star) / 2.0**1023)
+        assert render_report(loaded, fmt)
 
     def test_unknown_format(self):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
@@ -778,9 +801,48 @@ class TestCli:
                 lambda d: d.update(v_b=10**400),
                 "field v_b must be a finite number, found 1000000000",
             ),
+            (lambda d: d["pairs"].pop(), "field pairs must hold 4 items, found 3"),
+            (
+                lambda d: d["pairs"][0].update(settings=["B", "A"]),
+                'field pairs[0].settings must be ["A", "B"], found ["B", "A"]',
+            ),
+            (
+                lambda d: d["pairs"].insert(1, d["pairs"].pop(2)),
+                'field pairs[1].settings must be ["A", "D"], found ["C", "B"]',
+            ),
+            (
+                lambda d: d["pairs"][3].update(settings=["C", "X"]),
+                'field pairs[3].settings must be ["C", "D"], found ["C", "X"]',
+            ),
+            (
+                lambda d: d["pairs"][0].update(n=0),
+                "field pairs[0].n must be in [1, 2**1023), found 0",
+            ),
+            (
+                lambda d: d["pairs"][1].update(n=-4),
+                "field pairs[1].n must be in [1, 2**1023), found -4",
+            ),
+            (
+                lambda d: d["pairs"][2].update(n=10**400),
+                "field pairs[2].n must be in [1, 2**1023), found 1000000000",
+            ),
+            (
+                lambda d: d["pairs"][3].update(n=2**1023),
+                "field pairs[3].n must be in [1, 2**1023), found 8988465674",
+            ),
+            (
+                lambda d: d["pairs"][2].update(e_star=7.5),
+                "field pairs[2].e_star must be in [-1, 1], found 7.5",
+            ),
+            (
+                lambda d: d["pairs"][1].update(e=2),
+                "field pairs[1].e must be in [-1, 1], found 2",
+            ),
         ],
         ids=["missing", "nested-missing", "short-list", "float-count", "string-bool",
-             "string-angle", "huge-int"],
+             "string-angle", "huge-int", "three-pairs", "swapped-settings", "swapped-pairs",
+             "unknown-setting", "zero-count", "negative-count", "count-1e400",
+             "count-at-bound", "e-star-7.5", "e-2"],
     )
     def test_saved_report_shape_is_checked_field_by_field(self, edit, message):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
@@ -800,17 +862,25 @@ class TestCli:
             (PDC + "[analysis]\nn_pairs = 1e6\n", SIMULATE,
              "[analysis] n_pairs = '1e6' is not an integer"),
             (PDC + "[analysis]\nn_pairs = 99999999999999999999\n", SIMULATE,
-             "n_pairs = 99999999999999999999 outside [1, 2**63)"),
+             "[analysis] n_pairs = 99999999999999999999 outside [1, 2**63)"),
+            (PDC + "[analysis]\nn_pairs = 0\n", SIMULATE,
+             "[analysis] n_pairs = 0 outside [1, 2**63)"),
+            ("[analysis]\nr0 = -5\n", ["analyze", "counts.csv"],
+             "[analysis] r0 = -5.0 must be finite and positive"),
+            ("[pdc]\nv = 2\neta = 0.1\n", ["predict"], "[pdc] v = 2.0 outside [0, 1]"),
+            ("[cascade]\ntheta = 9\nzeta = 0.2\n", ["predict"],
+             "[cascade] theta = 9.0 outside (0, pi/2]"),
             (PDC + "r0 = nan\n", ["predict"], "[pdc] r0 = 'nan' is not a finite number"),
             ("[pdc]\nv = 0.9\nr0 = 2\n", ["predict"], "[pdc] eta is missing"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = inf\n", ["predict"],
              "[cascade] alpha = 'inf' is not a finite number"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = -1\n", ["predict"],
-             "alpha = -1.0 must be finite and positive"),
+             "[cascade] alpha = -1.0 must be finite and positive"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = 100\n", ["predict"],
-             "alpha = 100.0 exceeds 96.10079530022739, the largest value at which "
+             "[cascade] alpha = 100.0 exceeds 96.10079530022739, the largest value at which "
              "no coincidence probability exceeds the singles"),
-            ("[cascade]\ntheta = 0.5\nzeta = 0\n", ["predict"], "zeta = 0.0 outside (0, 1]"),
+            ("[cascade]\ntheta = 0.5\nzeta = 0\n", ["predict"],
+             "[cascade] zeta = 0.0 outside (0, 1]"),
             ("[search]\netas = 0.8, abc\n", ["search"],
              "[search] etas = '0.8, abc' is not a list of finite numbers"),
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
@@ -818,15 +888,18 @@ class TestCli:
             (PDC + "r0 = %(x)s\n", ["predict"], "[pdc] r0 = '%(x)s' is not a finite number"),
         ],
         ids=[
-            "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "pdc-r0-nan",
+            "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "n_pairs-zero",
+            "analysis-r0-negative", "pdc-v-above-one", "cascade-theta-above-bound", "pdc-r0-nan",
             "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
             "cascade-alpha-above-bound", "cascade-zeta-zero", "etas-abc",
             "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation",
         ],
     )
     def test_malformed_config_value_names_section_and_key(
-        self, tmp_path, capsys, config, argv, message
+        self, tmp_path, capsys, monkeypatch, config, argv, message
     ):
+        write(tmp_path, "counts.csv", GOOD_CSV)
+        monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "cfg.ini", config)
         out = str(tmp_path / "out")
         assert cli.main([*argv, "--config", str(path), "--output", out]) == 1

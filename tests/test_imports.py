@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -199,6 +200,21 @@ def test_public_names_resolve_from_their_modules():
     namespace = {}
     exec("from bellkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+
+
+def test_report_types_store_only_what_was_measured():
+    # S, S*, their errors, the verdicts and each verdict's margin and flags
+    # are computed from these fields, so a saved report cannot contradict them
+    fields = {
+        name: [f.name for f in dataclasses.fields(getattr(bellkit, name))]
+        for name in ("AnalysisReport", "InequalityReport")
+    }
+    fields["PairStats"] = [f.name for f in dataclasses.fields(bellkit.harness.PairStats)]
+    assert fields == {
+        "AnalysisReport": ["pairs", "ch", "provenance"],
+        "InequalityReport": ["name", "lhs", "rhs"],
+        "PairStats": ["setting_a", "setting_b", "n_total", "e_star", "e"],
+    }
 
 
 def test_dir_lists_public_names_and_submodules():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
+    InequalityReport,
     ProbabilitySet,
     TwoChannelCounts,
     ch_report,
@@ -162,6 +163,20 @@ class TestFcReport:
     def test_same_lhs_as_ch(self):
         ps = singlet_probability_set()
         assert fc_report(ps, 0.4, 0.4).lhs == ch_report(ps).lhs
+
+
+class TestInequalityReport:
+    @pytest.mark.parametrize(
+        "name, genuine", [("CH", True), ("CHSH", True), ("CHSH-star", False), ("FC", False)]
+    )
+    def test_flags_follow_from_the_name_lhs_and_rhs(self, name, genuine):
+        above, at = InequalityReport(name, 2.5, 2.0), InequalityReport(name, 2.0, 2.0)
+        assert (above.margin, above.violated, above.genuine) == (-0.5, True, genuine)
+        assert (at.margin, at.violated, at.genuine) == (0.0, False, genuine)
+
+    def test_unknown_inequality_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown inequality 'Bell'$"):
+            InequalityReport("Bell", 2.5, 2.0)
 
 
 def test_canonical_angles_reach_the_chsh_maximum():
