@@ -17,7 +17,7 @@ import traceback
 # models and search import numpy, which analyze, predict and report never
 # use, so only the commands that need them import them
 from . import experiments, harness
-from .inequalities import CANONICAL_ANGLES, load_json, write_text
+from .inequalities import CANONICAL_ANGLES, TSIRELSON_BOUND, load_json, write_text
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
@@ -111,7 +111,7 @@ def _predict_pdc(cfg: dict) -> dict:
         f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in CANONICAL_ANGLES
     }
     return {
-        "expected_s_star": 2.0 * math.sqrt(2.0) * pdc.v,
+        "expected_s_star": TSIRELSON_BOUND * pdc.v,
         "rates_at_canonical_angles": rates,
         "min_efficiency_for_violation": experiments.bi1_min_efficiency(pdc.v),
     }

@@ -24,6 +24,7 @@ from .inequalities import (
     CANONICAL_PAIRS,
     CANONICAL_PHI,
     PAIR_TOL,
+    TSIRELSON_BOUND,
     VERDICT_SCHEMA,
     InequalityReport,
     ProbabilitySet,
@@ -32,7 +33,6 @@ from .inequalities import (
     check_json,
     chsh_sum,
     renormalized_correlation,
-    s_star_bound_visibility,
     s_statistic,
     write_text,
 )
@@ -64,11 +64,6 @@ class CountRow:
 
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
-
-    def two_channel(self) -> TwoChannelCounts:
-        return TwoChannelCounts(
-            ppp=float(self.n_pp), ppm=float(self.n_pm), pmp=float(self.n_mp), pmm=float(self.n_mm)
-        )
 
 
 def _at_line(row: CountRow, message: str) -> str:
@@ -248,8 +243,6 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class PairStats:
-    setting_a: str
-    setting_b: str
     n_total: int
     e_star: float
     e: Optional[float] = None  # plain correlation; needs absolute normalization
@@ -261,7 +254,6 @@ class PairStats:
 
     def to_json(self) -> dict:
         return {
-            "settings": [self.setting_a, self.setting_b],
             "n": self.n_total,
             "e": self.e,
             "e_star": self.e_star,
@@ -314,14 +306,15 @@ class AnalysisReport:
         return (star,) if self.ch is None else (star, self.ch)
 
     def to_json(self) -> dict:
-        pairs = [p.to_json() for p in self.pairs]
+        pairs = [{"settings": list(pair), **p.to_json()}
+                 for pair, p in zip(CANONICAL_PAIRS, self.pairs)]
         verdicts = self.verdicts
         return {
             "pairs": pairs,
             "s": self.s,
             "s_star": verdicts[0].lhs,
             "s_err": self.s_err,
-            "v_b": s_star_bound_visibility(verdicts[0].lhs),
+            "v_b": verdicts[0].lhs / TSIRELSON_BOUND,
             "verdicts": [v.to_json() for v in verdicts],
             "plot_data": [{"phi": phi, "e_star": p["e_star"], "err": p["err"]}
                           for phi, p in zip(CANONICAL_ANGLES, pairs)],
@@ -331,8 +324,11 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
         """The report a saved one holds, refused unless run_analysis could
-        have written its pairs."""
+        have written its pairs and some ProbabilitySet gives its CH sides."""
         check_json(data, REPORT_SCHEMA, "")
+        # run_analysis writes all four e or none
+        no_e = data["pairs"][0]["e"] is None
+        all_e = f"{'null' if no_e else 'a number'}, as pairs[0].e is"
         pairs = []
         for k, (p, pair) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)):
             for key, ok, expected in [
@@ -340,14 +336,26 @@ class AnalysisReport:
                 ("n", 1 <= p["n"] < 4 * MAX_COUNT, "in [1, 2**1023)"),
                 ("e_star", abs(p["e_star"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
                 ("e", p["e"] is None or abs(p["e"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
+                ("e", (p["e"] is None) == no_e, all_e),
             ]:
                 if not ok:
                     found = json.dumps(p[key])[:40]
                     raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
-            pairs.append(PairStats(*pair, n_total=p["n"], e_star=p["e_star"], e=p["e"]))
-        ch = [InequalityReport("CH", v["lhs"], v["rhs"]) for v in data["verdicts"]
-              if v["name"] == "CH"]
-        return cls(tuple(pairs), ch[0] if ch else None, dict(data["provenance"]))
+            pairs.append(PairStats(n_total=p["n"], e_star=p["e_star"], e=p["e"]))
+        ch = None
+        for i, v in enumerate(data["verdicts"]):
+            if v["name"] == "CH":
+                # the range of each side over every ProbabilitySet, whose six
+                # values each lie in [-PAIR_TOL, 1 + PAIR_TOL]
+                for key, low, high, terms in (("lhs", -1, 3, 4), ("rhs", 0, 2, 2)):
+                    if not low - terms * PAIR_TOL <= v[key] <= high + terms * PAIR_TOL:
+                        found = json.dumps(v[key])[:40]
+                        raise ValueError(
+                            f"field verdicts[{i}].{key} must be in [{low}, {high}], found {found}"
+                        )
+                ch = InequalityReport("CH", v["lhs"], v["rhs"])
+                break
+        return cls(tuple(pairs), ch, dict(data["provenance"]))
 
 
 def _canonical_json(data: dict) -> str:
@@ -393,8 +401,8 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
                 message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
                 raise DatasetError(_at_line(row, message))
             e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0[(x, y)]
-        e_star = renormalized_correlation(row.two_channel())
-        pair_stats.append(PairStats(x, y, n_total=n, e_star=e_star, e=e_abs))
+        tc = TwoChannelCounts(*map(float, (row.n_pp, row.n_pm, row.n_mp, row.n_mm)))
+        pair_stats.append(PairStats(n_total=n, e_star=renormalized_correlation(tc), e=e_abs))
 
     ch = None
     if absolute_ok:

@@ -22,6 +22,10 @@ PAIR_TOL = 1e-9
 
 CHSH_BOUND = 2.0
 
+# The quantum maximum of S (Tsirelson); a source of visibility V gives
+# S* = TSIRELSON_BOUND * V at the CANONICAL_ANGLES.
+TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
 # The one set-up of the CHSH and CH tests, settings A, C on side 1 and B, D
 # on side 2 (Fine, PRL 48, 291, 1982); its four setting pairs, in the order
 # every statistic takes them, and their signed polarizer angle differences.
@@ -311,8 +315,3 @@ def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityRepor
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} = {value} outside [0, 1]")
     return InequalityReport("FC", ch_report(ps).lhs, pAinf + pInfB)
-
-
-def s_star_bound_visibility(s_star: float) -> float:
-    """Visibility implied by a measured S* via S* = 2*sqrt(2)*V."""
-    return s_star / (2.0 * math.sqrt(2.0))

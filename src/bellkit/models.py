@@ -18,11 +18,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .inequalities import CANONICAL_PAIRS, SIDE1_SETTINGS, SIDE2_SETTINGS
+from .inequalities import CANONICAL_PAIRS, PAIR_TOL, SIDE1_SETTINGS, SIDE2_SETTINGS
 from .inequalities import ProbabilitySet, check_json, load_json, write_text
 
 MODEL_TOL = 1e-12
-DATA_TOL = 1e-9
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
@@ -122,9 +121,6 @@ class FactorizableModel:
             raise ValueError("response tables must index the same cell set as the space")
         if self.response1.side != 1 or self.response2.side != 2:
             raise ValueError("response1 must be side 1, response2 side 2")
-
-    def response(self, side: int) -> ResponseTable:
-        return self.response1 if side == 1 else self.response2
 
     def to_json(self) -> dict:
         data = {"cells": list(self.space.cells), "weights": self.space.weights.tolist()}
@@ -232,7 +228,8 @@ def validate_model(model: FactorizableModel) -> ValidationReport:
 
 def marginal_probability(model: FactorizableModel, setting: str, side: int) -> float:
     """p(X) = sum over cells of weight * P_side(cell, X)."""
-    return float(model.space.weights @ model.response(side).column(setting))
+    table = model.response1 if side == 1 else model.response2
+    return float(model.space.weights @ table.column(setting))
 
 
 def joint_probability(model: FactorizableModel, settingA: str, settingB: str) -> float:
@@ -277,7 +274,7 @@ class FourOutcomeJoint:
         total = sum(self.probabilities.values())
         if any(p < -MODEL_TOL for p in self.probabilities.values()):
             raise ValueError("negative outcome probability")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PAIR_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 
 
@@ -348,9 +345,9 @@ def _least_slack_facet(ps: ProbabilitySet) -> FacetCertificate:
 
 def scan_ch_family(ps: ProbabilitySet) -> Optional[FacetCertificate]:
     """Return the most violated CH-family facet, or None if every facet
-    holds within DATA_TOL."""
+    holds within PAIR_TOL."""
     cert = _least_slack_facet(ps)
-    return cert if cert.margin < -DATA_TOL else None
+    return cert if cert.margin < -PAIR_TOL else None
 
 
 # linprog's post-solve tolerance at its default HiGHS tol of 1e-9: a solution

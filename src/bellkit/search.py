@@ -124,24 +124,18 @@ class SearchFailure(RuntimeError):
     """The LP solver stopped without an optimal solution."""
 
 
-# Rows of the search LP's equality system whose right-hand side is eta:
-# row 0 normalizes the mixture, rows 1-4 fix the four detection rates.
-_ETA_ROWS = slice(1, 5)
-
-
 @dataclass(frozen=True, eq=False)
 class _SearchLP:
     """The eta-independent part of the Charnes-Cooper LP in (y, tau).
 
-    a_eq stacks the equality system [A | -b] over the strategy pairs in
-    product order and the denominator row [d | 0]; the tau entries of the
-    _ETA_ROWS hold nan until a solve fills in -eta.  matrix is a_eq in the
-    sparse form the solver takes, and eta_slots are the positions in
-    matrix.data of those nan entries.
+    matrix stacks the equality system [A | -b] over the strategy pairs in
+    product order and the denominator row [d | 0], in the sparse form the
+    solver takes.  The tau entries of the four detection rows, whose
+    right-hand side is eta, hold nan until a solve fills in -eta; eta_slots
+    are their positions in matrix.data.
     """
 
     c: np.ndarray
-    a_eq: np.ndarray
     b_eq: np.ndarray
     matrix: object
     eta_slots: np.ndarray
@@ -174,11 +168,10 @@ def _search_lp() -> _SearchLP:
         b_eq.append(0.0)
 
     a_eq, b_eq = np.array(a_eq), np.array(b_eq)
-    a_eq = _frozen(np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]))
+    a_eq = np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)])
     matrix = sparse_matrix(a_eq)
     return _SearchLP(
         c=_frozen(np.append(-chsh_sum(*num_rows), 0.0)),
-        a_eq=a_eq,
         b_eq=_frozen(np.append(np.zeros(len(b_eq)), 1.0)),
         matrix=matrix,
         eta_slots=_frozen(np.flatnonzero(np.isnan(matrix.data))),

@@ -852,6 +852,53 @@ class TestCli:
             AnalysisReport.from_json(data)
         assert str(exc.value).startswith(message)
 
+    # an absolute report holds e = [0.06, 0.06, 0.06, -0.06] and the CH
+    # verdict lhs 0.11, rhs 0.4 as verdicts[1]
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["pairs"][2].update(e=None),
+             "field pairs[2].e must be a number, as pairs[0].e is, found null"),
+            (lambda d: d["pairs"][0].update(e=None),
+             "field pairs[1].e must be null, as pairs[0].e is, found 0.06"),
+            (lambda d: d["verdicts"][1].update(lhs=-1.7e308, rhs=1.7e308),
+             "field verdicts[1].lhs must be in [-1, 3], found -1.7e+308"),
+            (lambda d: d["verdicts"][1].update(lhs=3.00000001),
+             "field verdicts[1].lhs must be in [-1, 3], found 3.00000001"),
+            (lambda d: d["verdicts"][1].update(rhs=1.7e308),
+             "field verdicts[1].rhs must be in [0, 2], found 1.7e+308"),
+            (lambda d: d["verdicts"][1].update(rhs=-1e-8),
+             "field verdicts[1].rhs must be in [0, 2], found -1e-08"),
+        ],
+        ids=["e-null-in-one-pair", "e-null-in-pair-0", "ch-overflow", "ch-lhs-above-3",
+             "ch-rhs-overflow", "ch-rhs-negative"],
+    )
+    def test_saved_absolute_report_holds_what_run_analysis_can_write(
+        self, tmp_path, capsys, fmt, edit, message
+    ):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", DURATION_CSV.format(duration="1.0"))
+        config = write(tmp_path, "cfg.ini", "[analysis]\nr0 = 10000\n")
+        argv = ["analyze", str(counts), "--config", str(config), "--output", str(saved)]
+        assert cli.main(argv) == 0
+        data = json.loads(saved.read_text())
+        edit(data)
+        saved.write_text(json.dumps(data))
+        assert cli.main(["report", str(saved), "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "lhs, rhs", [(-1.0, 0.0), (3.0, 2.0), (-1.0 - 4e-9, -2e-9), (3.0 + 4e-9, 2.0 + 2e-9)]
+    )
+    def test_saved_ch_sides_within_the_probability_set_range_load(self, lhs, rhs):
+        # lhs = pAB + pAD + pCB - pCD and rhs = pA + pB, each of the six
+        # probabilities in [-PAIR_TOL, 1 + PAIR_TOL]
+        counts = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
+        data = json.loads(render_report(run_analysis(counts, AnalysisConfig(r0=1e4)), "json"))
+        data["verdicts"][1].update(lhs=lhs, rhs=rhs)
+        assert AnalysisReport.from_json(data).ch == InequalityReport("CH", lhs, rhs)
+
     @pytest.mark.parametrize(
         "config, argv, message",
         [

@@ -210,10 +210,13 @@ def test_report_types_store_only_what_was_measured():
         for name in ("AnalysisReport", "InequalityReport")
     }
     fields["PairStats"] = [f.name for f in dataclasses.fields(bellkit.harness.PairStats)]
+    # the search LP keeps only the sparse matrix the solver takes
+    fields["_SearchLP"] = [f.name for f in dataclasses.fields(bellkit.search._SearchLP)]
     assert fields == {
         "AnalysisReport": ["pairs", "ch", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
-        "PairStats": ["setting_a", "setting_b", "n_total", "e_star", "e"],
+        "PairStats": ["n_total", "e_star", "e"],
+        "_SearchLP": ["c", "b_eq", "matrix", "eta_slots"],
     }
 
 

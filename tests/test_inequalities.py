@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
+    TSIRELSON_BOUND,
     InequalityReport,
     ProbabilitySet,
     TwoChannelCounts,
@@ -15,7 +16,6 @@ from bellkit.inequalities import (
     correlation,
     fc_report,
     renormalized_correlation,
-    s_star_bound_visibility,
     s_statistic,
 )
 
@@ -205,7 +205,9 @@ def test_grid_search_confirms_global_maximum():
 
 
 def test_v_b_from_s_star():
-    assert s_star_bound_visibility(2.5) == pytest.approx(0.88388, abs=1e-5)
+    # the report's V_B and predict's expected S* both go through this constant
+    assert TSIRELSON_BOUND == 2 * SQRT2
+    assert 2.5 / TSIRELSON_BOUND == pytest.approx(0.88388, abs=1e-5)
 
 
 class TestProbabilitySet:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellkit import models
-from bellkit.inequalities import ProbabilitySet, ch_report
+from bellkit.inequalities import PAIR_TOL, ProbabilitySet, ch_report
 from bellkit.models import (
     CH_FAMILY_FACETS,
     FactorizableModel,
@@ -20,6 +20,7 @@ from bellkit.models import (
     joint_probability,
     marginal_probability,
     probability_set_from_model,
+    scan_ch_family,
     sparse_matrix,
     validate_model,
 )
@@ -258,6 +259,13 @@ VERTICES = np.array(
 )
 FACET_IDS = [name for name, _, _ in CH_FAMILY_FACETS]
 
+# The facets a ProbabilitySet can cross by 2 PAIR_TOL; for the others its
+# own checks (a pair above its marginal, a value below -PAIR_TOL) refuse
+# such a point first.
+CROSSABLE_FACETS = [
+    "CH", "CH-lower", "bound pAB >= pA+pB-1", "bound pCD <= 1-pA+pAD", "bound pCD <= 1-pB+pCB"
+]
+
 
 def witness_point(witness):
     return [
@@ -349,6 +357,26 @@ class TestLocalPolytope:
         assert result.certificate.name == name
         assert result.certificate.lhs > result.certificate.rhs
 
+    @pytest.mark.parametrize("facet", CH_FAMILY_FACETS, ids=FACET_IDS)
+    def test_scan_passes_a_point_within_pair_tol_and_names_the_facet_beyond(self, facet):
+        name, coeff, offset = facet
+        normal = np.array(coeff, dtype=float)
+        centroid = VERTICES[VERTICES @ normal == offset].mean(axis=0)
+        for outside in (PAIR_TOL / 2, 2 * PAIR_TOL, 1e-6):
+            # coeff . point = offset + outside
+            point = centroid + outside * normal / (normal @ normal)
+            try:
+                ps = ProbabilitySet(*point)
+            except ValueError:
+                assert name not in CROSSABLE_FACETS
+                continue
+            cert = scan_ch_family(ps)
+            if outside < PAIR_TOL:
+                assert cert is None
+            else:
+                assert cert.name == name
+                assert cert.margin == pytest.approx(-outside, rel=1e-6)
+
     def test_every_refusal_on_the_grid_names_a_violated_facet(self):
         # the first 1000 draws of the point stream of acceptance criterion 6
         rng = np.random.default_rng(8_2026)
@@ -366,14 +394,19 @@ class TestLocalPolytope:
                 refused += 1
                 assert result.certificate.name in FACET_IDS
                 assert result.certificate.lhs > result.certificate.rhs
+                # the scan names the same facet, with the same sides
+                assert scan_ch_family(ps) == result.certificate
+            else:
+                assert scan_ch_family(ps) is None
         assert refused > 0
 
 
 class TestChHoldsForFactorizableModels:
     def test_random_models_never_violate(self, rng):
         for _ in range(500):
-            report = ch_report(probability_set_from_model(random_model(rng)))
-            assert report.margin >= -1e-10
+            ps = probability_set_from_model(random_model(rng))
+            assert ch_report(ps).margin >= -1e-10
+            assert scan_ch_family(ps) is None
 
 
 class TestSerialization:
