@@ -7,7 +7,6 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import math
@@ -253,7 +252,7 @@ def _parser() -> argparse.ArgumentParser:
 # Errors that mean bad input (exit 1): OSError for files that cannot be
 # read or written, ValueError for malformed data or values, DatasetError and
 # JSONDecodeError included.
-INPUT_ERRORS = (OSError, ValueError, configparser.Error)
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def main(argv=None) -> int:

@@ -31,8 +31,10 @@ class CascadeConfig:
     """Atomic-cascade source: lens half-aperture, detector efficiency and
     the angular-correlation factor alpha.
 
-    alpha may not make any coincidence probability of the source, at the
-    canonical angles, exceed its singles: alpha eta (1 + V cos 2phi) <= 2.
+    alpha may not make any coincidence probability of the source exceed its
+    singles eta / 2.  With one polarizer removed the coincidences are
+    alpha eta^2 / 2, so alpha eta <= 1; that bound also keeps the polarizer
+    coincidences eta^2 alpha (1 + V cos 2phi) / 4 below the singles.
     """
 
     theta: float
@@ -46,13 +48,11 @@ class CascadeConfig:
             raise ValueError(f"zeta = {self.zeta} outside (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha = {self.alpha} must be finite and positive")
-        # at alpha = 1: the coincidences scale with alpha, the singles do not
-        ps = predicted_probability_set(*cascade_optics(self.theta, self.zeta))
-        singles, peak = ps.pA, max(ps.pAB, ps.pAD, ps.pCB, ps.pCD)
-        if self.alpha * peak > singles:
+        eta, _ = cascade_optics(self.theta, self.zeta)
+        if self.alpha > 1.0 / eta:
             raise ValueError(
-                f"alpha = {self.alpha} exceeds {singles / peak!r}, the largest value at which "
-                "no coincidence probability exceeds the singles"
+                f"alpha = {self.alpha} exceeds 1/eta = {1.0 / eta!r}, the largest value at "
+                "which no coincidence probability exceeds the singles"
             )
 
 

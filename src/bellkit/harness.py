@@ -9,7 +9,6 @@ local realism.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import hashlib
 import io
@@ -342,19 +341,25 @@ class AnalysisReport:
                     found = json.dumps(p[key])[:40]
                     raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
             pairs.append(PairStats(n_total=p["n"], e_star=p["e_star"], e=p["e"]))
+        # run_analysis writes the CHSH-star verdict, then the CH verdict when
+        # the counts were absolutely normalized, which also gives each e
+        names = [v["name"] for v in data["verdicts"]]
+        if names != ["CHSH-star"] and (no_e or names != ["CHSH-star", "CH"]):
+            expected = ", as pairs[0].e is null" if no_e else ' or ["CHSH-star", "CH"]'
+            found = json.dumps(names)[:80]
+            raise ValueError(f'field verdicts must be named ["CHSH-star"]{expected}, found {found}')
         ch = None
-        for i, v in enumerate(data["verdicts"]):
-            if v["name"] == "CH":
-                # the range of each side over every ProbabilitySet, whose six
-                # values each lie in [-PAIR_TOL, 1 + PAIR_TOL]
-                for key, low, high, terms in (("lhs", -1, 3, 4), ("rhs", 0, 2, 2)):
-                    if not low - terms * PAIR_TOL <= v[key] <= high + terms * PAIR_TOL:
-                        found = json.dumps(v[key])[:40]
-                        raise ValueError(
-                            f"field verdicts[{i}].{key} must be in [{low}, {high}], found {found}"
-                        )
-                ch = InequalityReport("CH", v["lhs"], v["rhs"])
-                break
+        if len(names) == 2:
+            v = data["verdicts"][1]
+            # the range of each side over every ProbabilitySet, whose six
+            # values each lie in [-PAIR_TOL, 1 + PAIR_TOL]
+            for key, low, high, terms in (("lhs", -1, 3, 4), ("rhs", 0, 2, 2)):
+                if not low - terms * PAIR_TOL <= v[key] <= high + terms * PAIR_TOL:
+                    found = json.dumps(v[key])[:40]
+                    raise ValueError(
+                        f"field verdicts[1].{key} must be in [{low}, {high}], found {found}"
+                    )
+            ch = InequalityReport("CH", v["lhs"], v["rhs"])
         return cls(tuple(pairs), ch, dict(data["provenance"]))
 
 
@@ -466,17 +471,60 @@ def render_report(report: AnalysisReport, format: str) -> str:
 def load_config(path) -> dict[str, dict[str, str]]:
     """Read the [section] key = value configuration file.
 
+    The grammar is the part of INI that configparser, without interpolation,
+    reads the same way: blank lines; whole-line comments starting with '#'
+    or ';', indented or not; '[name]' headers, the name as written between
+    the brackets; 'key = value' or 'key: value' lines, split at the first
+    '=' or ':', with the key stripped and lower-cased and the value stripped
+    and kept as written, '%' and '#' included.  Any other line is a
+    ValueError naming the file and the line: a key before the first header,
+    a line with no '=' or ':' or with an empty key, an indented line (a
+    multi-line value), a repeated section or key, an empty header name,
+    text after a header's ']', and [DEFAULT], whose keys configparser would
+    copy into every section.
+
     Values stay the strings the file holds; each reader converts the keys
     it uses.  A missing file is a FileNotFoundError naming it; any other
     file that cannot be read raises the OSError of open().
     """
-    # no interpolation: a value holding "%" reaches its reader, which names
-    # [section] key when it is malformed
-    parser = configparser.ConfigParser(interpolation=None)
-    # utf-8-sig drops the byte-order mark an editor may write at the start
+    cfg: dict[str, dict[str, str]] = {}
+    section = None
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh)
+        # utf-8-sig drops the byte-order mark an editor may write at the start
+        fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped[0] in "#;":
+                continue
+            if line[0].isspace():
+                problem = "indented line; a value must fit on its key's line"
+            elif stripped[0] == "[":
+                name = stripped[1:-1]
+                if stripped[-1] != "]":
+                    problem = "a section header must end with ']'"
+                elif not name.strip():
+                    problem = "empty section name"
+                elif name == "DEFAULT":
+                    problem = "[DEFAULT] section; give each section its own keys"
+                elif name in cfg:
+                    problem = f"section [{name}] repeated"
+                else:
+                    section = cfg[name] = {}
+                    continue
+            else:
+                raw_key = stripped.split("=", 1)[0].split(":", 1)[0]
+                key = raw_key.strip().lower()
+                if section is None:
+                    problem = "line before the first [section] header"
+                elif raw_key == stripped or not key:
+                    problem = "expected key = value or key: value"
+                elif key in section:
+                    problem = f"key {key} repeated in [{name}]"
+                else:
+                    section[key] = stripped[len(raw_key) + 1:].strip()
+                    continue
+            raise ValueError(f"{path}, line {line_no}: {problem}")
+    return cfg

@@ -102,11 +102,20 @@ def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The optimal mixture at efficiency eta and its outcome table for each
+    setting pair; S* and the genuine S follow from the tables."""
+
     eta: float
-    s_star_max: float
-    genuine_s: float
     mixture: StrategyMixture
     pair_counts: dict[tuple[str, str], TwoChannelCounts]
+
+    @property
+    def s_star_max(self) -> float:
+        return chsh_sum(*(renormalized_correlation(self.pair_counts[pair]) for pair in PAIRS))
+
+    @property
+    def genuine_s(self) -> float:
+        return chsh_sum(*(correlation(self.pair_counts[pair]) for pair in PAIRS))
 
     def to_json(self) -> dict:
         return {
@@ -206,11 +215,7 @@ def maximize_s_star(eta: float) -> SearchResult:
     mixture = StrategyMixture(w / w.sum())
     stats = mixture_statistics(mixture)
     pair_counts = {(x, y): stats.two_channel(x, y) for x, y in PAIRS}
-    s_star = chsh_sum(*(renormalized_correlation(pair_counts[pair]) for pair in PAIRS))
-    genuine_s = chsh_sum(*(correlation(pair_counts[pair]) for pair in PAIRS))
-    return SearchResult(
-        eta=eta, s_star_max=s_star, genuine_s=genuine_s, mixture=mixture, pair_counts=pair_counts
-    )
+    return SearchResult(eta=eta, mixture=mixture, pair_counts=pair_counts)
 
 
 def sample_counts(

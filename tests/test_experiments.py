@@ -166,24 +166,26 @@ class TestSourceConfigs:
         "theta, zeta",
         [(0.5, 0.2), (math.pi / 3, 0.2), (0.3, 0.9), (math.pi / 2, 1.0), (0.1, 0.5)],
     )
-    def test_alpha_bound_agrees_with_probability_set(self, theta, zeta):
-        # the coincidences eta^2 alpha (1 + V cos 2phi) / 4 peak at |phi| = pi/8
-        # and may not exceed the singles eta / 2; ProbabilitySet allows 1e-9
-        # more relative, below the 1e-6 tried here even at singles of 6e-4
+    def test_alpha_bound_is_one_over_eta(self, theta, zeta):
+        # with one polarizer removed the coincidences alpha eta^2 / 2 may not
+        # exceed the singles eta / 2, which prediction_reports would hand to
+        # fc_report; the polarizer coincidences eta^2 alpha (1 + V cos 2phi) / 4
+        # peak at |phi| = pi/8 and reach the singles only at a larger alpha
         eta, v = cascade_optics(theta, zeta)
-        bound = 2.0 / (eta * (1.0 + v * math.cos(math.pi / 4)))
-        CascadeConfig(theta, zeta, alpha=bound * (1 - 1e-6))
-        predicted_probability_set(eta, v, bound * (1 - 1e-6))
+        polarizer_bound = 2.0 / (eta * (1.0 + v * math.cos(math.pi / 4)))
+        assert 1.0 / eta < polarizer_bound
+        predicted_probability_set(eta, v, polarizer_bound * (1 - 1e-6))
         with pytest.raises(ValueError, match="exceeds marginal"):
-            predicted_probability_set(eta, v, bound * (1 + 1e-6))
+            predicted_probability_set(eta, v, polarizer_bound * (1 + 1e-6))
+        assert CascadeConfig(theta, zeta, alpha=1.0 / eta).alpha * eta == pytest.approx(1.0)
         with pytest.raises(ValueError) as exc:
-            CascadeConfig(theta, zeta, alpha=bound * (1 + 1e-6))
+            CascadeConfig(theta, zeta, alpha=(1.0 / eta) * (1 + 1e-12))
         stated = re.fullmatch(
-            r"alpha = \S+ exceeds (\S+), the largest value at which "
+            r"alpha = \S+ exceeds 1/eta = (\S+), the largest value at which "
             "no coincidence probability exceeds the singles",
             str(exc.value),
         )
-        assert stated and float(stated[1]) == pytest.approx(bound, rel=1e-12)
+        assert stated and float(stated[1]) == 1.0 / eta
 
 
 class TestCascadeReports:

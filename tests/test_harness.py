@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import hashlib
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellkit import cli
 from bellkit.experiments import PdcConfig, two_channel_rates
@@ -338,20 +339,10 @@ class TestRenderReport:
         assert again["v_b"] == again["s_star"] / (2 * math.sqrt(2))
         assert [p["e_star"] for p in again["plot_data"]] == [p["e_star"] for p in data["pairs"]]
 
-        # a verdict relabelled CH is read as a CH verdict with the lhs and rhs
-        # it holds, its flags recomputed; the CHSH-star verdict comes back
-        # from the pairs
+        # a verdict relabelled CH is refused: run_analysis writes CHSH-star first
         data["verdicts"][0].update(name="CH", lhs=2.5, rhs=2.0, violated=False, genuine=True)
-        relabelled = AnalysisReport.from_json(data)
-        star = report.verdicts[0]
-        assert relabelled.verdicts == (star, InequalityReport("CH", 2.5, 2.0))
-        ch_line = "verdict CH: lhs 2.500000 vs rhs 2.000000: VIOLATED; genuine Bell inequality\n"
-        assert render_report(relabelled, "text") == render_report(report, "text").replace(
-            "plot data", ch_line + "plot data"
-        )
-        ch = {"name": "CH", "lhs": 2.5, "rhs": 2.0, "margin": -0.5, "violated": True,
-              "genuine": True}
-        assert json.loads(render_report(relabelled, "json"))["verdicts"] == [star.to_json(), ch]
+        with pytest.raises(ValueError, match=r'^field verdicts must be named .*, found \["CH"\]$'):
+            AnalysisReport.from_json(data)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_saved_pair_counts_up_to_the_float_bound_render(self, fmt):
@@ -407,6 +398,122 @@ class TestLoadConfig:
     def test_unreadable_file_raises_its_os_error(self, tmp_path):
         with pytest.raises(IsADirectoryError):
             load_config(tmp_path)
+
+
+def configparser_reading(path) -> dict:
+    """The reference: how load_config read a config through configparser."""
+    parser = configparser.ConfigParser(interpolation=None)
+    with open(path, encoding="utf-8-sig") as fh:
+        parser.read_file(fh)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+# Characters of names, keys and values: '=', ':', '[', ']', '#', ';' and '%'
+# inside a line, the whitespace str.strip() removes, and non-ASCII letters,
+# among them one whose lower-case form is longer.
+CONFIG_CHARS = "aZ09_-.,/()*!'\"%#;=:[] \t\xa0\u00e9\u00b5\u0130"
+NO_DELIMITER = CONFIG_CHARS.replace("=", "").replace(":", "")
+INDENT = st.text(" \t", max_size=2)
+
+
+@st.composite
+def config_body(draw):
+    """A config in the accepted grammar, with comments and blank lines
+    between its lines, and its line endings and byte-order mark."""
+    def fillers():
+        return [
+            draw(INDENT) + draw(st.sampled_from(["#", ";"])) + draw(st.text(CONFIG_CHARS, max_size=6))
+            if draw(st.booleans()) else draw(INDENT)
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+
+    names = draw(st.lists(
+        st.text(CONFIG_CHARS, min_size=1, max_size=6).filter(
+            lambda n: n.strip() and n != "DEFAULT"),
+        max_size=3, unique=True,
+    ))
+    lines = fillers()
+    for name in names:
+        lines += [f"[{name}]", *fillers()]
+        keys = draw(st.lists(
+            st.text(NO_DELIMITER, min_size=1, max_size=6).filter(
+                lambda k: k.strip() and not k[0].isspace() and k[0] not in "[#;"),
+            max_size=4, unique_by=lambda k: k.strip().lower(),
+        ))
+        for key in keys:
+            value = draw(st.text(CONFIG_CHARS, max_size=8))
+            delimiter = draw(INDENT) + draw(st.sampled_from("=:")) + draw(INDENT)
+            lines += [key + delimiter + value, *fillers()]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + "".join(line + newline for line in lines).encode()
+
+
+class TestConfigGrammar:
+    """load_config against configparser, which it replaced, on the grammar
+    the README documents."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (b"\xef\xbb\xbf[pdc]\nv = 0.9\n", {"pdc": {"v": "0.9"}}),
+            (b"[pdc]\r\nv = 0.9\r\n\r\neta=0.1\r\n", {"pdc": {"v": "0.9", "eta": "0.1"}}),
+            (b"[pdc]\nv: 0.9\neta :0.1\n", {"pdc": {"v": "0.9", "eta": "0.1"}}),
+            (b"[PDC]\nV = 0.9\nEta = 0.1\n", {"PDC": {"v": "0.9", "eta": "0.1"}}),
+            (b"[pdc]\nr0 = %(x)s 100%\n", {"pdc": {"r0": "%(x)s 100%"}}),
+            (b"[pdc]\nv = a=b:c\nw: d:e=f\n", {"pdc": {"v": "a=b:c", "w": "d:e=f"}}),
+            (b"[pdc]\nv =\nw:\n", {"pdc": {"v": "", "w": ""}}),
+            (b"[pdc]\nv = 0.9 # inline ; kept\n", {"pdc": {"v": "0.9 # inline ; kept"}}),
+            (b"# top\n; top\n[pdc]\n  # indented\n\t; indented\nv = 1\n\n", {"pdc": {"v": "1"}}),
+            (b"[ a b ]\n[a]b]\n[[c]\n[default]\n",
+             {" a b ": {}, "a]b": {}, "[c": {}, "default": {}}),
+            ("[s]\n\u0130 k = v\n".encode(), {"s": {"\u0130 k".lower(): "v"}}),
+            (b"", {}),
+        ],
+        ids=["bom", "crlf", "colon", "upper-case", "percent", "delimiter-in-value",
+             "empty-value", "inline-hash", "comments", "header-names", "longer-lower-case",
+             "empty-file"],
+    )
+    def test_edge_cases_read_as_configparser_reads_them(self, tmp_path, body, expected):
+        path = write_bytes(tmp_path, "cfg.ini", body)
+        assert load_config(path) == configparser_reading(path) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_body())
+    def test_grammar_reads_as_configparser_reads_it(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.ini"
+            path.write_bytes(body)
+            assert load_config(path) == configparser_reading(path)
+
+    @pytest.mark.parametrize(
+        "body, line, problem",
+        [
+            (b"v = 0.9\n[pdc]\n", 1, "line before the first [section] header"),
+            (b"# c\n\n[pdc]\nv 0.9\n", 4, "expected key = value or key: value"),
+            (b"[pdc]\n= 0.9\n", 2, "expected key = value or key: value"),
+            (b"[pdc]\n \t: 0.9\n", 2, "indented line; a value must fit on its key's line"),
+            (b"[pdc]\nv = 0.9\n  5\n", 3, "indented line; a value must fit on its key's line"),
+            (b"[pdc]\n  v = 0.9\n", 2, "indented line; a value must fit on its key's line"),
+            (b"[pdc]\nv = 1\n[a]\n[pdc]\n", 4, "section [pdc] repeated"),
+            (b"[pdc]\nv = 1\nV = 2\n", 3, "key v repeated in [pdc]"),
+            (b"[]\n", 1, "empty section name"),
+            (b"[ \t]\n", 1, "empty section name"),
+            (b"[pdc] # source\n", 1, "a section header must end with ']'"),
+            (b"[pdc\n", 1, "a section header must end with ']'"),
+            (b"[DEFAULT]\nv = 1\n", 1, "[DEFAULT] section; give each section its own keys"),
+            (b"\xef\xbb\xbf[pdc]\r\n\r\nv\r\n", 3, "expected key = value or key: value"),
+        ],
+        ids=["key-before-header", "no-delimiter", "empty-key", "indented-empty-key",
+             "continuation", "indented-key", "repeated-section", "repeated-key",
+             "empty-header", "blank-header", "text-after-header", "unclosed-header",
+             "default-section", "bom-crlf-line-count"],
+    )
+    def test_refused_form_names_file_and_line(self, tmp_path, body, line, problem):
+        path = write_bytes(tmp_path, "cfg.ini", body)
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}, line {line}: {problem}"
 
 
 class TestCli:
@@ -838,11 +945,16 @@ class TestCli:
                 lambda d: d["pairs"][1].update(e=2),
                 "field pairs[1].e must be in [-1, 1], found 2",
             ),
+            (
+                lambda d: d["verdicts"].append(dict(d["verdicts"][0], name="CH", rhs=0.5)),
+                'field verdicts must be named ["CHSH-star"], as pairs[0].e is null, '
+                'found ["CHSH-star", "CH"]',
+            ),
         ],
         ids=["missing", "nested-missing", "short-list", "float-count", "string-bool",
              "string-angle", "huge-int", "three-pairs", "swapped-settings", "swapped-pairs",
              "unknown-setting", "zero-count", "negative-count", "count-1e400",
-             "count-at-bound", "e-star-7.5", "e-2"],
+             "count-at-bound", "e-star-7.5", "e-2", "ch-without-e"],
     )
     def test_saved_report_shape_is_checked_field_by_field(self, edit, message):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
@@ -870,9 +982,16 @@ class TestCli:
              "field verdicts[1].rhs must be in [0, 2], found 1.7e+308"),
             (lambda d: d["verdicts"][1].update(rhs=-1e-8),
              "field verdicts[1].rhs must be in [0, 2], found -1e-08"),
+            (lambda d: d["verdicts"][0].update(name="CH"),
+             'field verdicts must be named ["CHSH-star"] or ["CHSH-star", "CH"], '
+             'found ["CH", "CH"]'),
+            (lambda d: d["verdicts"].extend([dict(d["verdicts"][1], lhs=2.9, rhs=0.1),
+                                             dict(d["verdicts"][1], name="FC")]),
+             'field verdicts must be named ["CHSH-star"] or ["CHSH-star", "CH"], '
+             'found ["CHSH-star", "CH", "CH", "FC"]'),
         ],
         ids=["e-null-in-one-pair", "e-null-in-pair-0", "ch-overflow", "ch-lhs-above-3",
-             "ch-rhs-overflow", "ch-rhs-negative"],
+             "ch-rhs-overflow", "ch-rhs-negative", "star-renamed-ch", "extra-ch-and-fc"],
     )
     def test_saved_absolute_report_holds_what_run_analysis_can_write(
         self, tmp_path, capsys, fmt, edit, message
@@ -924,8 +1043,11 @@ class TestCli:
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = -1\n", ["predict"],
              "[cascade] alpha = -1.0 must be finite and positive"),
             ("[cascade]\ntheta = 0.5\nzeta = 0.2\nalpha = 100\n", ["predict"],
-             "[cascade] alpha = 100.0 exceeds 96.10079530022739, the largest value at which "
-             "no coincidence probability exceeds the singles"),
+             "[cascade] alpha = 100.0 exceeds 1/eta = 81.68770850313663, the largest value at "
+             "which no coincidence probability exceeds the singles"),
+            ("[cascade]\ntheta = 1.5707963267948966\nzeta = 1.0\nalpha = 3.0\n", ["predict"],
+             "[cascade] alpha = 3.0 exceeds 1/eta = 2.0000000000000004, the largest value at "
+             "which no coincidence probability exceeds the singles"),
             ("[cascade]\ntheta = 0.5\nzeta = 0\n", ["predict"],
              "[cascade] zeta = 0.0 outside (0, 1]"),
             ("[search]\netas = 0.8, abc\n", ["search"],
@@ -938,7 +1060,7 @@ class TestCli:
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "n_pairs-zero",
             "analysis-r0-negative", "pdc-v-above-one", "cascade-theta-above-bound", "pdc-r0-nan",
             "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
-            "cascade-alpha-above-bound", "cascade-zeta-zero", "etas-abc",
+            "cascade-alpha-above-bound", "cascade-alpha-eta-above-one", "cascade-zeta-zero", "etas-abc",
             "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation",
         ],
     )

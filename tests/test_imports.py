@@ -210,12 +210,15 @@ def test_report_types_store_only_what_was_measured():
         for name in ("AnalysisReport", "InequalityReport")
     }
     fields["PairStats"] = [f.name for f in dataclasses.fields(bellkit.harness.PairStats)]
+    # S* and the genuine S of a search follow from its outcome tables
+    fields["SearchResult"] = [f.name for f in dataclasses.fields(bellkit.SearchResult)]
     # the search LP keeps only the sparse matrix the solver takes
     fields["_SearchLP"] = [f.name for f in dataclasses.fields(bellkit.search._SearchLP)]
     assert fields == {
         "AnalysisReport": ["pairs", "ch", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
         "PairStats": ["n_total", "e_star", "e"],
+        "SearchResult": ["eta", "mixture", "pair_counts"],
         "_SearchLP": ["c", "b_eq", "matrix", "eta_slots"],
     }
 
@@ -275,6 +278,32 @@ def test_subcommands_without_arithmetic_leave_numpy_unloaded(tmp_path, saved_rep
         assert proc.stdout.strip() == "False", argv[0]
     again = json.loads((tmp_path / "again.json").read_text())
     assert again["digest"] == json.loads(report.read_text())["digest"]
+
+
+def test_no_subcommand_loads_configparser(tmp_path, saved_report, rng):
+    # harness.load_config reads configs itself; a module stays in
+    # sys.modules once loaded, so one process checks each command after it runs
+    from conftest import random_model
+
+    config, counts, report = saved_report
+    model, out = tmp_path / "model.json", str(tmp_path / "out")
+    random_model(rng).save(model)
+    commands = [
+        ["simulate", "--config", str(config), "--seed", "7", "--output", out],
+        ["analyze", str(counts), "--config", str(config), "--output", out],
+        ["report", str(report), "--output", out],
+        ["predict", "--config", str(config), "--output", out],
+        ["search", "--config", str(config), "--eta", "0.8", "--output", out],
+        ["validate", str(model), "--output", out],
+    ]
+    code = (
+        "import json, sys\nfrom bellkit import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(argv[0], cli.main(argv), 'configparser' in sys.modules)"
+    )
+    proc = run_python("-c", code, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in commands]
 
 
 def test_cli_module_runs_under_warnings_as_errors(saved_report):
@@ -357,6 +386,13 @@ def test_no_other_module_imports_numpy_even_in_a_function():
     package = Path(bellkit.__file__).resolve().parent
     imports = {p.stem: imported_packages(ast.parse(p.read_text())) for p in package.glob("*.py")}
     assert {stem for stem, names in imports.items() if "numpy" in names} == NUMPY_IMPORTERS
+
+
+def test_no_module_imports_configparser():
+    # harness.load_config reads the INI subset the package documents
+    package = Path(bellkit.__file__).resolve().parent
+    imports = {p.stem: imported_packages(ast.parse(p.read_text())) for p in package.glob("*.py")}
+    assert [stem for stem, names in imports.items() if "configparser" in names] == []
 
 
 # inequalities.load_json is the one reader of a saved JSON file: it reads a
