@@ -10,13 +10,15 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import traceback
 
 # models and search import numpy, which analyze, predict and report never
 # use, so only the commands that need them import them
 from . import experiments, harness
-from .inequalities import CANONICAL_ANGLES, TSIRELSON_BOUND, load_json, write_text
+from .inequalities import CANONICAL_ANGLES, TSIRELSON_BOUND
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
@@ -53,21 +55,52 @@ def _in_section(section: str, make, *args, **kwargs):
         raise ValueError(f"[{section}] {exc}") from None
 
 
-def _write_or_print(text: str, output: str | None) -> None:
-    """Write text to the --output path through write_text, or to stdout when
-    the option was not given.  main() has already refused an empty path."""
-    if output is None:
+def load_json(path):
+    """The JSON document in a file, read as UTF-8 with or without a leading
+    byte-order mark.  Bytes that are not UTF-8, malformed JSON and a nesting
+    too deep for json.loads, which ends in RecursionError, are each a
+    ValueError naming the file."""
+    with open(path, "rb") as fh:
+        text = harness._decode_utf8(fh.read(), f"{path}, ")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def write_text(path: str | None, text: str) -> None:
+    """Write text as UTF-8 to path, in place, or to stdout when path is None
+    (no --output; main() refuses "").  The bytes, a new file's mode (0o666
+    less the umask), an existing file's inode, symlink-following and the
+    errors raised are those of open(path, "w", encoding="utf-8") on POSIX.
+    The text is encoded first, so an encoding error leaves the file
+    untouched.  A regular file is cut to the new length after the write, not
+    truncated on open: ext4 (auto_da_alloc) starts a writeback when a file
+    truncated to zero is closed.  Nothing is fsynced, so a write that fails
+    part-way (a full disk) can leave the new text before the rest of the old.
+    """
+    if path is None:
         sys.stdout.write(text)
-    else:
-        write_text(output, text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_validate(args) -> int:
     from .models import FactorizableModel, validate_model
 
-    model = FactorizableModel.load(args.model)
-    report = validate_model(model)
-    _write_or_print(json.dumps(report.to_json(), indent=2, allow_nan=False) + "\n", args.output)
+    report = validate_model(FactorizableModel.from_json(load_json(args.model)))
+    write_text(args.output, json.dumps(report.to_json(), indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -125,7 +158,7 @@ def _cmd_predict(args) -> int:
         out["pdc"] = _predict_pdc(cfg)
     if not out:
         raise ValueError("config declares neither a [cascade] nor a [pdc] section")
-    _write_or_print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
+    write_text(args.output, json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -134,8 +167,7 @@ def _cmd_analyze(args) -> int:
     cfg = harness.load_config(args.config) if args.config else {}
     r0 = _setting(cfg, "analysis", "r0", default=None)
     report = harness.run_analysis(ds, _in_section("analysis", harness.AnalysisConfig, r0=r0))
-    text = harness.render_report(report, args.format)
-    _write_or_print(text, args.output)
+    write_text(args.output, harness.render_report(report, args.format))
     return 0
 
 
@@ -163,7 +195,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives {outcome}")
         stats[(x, y)] = harness.TwoChannelCounts(*rates)
     ds = _in_section("analysis", search.sample_counts, stats, n_pairs, args.seed)
-    ds.save(args.output)
+    write_text(args.output, ds.to_csv())
     return 0
 
 
@@ -183,13 +215,13 @@ def _cmd_search(args) -> int:
     results = [search.maximize_s_star(eta) for eta in etas]
     payload = [r.to_json() for r in results]
     body = payload[0] if len(payload) == 1 else {"results": payload}
-    _write_or_print(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", args.output)
+    write_text(args.output, json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
 def _cmd_report(args) -> int:
     report = harness.AnalysisReport.from_json(load_json(args.report))
-    _write_or_print(harness.render_report(report, args.format), args.output)
+    write_text(args.output, harness.render_report(report, args.format))
     return 0
 
 

@@ -9,6 +9,7 @@ local realism.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -33,7 +34,6 @@ from .inequalities import (
     chsh_sum,
     renormalized_correlation,
     s_statistic,
-    write_text,
 )
 
 REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
@@ -112,9 +112,18 @@ class CountDataset:
             writer.writerow(record)
         return buf.getvalue()
 
-    def save(self, path) -> None:
-        """Write to_csv() to path through write_text: UTF-8, in place."""
-        write_text(path, self.to_csv())
+
+def _decode_utf8(raw: bytes, where: str, error=ValueError) -> str:
+    """raw as text, less a leading UTF-8 byte-order mark.  A byte that is not
+    UTF-8 raises error naming where and its line, counted as open() counts
+    lines: a line ends at \\n, \\r\\n or a lone \\r."""
+    body = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at exactly those three endings
+        line = len((body[:exc.start] + b".").splitlines())
+        raise error(f"{where}line {line}: not valid UTF-8 (byte 0x{body[exc.start]:02x})") from None
 
 
 def _parse_count(value: str, column: str, line_no: int) -> int:
@@ -145,9 +154,9 @@ def ingest_counts(path) -> CountDataset:
     seed: Optional[int] = None
     header: Optional[list[str]] = None
     rows: list[CountRow] = []
-    # utf-8-sig drops the byte-order mark Excel writes at the start of a
+    # _decode_utf8 drops the byte-order mark Excel writes at the start of a
     # "CSV UTF-8" file; the digest stays over the bytes as read
-    lines = io.StringIO(raw.decode("utf-8-sig"), newline="")
+    lines = io.StringIO(_decode_utf8(raw, "", DatasetError), newline="")
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -184,12 +193,10 @@ def ingest_counts(path) -> CountDataset:
             )
         record = dict(zip(header, cells))
         counts = {c: _parse_count(record[c], c, line_no) for c in REQUIRED_COLUMNS[2:]}
-        singles_a = singles_b = None
+        for c in ("singles_a", "singles_b"):
+            if record.get(c, "") != "":
+                counts[c] = _parse_count(record[c], c, line_no)
         duration = None
-        if record.get("singles_a", "") != "":
-            singles_a = _parse_count(record["singles_a"], "singles_a", line_no)
-        if record.get("singles_b", "") != "":
-            singles_b = _parse_count(record["singles_b"], "singles_b", line_no)
         if record.get("duration", "") != "":
             try:
                 duration = float(record["duration"])
@@ -199,20 +206,8 @@ def ingest_counts(path) -> CountDataset:
                 raise DatasetError(
                     f"line {line_no}: column duration must be finite and positive: {duration}"
                 )
-        rows.append(
-            CountRow(
-                setting_a=record["setting_a"],
-                setting_b=record["setting_b"],
-                n_pp=counts["n_pp"],
-                n_pm=counts["n_pm"],
-                n_mp=counts["n_mp"],
-                n_mm=counts["n_mm"],
-                singles_a=singles_a,
-                singles_b=singles_b,
-                duration=duration,
-                line=line_no,
-            )
-        )
+        rows.append(CountRow(record["setting_a"], record["setting_b"], **counts,
+                             duration=duration, line=line_no))
     if header is None:
         raise DatasetError("empty file: no header row")
     return CountDataset(rows=tuple(rows), seed=seed, source_digest=digest)
@@ -485,46 +480,49 @@ def load_config(path) -> dict[str, dict[str, str]]:
 
     Values stay the strings the file holds; each reader converts the keys
     it uses.  A missing file is a FileNotFoundError naming it; any other
-    file that cannot be read raises the OSError of open().
+    file that cannot be read raises the OSError of open(), and one that is
+    not UTF-8 a ValueError naming the file and the line.
     """
     cfg: dict[str, dict[str, str]] = {}
     section = None
     try:
-        # utf-8-sig drops the byte-order mark an editor may write at the start
-        fh = open(path, encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped[0] in "#;":
-                continue
-            if line[0].isspace():
-                problem = "indented line; a value must fit on its key's line"
-            elif stripped[0] == "[":
-                name = stripped[1:-1]
-                if stripped[-1] != "]":
-                    problem = "a section header must end with ']'"
-                elif not name.strip():
-                    problem = "empty section name"
-                elif name == "DEFAULT":
-                    problem = "[DEFAULT] section; give each section its own keys"
-                elif name in cfg:
-                    problem = f"section [{name}] repeated"
-                else:
-                    section = cfg[name] = {}
-                    continue
+    # _decode_utf8 drops the byte-order mark an editor may write at the
+    # start; newline=None splits and numbers lines as open() in text mode does
+    text = _decode_utf8(raw, f"{path}, ")
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            problem = "indented line; a value must fit on its key's line"
+        elif stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]":
+                problem = "a section header must end with ']'"
+            elif not name.strip():
+                problem = "empty section name"
+            elif name == "DEFAULT":
+                problem = "[DEFAULT] section; give each section its own keys"
+            elif name in cfg:
+                problem = f"section [{name}] repeated"
             else:
-                raw_key = stripped.split("=", 1)[0].split(":", 1)[0]
-                key = raw_key.strip().lower()
-                if section is None:
-                    problem = "line before the first [section] header"
-                elif raw_key == stripped or not key:
-                    problem = "expected key = value or key: value"
-                elif key in section:
-                    problem = f"key {key} repeated in [{name}]"
-                else:
-                    section[key] = stripped[len(raw_key) + 1:].strip()
-                    continue
-            raise ValueError(f"{path}, line {line_no}: {problem}")
+                section = cfg[name] = {}
+                continue
+        else:
+            raw_key = stripped.split("=", 1)[0].split(":", 1)[0]
+            key = raw_key.strip().lower()
+            if section is None:
+                problem = "line before the first [section] header"
+            elif raw_key == stripped or not key:
+                problem = "expected key = value or key: value"
+            elif key in section:
+                problem = f"key {key} repeated in [{name}]"
+            else:
+                section[key] = stripped[len(raw_key) + 1:].strip()
+                continue
+        raise ValueError(f"{path}, line {line_no}: {problem}")
     return cfg

@@ -3,18 +3,15 @@
 Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).  load_json and check_json, the reader and field-by-field type
-check of a saved JSON file, and write_text, the one writer of every output
-file, live here as the lowest layer every saved-file reader and writer
-imports.
+correlations).  check_json, the field-by-field type check of a loaded JSON
+document, lives here beside the verdict schema; reading and writing files is
+left to cli.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass
 
@@ -208,46 +205,6 @@ def _check_finite(value, path: str) -> None:
     elif isinstance(value, list):
         for k, item in enumerate(value):
             _check_finite(item, f"{path}[{k}]")
-
-
-def load_json(path):
-    """The JSON document in a file, read as UTF-8 with or without a leading
-    byte-order mark.  A nesting too deep for json.load, which ends in
-    RecursionError, is a ValueError naming the file."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
-
-
-def write_text(path, text: str) -> None:
-    """Write text to path as UTF-8, overwriting the file in place.
-
-    The bytes, the mode of a new file (0o666 less the umask), the inode of
-    an existing one, symlink-following and the errors raised are those of
-    open(path, "w", encoding="utf-8") on POSIX: newlines are written as
-    given.  The text is encoded before the file is opened, so an encoding
-    error leaves the file untouched.  An existing file is not truncated on
-    open but cut to the new length after the write; ext4 (auto_da_alloc)
-    starts a writeback when a file truncated to zero is closed, so this
-    makes overwriting a file cost what writing a new one does.  Only a
-    regular file is cut, so /dev/null, /dev/stdout and FIFOs work.
-
-    Nothing is fsynced, as it was not with open(path, "w"): the file is not
-    durable across a crash, and a write that fails part-way (a full disk)
-    can leave the start of the new text before the rest of the old.
-    """
-    data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
 
 
 def ch_report(ps: ProbabilitySet) -> InequalityReport:

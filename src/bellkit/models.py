@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Union
@@ -19,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .inequalities import CANONICAL_PAIRS, PAIR_TOL, SIDE1_SETTINGS, SIDE2_SETTINGS
-from .inequalities import ProbabilitySet, check_json, load_json, write_text
+from .inequalities import ProbabilitySet, check_json
 
 MODEL_TOL = 1e-12
 
@@ -122,12 +121,6 @@ class FactorizableModel:
         if self.response1.side != 1 or self.response2.side != 2:
             raise ValueError("response1 must be side 1, response2 side 2")
 
-    def to_json(self) -> dict:
-        data = {"cells": list(self.space.cells), "weights": self.space.weights.tolist()}
-        for r in (self.response1, self.response2):
-            data[f"side{r.side}"] = {"settings": list(r.settings), "table": r.values.tolist()}
-        return data
-
     @classmethod
     def from_json(cls, data: dict) -> "FactorizableModel":
         check_json(data, MODEL_SCHEMA, "")
@@ -154,18 +147,6 @@ class FactorizableModel:
             responses.append(ResponseTable(side, tuple(settings), values))
         space = HiddenVariableSpace(tuple(data["cells"]), np.array(data["weights"]))
         return cls(space, *responses)
-
-    def save(self, path) -> None:
-        """Write the model as indented JSON to path through write_text.
-
-        The JSON is built before the file is opened, so a NaN or infinite
-        entry raises ValueError and leaves no file, or the old one intact.
-        """
-        write_text(path, json.dumps(self.to_json(), indent=2, allow_nan=False))
-
-    @classmethod
-    def load(cls, path) -> "FactorizableModel":
-        return cls.from_json(load_json(path))
 
 
 @dataclass(frozen=True)

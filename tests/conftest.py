@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,20 @@ def random_model(rng: np.random.Generator, max_cells: int = 6) -> FactorizableMo
     r1 = ResponseTable(1, SIDE1, rng.random((n, 2)))
     r2 = ResponseTable(2, SIDE2, rng.random((n, 2)))
     return FactorizableModel(HiddenVariableSpace(cells, weights), r1, r2)
+
+
+def model_json(model: FactorizableModel) -> dict:
+    """The saved form of a model, the document FactorizableModel.from_json
+    and `bellkit validate` read."""
+    data = {"cells": list(model.space.cells), "weights": model.space.weights.tolist()}
+    for r in (model.response1, model.response2):
+        data[f"side{r.side}"] = {"settings": list(r.settings), "table": r.values.tolist()}
+    return data
+
+
+def save_model(model: FactorizableModel, path) -> None:
+    """Write model_json(model) to path as indented JSON."""
+    Path(path).write_text(json.dumps(model_json(model), indent=2, allow_nan=False), encoding="utf-8")
 
 
 def formal_joint_distribution(model: FactorizableModel) -> FourOutcomeJoint:

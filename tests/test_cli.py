@@ -33,12 +33,12 @@ n_pairs = 20000
 
 @pytest.fixture
 def files(tmp_path, rng):
-    from conftest import random_model
+    from conftest import random_model, save_model
 
     config = tmp_path / "cfg.ini"
     config.write_text(CONFIG_TEXT)
     model = tmp_path / "model.json"
-    random_model(rng).save(model)
+    save_model(random_model(rng), model)
     return {"config": str(config), "model": str(model), "dir": tmp_path}
 
 

@@ -226,10 +226,22 @@ class TestIngestCounts:
         except ValueError:  # DatasetError is one
             pass
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_csv_names_the_line(self, tmp_path, capsys, bom, newline):
+        # a Latin-1 e-acute in line 3's setting label is not UTF-8
+        body = bom + GOOD_CSV.encode().replace(b"\nA,D,", b"\nA\xe9,D,").replace(b"\n", newline)
+        path = write_bytes(tmp_path, "counts.csv", body)
+        with pytest.raises(DatasetError) as exc:
+            ingest_counts(path)
+        assert str(exc.value) == "line 3: not valid UTF-8 (byte 0xe9)"
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 3: not valid UTF-8 (byte 0xe9)\n"
+
     def test_seed_comment_round_trip(self, tmp_path):
         ds = pdc_dataset(n=100)
         path = tmp_path / "synth.csv"
-        ds.save(path)
+        path.write_text(ds.to_csv())
         back = ingest_counts(path)
         assert back.seed == ds.seed
         assert back.rows[0].n_pp == ds.rows[0].n_pp
@@ -399,6 +411,30 @@ class TestLoadConfig:
         with pytest.raises(IsADirectoryError):
             load_config(tmp_path)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_config_names_the_file_and_line(self, tmp_path, capsys, bom, newline):
+        # a Latin-1 e-acute in line 3's value is not UTF-8
+        body = bom + newline.join([b"[pdc]", b"v = 0.95", b"eta = 0.1 \xe9", b""])
+        path = write_bytes(tmp_path, "bad.ini", body)
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}, line 3: not valid UTF-8 (byte 0xe9)"
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line 3: not valid UTF-8 (byte 0xe9)\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_are_numbered_as_open_numbers_them(self, tmp_path, newline):
+        # the reference: the line text-mode open() gives the refused key
+        lines = ["# c", "", "[pdc]", "v = 1", "V = 2", ""]
+        path = write_bytes(tmp_path, "cfg.ini", newline.join(lines).encode())
+        with open(path, encoding="utf-8") as fh:
+            line = next(n for n, text in enumerate(fh, start=1) if text.startswith("V"))
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}, line {line}: key v repeated in [pdc]"
+        assert line == 5
+
 
 def configparser_reading(path) -> dict:
     """The reference: how load_config read a config through configparser."""
@@ -551,11 +587,11 @@ class TestCli:
         assert data["genuine_s"] <= 2.0 + 1e-8
 
     def test_validate(self, tmp_path, rng):
-        from conftest import random_model
+        from conftest import random_model, save_model
 
         model = random_model(rng)
         path = tmp_path / "model.json"
-        model.save(path)
+        save_model(model, path)
         out = str(tmp_path / "validation.json")
         assert cli.main(["validate", str(path), "--output", out]) == 0
         assert json.loads((tmp_path / "validation.json").read_text())["valid"]
@@ -660,13 +696,13 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_byte_order_mark_json_reads_like_the_plain_file(self, tmp_path, capsys, rng):
-        from conftest import random_model
+        from conftest import random_model, save_model
 
         saved = tmp_path / "report.json"
         counts = write(tmp_path, "counts.csv", GOOD_CSV)
         assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
         model = tmp_path / "model.json"
-        random_model(rng).save(model)
+        save_model(random_model(rng), model)
         commands = [(["report"], saved), (["report", "--format", "json"], saved), (["validate"], model)]
         outputs = []
         for prefix in (b"", b"\xef\xbb\xbf"):
@@ -691,13 +727,13 @@ class TestCli:
         ids=lambda argv: argv[0],
     )
     def test_empty_output_is_an_input_error(self, tmp_path, capsys, rng, config, argv):
-        from conftest import random_model
+        from conftest import random_model, save_model
 
         paths = {"config": config, "counts": str(write(tmp_path, "counts.csv", GOOD_CSV))}
         paths["report"] = str(tmp_path / "report.json")
         assert cli.main(["analyze", paths["counts"], "--output", paths["report"]]) == 0
         paths["model"] = str(tmp_path / "model.json")
-        random_model(rng).save(paths["model"])
+        save_model(random_model(rng), paths["model"])
         argv = [arg.format(**paths) for arg in argv]
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
         capsys.readouterr()
@@ -762,6 +798,14 @@ class TestCli:
         saved = write(tmp_path, "report.json", "[" * 100_000)
         assert cli.main(["report", str(saved)]) == 1
         assert capsys.readouterr().err == f"error: {saved}: JSON nested too deeply to read\n"
+
+    def test_malformed_saved_report_names_the_file(self, tmp_path, capsys):
+        saved = write(tmp_path, "trail.json", '{"a": 1,}')
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {saved}: Expecting property name enclosed in double quotes: "
+            "line 1 column 9 (char 8)\n"
+        )
 
     def test_nan_in_saved_report_is_an_input_error(self, tmp_path, capsys):
         saved = tmp_path / "report.json"
@@ -846,10 +890,10 @@ class TestCli:
     def test_non_finite_in_unlisted_model_field_names_it(
         self, tmp_path, capsys, rng, token, found, path, edit
     ):
-        from conftest import random_model
+        from conftest import random_model, save_model
 
         model = tmp_path / "model.json"
-        random_model(rng).save(model)
+        save_model(random_model(rng), model)
         data = json.loads(model.read_text())
         edit(data)
         model.write_text(json.dumps(data).replace('"@"', token))

@@ -50,12 +50,12 @@ def test_import_leaves_scipy_sparse_unloaded():
 
 
 def test_subcommands_without_an_lp_leave_scipy_optimize_unloaded(tmp_path, rng):
-    from conftest import random_model
+    from conftest import random_model, save_model
 
     config, model = tmp_path / "cfg.ini", tmp_path / "model.json"
     counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
     config.write_text(CONFIG_TEXT)
-    random_model(rng).save(model)
+    save_model(random_model(rng), model)
     commands = [
         ["simulate", "--config", str(config), "--seed", "7", "--output", str(counts)],
         ["analyze", str(counts), "--output", str(report)],
@@ -283,11 +283,11 @@ def test_subcommands_without_arithmetic_leave_numpy_unloaded(tmp_path, saved_rep
 def test_no_subcommand_loads_configparser(tmp_path, saved_report, rng):
     # harness.load_config reads configs itself; a module stays in
     # sys.modules once loaded, so one process checks each command after it runs
-    from conftest import random_model
+    from conftest import random_model, save_model
 
     config, counts, report = saved_report
     model, out = tmp_path / "model.json", str(tmp_path / "out")
-    random_model(rng).save(model)
+    save_model(random_model(rng), model)
     commands = [
         ["simulate", "--config", str(config), "--seed", "7", "--output", out],
         ["analyze", str(counts), "--config", str(config), "--output", out],
@@ -395,8 +395,9 @@ def test_no_module_imports_configparser():
     assert [stem for stem, names in imports.items() if "configparser" in names] == []
 
 
-# inequalities.load_json is the one reader of a saved JSON file: it reads a
-# byte-order mark and names the file of a document nested too deeply.
+# cli.load_json is the one reader of a saved JSON file: it reads a
+# byte-order mark and names the file of undecodable, malformed or too deeply
+# nested JSON.
 JSON_READERS = {"load", "loads"}
 
 
@@ -460,7 +461,7 @@ def test_load_json_is_the_only_json_reader_in_the_package():
     found = {
         (p.name, function) for p in package.glob("*.py") for function, _ in json_reads(p.read_text())
     }
-    assert found == {("inequalities.py", "load_json")}
+    assert found == {("cli.py", "load_json")}
 
 
 # models._frozen is the one place that makes an array read-only: every

@@ -24,7 +24,7 @@ from bellkit.models import (
     sparse_matrix,
     validate_model,
 )
-from conftest import formal_joint_distribution, random_model
+from conftest import formal_joint_distribution, model_json, random_model
 
 SIDE1 = ("A", "C")
 SIDE2 = ("B", "D")
@@ -410,31 +410,33 @@ class TestChHoldsForFactorizableModels:
 
 
 class TestSerialization:
-    def test_save_refuses_nan_and_writes_no_file(self, tmp_path):
-        model = uniform_model(n_cells=2)
-        bad = FactorizableModel(
-            HiddenVariableSpace(model.space.cells, [math.nan, 1.0]),
-            model.response1,
-            model.response2,
-        )
-        path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            bad.save(path)
-        assert not path.exists()
-
     def test_deeply_nested_model_file_names_the_file(self, tmp_path, capsys):
         from bellkit import cli
 
         path = tmp_path / "model.json"
         path.write_text("[" * 100_000)
         with pytest.raises(ValueError, match="JSON nested too deeply"):
-            FactorizableModel.load(path)
+            cli.load_json(path)
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_undecodable_model_file_names_the_file_and_line(self, tmp_path, capsys, bom, newline):
+        # the first cell name, "c0", is on line 3 of the indented document;
+        # a Latin-1 e-acute there is not UTF-8
+        from bellkit import cli
+
+        text = json.dumps(model_json(uniform_model(n_cells=2)), indent=2)
+        body = bom + text.encode().replace(b'"c0"', b'"c\xe9"').replace(b"\n", newline)
+        path = tmp_path / "model.json"
+        path.write_bytes(body)
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line 3: not valid UTF-8 (byte 0xe9)\n"
+
     def test_json_round_trip(self, rng):
         model = random_model(rng)
-        restored = FactorizableModel.from_json(model.to_json())
+        restored = FactorizableModel.from_json(model_json(model))
         assert restored.space.cells == model.space.cells
         np.testing.assert_allclose(restored.space.weights, model.space.weights)
         np.testing.assert_allclose(restored.response1.values, model.response1.values)
@@ -464,7 +466,7 @@ class TestSerialization:
     def test_malformed_model_names_the_field(self, tmp_path, capsys, edit, message):
         from bellkit import cli
 
-        model = uniform_model(n_cells=2).to_json()
+        model = model_json(uniform_model(n_cells=2))
         with pytest.raises(ValueError) as exc:
             FactorizableModel.from_json(edit(model))
         assert str(exc.value).startswith(message)
@@ -517,6 +519,6 @@ class TestSerialization:
         from bellkit import cli
 
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(edit(uniform_model(n_cells=2).to_json())))
+        path.write_text(json.dumps(edit(model_json(uniform_model(n_cells=2)))))
         assert cli.main(["validate", str(path)]) == code
         assert capsys.readouterr() == output

@@ -1,8 +1,9 @@
-"""write_text, the one writer of every output file, and the guard that keeps
-it the only one."""
+"""cli.write_text, the one writer of every output file, and the guards that
+keep file I/O in cli: write_text is the only writer, and the arithmetic layers
+open no file.  cli.load_json, the one reader of a saved JSON file, has its
+guard in test_imports."""
 
 import ast
-import json
 import os
 import re
 import stat
@@ -14,8 +15,7 @@ import pytest
 import bellkit
 from bellkit import cli
 from bellkit.harness import AnalysisConfig, render_report, run_analysis
-from bellkit.inequalities import write_text
-from conftest import random_model
+from bellkit.cli import write_text
 from test_harness import pdc_dataset
 
 SRC = Path(bellkit.__file__).resolve().parent
@@ -133,21 +133,24 @@ def strip_timestamp(data: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("existing", [None, "x" * 50_000 + "\n"], ids=["new", "overwrite"])
-def test_each_writer_writes_the_bytes_open_w_wrote(tmp_path, rng, existing):
+def test_each_writer_writes_the_bytes_open_w_wrote(tmp_path, existing):
+    # pdc_dataset samples the [pdc] source of this config at the same seed
     dataset = pdc_dataset(n=10**4, seed=5)
     report = run_analysis(dataset, AnalysisConfig())
-    model = random_model(rng)
+    config = tmp_path / "cfg.ini"
+    config.write_text("[pdc]\nv = 0.95\neta = 0.1\nr0 = 1.0\n[analysis]\nn_pairs = 10000\n")
+
+    def simulate(p):
+        argv = ["simulate", "--config", str(config), "--seed", "5", "--output", str(p)]
+        assert cli.main(argv) == 0
+
     writers = {
-        "cli": (lambda p: cli._write_or_print(TEXT, str(p)), lambda p: write_with_open(p, TEXT)),
-        "counts": (dataset.save, lambda p: write_with_open(p, dataset.to_csv(), newline="")),
-        "model": (
-            model.save,
-            lambda p: write_with_open(p, json.dumps(model.to_json(), indent=2, allow_nan=False)),
-        ),
+        "cli": (lambda p: write_text(str(p), TEXT), lambda p: write_with_open(p, TEXT)),
+        "simulate": (simulate, lambda p: write_with_open(p, dataset.to_csv(), newline="")),
     }
     for fmt in ("json", "text"):
         writers[f"report-{fmt}"] = (
-            lambda p, fmt=fmt: cli._write_or_print(render_report(report, fmt), str(p)),
+            lambda p, fmt=fmt: write_text(str(p), render_report(report, fmt)),
             lambda p, fmt=fmt: write_with_open(p, render_report(report, fmt)),
         )
     for name, (write, reference) in writers.items():
@@ -208,7 +211,13 @@ def stray_writers(source: str, filename: str) -> list[str]:
 
 def test_write_text_is_the_only_writer_in_the_package():
     sources = sorted(SRC.glob("*.py"))
-    assert any(path.name == "inequalities.py" for path in sources)
+    defined = [
+        path.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "write_text"
+    ]
+    assert defined == ["cli.py"]
     found = [hit for path in sources for hit in stray_writers(path.read_text(), path.name)]
     assert found == []
 
@@ -250,3 +259,53 @@ def test_guard_finds_a_stray_writer(source):
 )
 def test_guard_passes_readers_and_the_helper(source):
     assert stray_writers(source, "<source>") == []
+
+
+def file_opens(source: str, filename: str) -> list[str]:
+    """Every call in source that opens a file in any mode: open(), and any
+    method or module function named open (os.open, io.open, Path.open)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+            ):
+                found.append(f"{filename}:{node.lineno}: {ast.unparse(func)}()")
+    return found
+
+
+# The arithmetic layers take values and return values: files are cli's, and
+# the counts and config readers are harness's.
+ARITHMETIC_LAYERS = ("inequalities", "models", "experiments", "search")
+
+
+def test_arithmetic_layers_open_no_file():
+    found = [
+        hit
+        for name in ARITHMETIC_LAYERS
+        for hit in file_opens((SRC / f"{name}.py").read_text(), f"{name}.py")
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "open(p)",
+        'open(p, "rb")',
+        'open(p, "w")',
+        "os.open(p, os.O_RDONLY)",
+        "io.open(p)",
+        "Path(p).open()",
+        'p.open("rb")',
+        "def load(p):\n    with open(p) as fh:\n        return fh.read()",
+    ],
+)
+def test_open_guard_finds_a_planted_open(source):
+    assert file_opens(source, "<source>")
+
+
+@pytest.mark.parametrize("source", ["reopen(p)", "p.opener()", "fh = p.open", "json.dumps(x)"])
+def test_open_guard_passes_what_opens_nothing(source):
+    assert file_opens(source, "<source>") == []
