@@ -12,8 +12,9 @@ import importlib
 # Each submodule and the public names it defines.
 _PUBLIC = {
     "inequalities": (
-        "InequalityReport", "ProbabilitySet", "TwoChannelCounts", "ch_report", "correlation",
-        "fc_report", "renormalized_correlation", "s_statistic",
+        "CountDataset", "CountRow", "DatasetError", "InequalityReport", "ProbabilitySet",
+        "TwoChannelCounts", "ch_report", "correlation", "fc_report", "renormalized_correlation",
+        "s_statistic",
     ),
     "models": (
         "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
@@ -28,10 +29,7 @@ _PUBLIC = {
         "SearchResult", "StrategyMixture", "maximize_s_star", "mixture_statistics",
         "sample_counts",
     ),
-    "harness": (
-        "AnalysisConfig", "AnalysisReport", "CountDataset", "CountRow", "DatasetError",
-        "ingest_counts", "run_analysis",
-    ),
+    "harness": ("AnalysisConfig", "AnalysisReport", "ingest_counts", "run_analysis"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -18,7 +18,7 @@ import traceback
 # models and search import numpy, which analyze, predict and report never
 # use, so only the commands that need them import them
 from . import experiments, harness
-from .inequalities import CANONICAL_ANGLES, TSIRELSON_BOUND
+from .inequalities import CANONICAL_ANGLES, CANONICAL_PHI, TSIRELSON_BOUND, TwoChannelCounts
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> int:
     pdc = _pdc_config(cfg)
     n_pairs = _setting(cfg, "analysis", "n_pairs", kind=int, default=10**6)
     stats = {}
-    for (x, y), phi in harness.CANONICAL_PHI.items():
+    for (x, y), phi in CANONICAL_PHI.items():
         rates = experiments.two_channel_rates(pdc, phi)
         # eta = 0, or an eta * r0 below the smallest float, leaves nothing to
         # sample, and rates whose sum overflows leave no probabilities; the
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
         if not 0.0 < total < math.inf:
             outcome = "no coincidences" if total == 0.0 else "rates whose sum overflows"
             raise ValueError(f"[pdc] eta = {pdc.eta!r} with r0 = {pdc.r0!r} gives {outcome}")
-        stats[(x, y)] = harness.TwoChannelCounts(*rates)
+        stats[(x, y)] = TwoChannelCounts(*rates)
     ds = _in_section("analysis", search.sample_counts, stats, n_pairs, args.seed)
     write_text(args.output, ds.to_csv())
     return 0
@@ -205,14 +205,18 @@ def _cmd_search(args) -> int:
     cfg = harness.load_config(args.config) if args.config else {}
     section = cfg.get("search", {})
     if args.eta is not None:
-        etas = [args.eta]
+        source, etas = "--eta", [args.eta]
     elif "etas" in section:
-        etas = _setting(cfg, "search", "etas", kind=list)
+        source, etas = "[search] etas", _setting(cfg, "search", "etas", kind=list)
     elif "eta" in section:
-        etas = [_setting(cfg, "search", "eta")]
+        source, etas = "[search] eta", [_setting(cfg, "search", "eta")]
     else:
         raise ValueError("search requires --eta or a [search] eta/etas entry")
-    results = [search.maximize_s_star(eta) for eta in etas]
+    try:
+        results = [search.maximize_s_star(eta) for eta in etas]
+    except ValueError as exc:
+        # maximize_s_star names eta, not where the value came from
+        raise ValueError(f"{source}: {exc}") from None
     payload = [r.to_json() for r in results]
     body = payload[0] if len(payload) == 1 else {"results": payload}
     write_text(args.output, json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n")

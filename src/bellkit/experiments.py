@@ -49,7 +49,8 @@ class CascadeConfig:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha = {self.alpha} must be finite and positive")
         eta, _ = cascade_optics(self.theta, self.zeta)
-        if self.alpha > 1.0 / eta:
+        # a theta so small that eta underflows to 0 detects nothing at all
+        if eta > 0.0 and self.alpha > 1.0 / eta:
             raise ValueError(
                 f"alpha = {self.alpha} exceeds 1/eta = {1.0 / eta!r}, the largest value at "
                 "which no coincidence probability exceeds the singles"

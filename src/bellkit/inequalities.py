@@ -4,16 +4,21 @@ Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
 correlations).  check_json, the field-by-field type check of a loaded JSON
-document, lives here beside the verdict schema; reading and writing files is
-left to cli.
+document, lives here beside the verdict schema.  The counts format lives
+here too, beside TwoChannelCounts: CountDataset writes the counts CSV text
+and _parse_counts_csv reads it back.  Reading and writing files is left to
+harness and cli.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 PAIR_TOL = 1e-9
 
@@ -96,6 +101,164 @@ class TwoChannelCounts:
 
     def total(self) -> float:
         return self.ppp + self.ppm + self.pmp + self.pmm
+
+
+REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
+OPTIONAL_COLUMNS = ("singles_a", "singles_b", "duration")
+
+# The analysis sums a row's four counts and computes in floats: below this
+# bound each count, and the sum of four, is a finite float.
+MAX_COUNT = 2**1021
+
+
+class DatasetError(ValueError):
+    """Malformed counts file or a dataset unusable for the analysis."""
+
+
+@dataclass(frozen=True)
+class CountRow:
+    setting_a: str
+    setting_b: str
+    n_pp: int
+    n_pm: int
+    n_mp: int
+    n_mm: int
+    singles_a: Optional[int] = None
+    singles_b: Optional[int] = None
+    duration: Optional[float] = None
+    line: Optional[int] = None
+
+    def total(self) -> int:
+        return self.n_pp + self.n_pm + self.n_mp + self.n_mm
+
+
+def _at_line(row: CountRow, message: str) -> str:
+    return message if row.line is None else f"line {row.line}: {message}"
+
+
+@dataclass(frozen=True)
+class CountDataset:
+    rows: tuple[CountRow, ...]
+    seed: Optional[int] = None
+    source_digest: Optional[str] = None
+
+    def __post_init__(self):
+        seen = set()
+        for row in self.rows:
+            key = (row.setting_a, row.setting_b)
+            if key in seen:
+                raise DatasetError(_at_line(row, f"duplicate setting pair {key}"))
+            seen.add(key)
+
+    def row(self, setting_a: str, setting_b: str) -> CountRow:
+        for r in self.rows:
+            if (r.setting_a, r.setting_b) == (setting_a, setting_b):
+                return r
+        raise KeyError(f"no row for setting pair ({setting_a}, {setting_b})")
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        if self.seed is not None:
+            buf.write(f"# seed={self.seed}\n")
+        has_singles = any(r.singles_a is not None or r.singles_b is not None for r in self.rows)
+        has_duration = any(r.duration is not None for r in self.rows)
+        columns = list(REQUIRED_COLUMNS)
+        if has_singles:
+            columns += ["singles_a", "singles_b"]
+        if has_duration:
+            columns += ["duration"]
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for r in self.rows:
+            record = [r.setting_a, r.setting_b, r.n_pp, r.n_pm, r.n_mp, r.n_mm]
+            if has_singles:
+                record += [r.singles_a if r.singles_a is not None else "",
+                           r.singles_b if r.singles_b is not None else ""]
+            if has_duration:
+                record += [r.duration if r.duration is not None else ""]
+            writer.writerow(record)
+        return buf.getvalue()
+
+
+def _parse_count(value: str, column: str, line_no: int) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise DatasetError(f"line {line_no}: column {column} is not an integer: {value!r}") from None
+    if n < 0:
+        raise DatasetError(f"line {line_no}: column {column} is negative: {n}")
+    if n >= MAX_COUNT:
+        raise DatasetError(
+            f"line {line_no}: column {column} is too large for a float analysis: "
+            f"{len(str(n))} digits, not below 2**1021"
+        )
+    return n
+
+
+def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
+    """The dataset a counts CSV holds, each error naming its line.
+
+    Lines starting with '#' are comments; a '# seed=N' comment records the
+    generator seed of a synthetic dataset.  Other lines are CSV records as
+    csv.writer quotes them; surrounding whitespace of a field is dropped.
+    """
+    seed: Optional[int] = None
+    header: Optional[list[str]] = None
+    rows: list[CountRow] = []
+    for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped.lstrip("#").strip()
+            if body.startswith("seed="):
+                value = body[len("seed="):]
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise DatasetError(
+                        f"line {line_no}: seed {value!r} is not an integer"
+                    ) from None
+            continue
+        try:
+            cells = [c.strip() for c in next(csv.reader([stripped], strict=True))]
+        except csv.Error as exc:
+            raise DatasetError(f"line {line_no}: malformed CSV record: {exc}") from None
+        if header is None:
+            header = cells
+            for col in REQUIRED_COLUMNS:
+                if col not in header:
+                    raise DatasetError(f"line {line_no}: missing required column {col!r}")
+            for i, col in enumerate(header):
+                if col not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
+                    raise DatasetError(f"line {line_no}: unknown column {col!r}")
+                if col in header[:i]:
+                    raise DatasetError(f"line {line_no}: column {col!r} repeated")
+            continue
+        if len(cells) != len(header):
+            raise DatasetError(
+                f"line {line_no}: expected {len(header)} fields, found {len(cells)}"
+            )
+        record = dict(zip(header, cells))
+        counts = {c: _parse_count(record[c], c, line_no) for c in REQUIRED_COLUMNS[2:]}
+        for c in ("singles_a", "singles_b"):
+            if record.get(c, "") != "":
+                counts[c] = _parse_count(record[c], c, line_no)
+        duration = None
+        if record.get("duration", "") != "":
+            try:
+                duration = float(record["duration"])
+            except ValueError:
+                raise DatasetError(f"line {line_no}: column duration is not a number") from None
+            if not (math.isfinite(duration) and duration > 0):
+                raise DatasetError(
+                    f"line {line_no}: column duration must be finite and positive: {duration}"
+                )
+        rows.append(CountRow(record["setting_a"], record["setting_b"], **counts,
+                             duration=duration, line=line_no))
+    if header is None:
+        raise DatasetError("empty file: no header row")
+    return CountDataset(rows=tuple(rows), seed=seed, source_digest=source_digest)
 
 
 # Whether a violation of each inequality refutes factorizability itself

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import CountDataset, CountRow
 from .inequalities import CANONICAL_PAIRS as PAIRS
-from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS
+from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS, CountDataset, CountRow
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
 from .models import _frozen, _value_eq, solve_equality_lp, sparse_matrix
 

@@ -24,7 +24,8 @@ from bellkit.experiments import (
     spacelike_constraints,
     two_channel_rates,
 )
-from bellkit.harness import CANONICAL_PHI, AnalysisConfig, TwoChannelCounts, render_report, run_analysis
+from bellkit.harness import AnalysisConfig, render_report, run_analysis
+from bellkit.inequalities import CANONICAL_PHI, TwoChannelCounts
 from bellkit.inequalities import ProbabilitySet, s_statistic
 from bellkit.inequalities import ch_report
 from bellkit.models import (

@@ -1,0 +1,129 @@
+"""A local model for every rate of a cascade prediction, polarizer-removed
+ones included, exists exactly when predict's Bell condition holds.
+
+The oracle is a linear program over deterministic detect/no-detect
+strategies, solved with scipy's linprog; it is test code only.  Each side
+has three settings, its two polarizer angles and "polarizer removed" (I),
+and a strategy says detect or not at each, so a local model is a set of
+weights on the 64 strategy pairs.  Its 16 equality rows are the
+normalization, the six singles (eta / 2 behind a polarizer, eta without
+one) and the nine coincidences: the four cascade_rates at the canonical
+angles, alpha eta^2 / 2 with one polarizer removed and alpha eta^2 with
+both removed (Clauser & Horne, PRD 10, 526, 1974).
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from bellkit.experiments import CascadeConfig, bi_margin, cascade_optics, cascade_rates
+
+SIDE1 = ("A", "C", "I")
+SIDE2 = ("B", "D", "I")
+PHI = {("A", "B"): -math.pi / 8, ("A", "D"): math.pi / 8,
+       ("C", "B"): math.pi / 8, ("C", "D"): 3 * math.pi / 8}
+
+# detect (1) or not (0) at each of a side's three settings
+STRATEGIES = np.array(list(itertools.product((0, 1), repeat=3)), dtype=float)
+PAIRS = [(i, j) for i in range(len(STRATEGIES)) for j in range(len(STRATEGIES))]
+
+# A_EQ[row, k]: whether strategy pair k counts toward that row's rate
+A_EQ = np.array(
+    [[1.0] * len(PAIRS)]
+    + [[STRATEGIES[i][s] for i, _ in PAIRS] for s in range(3)]
+    + [[STRATEGIES[j][s] for _, j in PAIRS] for s in range(3)]
+    + [[STRATEGIES[i][s] * STRATEGIES[j][t] for i, j in PAIRS]
+       for s in range(3) for t in range(3)]
+)
+
+
+def rates(theta: float, zeta: float, alpha: float) -> np.ndarray:
+    """The 16 right-hand sides, in the row order of A_EQ."""
+    eta, v = cascade_optics(theta, zeta)
+    singles = [eta / 2, eta / 2, eta]
+    coincidences = []
+    for x in SIDE1:
+        for y in SIDE2:
+            removed = (x == "I") + (y == "I")
+            if removed:
+                # alpha eta^2 / 2 with one polarizer removed, alpha eta^2 with both
+                coincidences.append(alpha * eta * eta * removed / 2)
+            else:
+                coincidences.append(cascade_rates(eta, v, alpha, PHI[(x, y)])[2])
+    return np.array([1.0, *singles, *singles, *coincidences])
+
+
+def has_local_model(theta: float, zeta: float, alpha: float) -> bool:
+    res = linprog(np.zeros(len(PAIRS)), A_eq=A_EQ, b_eq=rates(theta, zeta, alpha),
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def bell_condition(theta: float, zeta: float, alpha: float) -> tuple[float, bool]:
+    """The bell_condition_lhs and bell_condition_fulfilled `bellkit predict` prints."""
+    eta, v = cascade_optics(theta, zeta)
+    return bi_margin(alpha, eta, v)
+
+
+def test_lp_has_the_64_strategy_pairs_and_16_rows():
+    assert A_EQ.shape == (16, 64)
+    assert np.linalg.matrix_rank(A_EQ) == 16
+    # the polarizer-removed coincidence with both removed is alpha eta^2
+    eta = cascade_optics(0.5, 0.2)[0]
+    assert rates(0.5, 0.2, 1.5)[-1] == pytest.approx(1.5 * eta * eta)
+    assert rates(0.5, 0.2, 1.5)[-2] == pytest.approx(1.5 * eta * eta / 2)
+
+
+@pytest.mark.parametrize("theta_deg", [10, 30, 60])
+@pytest.mark.parametrize("zeta", [0.2, 1.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_small_alpha_points_have_a_local_model(theta_deg, zeta, alpha):
+    theta = math.radians(theta_deg)
+    CascadeConfig(theta, zeta, alpha)
+    assert bell_condition(theta, zeta, alpha)[1]
+    assert has_local_model(theta, zeta, alpha)
+
+
+def test_large_alpha_at_small_aperture_has_no_local_model():
+    CascadeConfig(0.5, 1.0, 15.0)
+    assert not bell_condition(0.5, 1.0, 15.0)[1]
+    assert not has_local_model(0.5, 1.0, 15.0)
+
+
+def accepted_grid():
+    """(theta, zeta, alpha) over a grid, alpha as a fraction of the largest
+    value CascadeConfig accepts, 1 / eta."""
+    for theta in np.linspace(0.05, math.pi / 2, 7):
+        for zeta in (0.1, 0.5, 1.0):
+            eta = cascade_optics(theta, zeta)[0]
+            for fraction in (0.1, 0.5, 0.8, 0.95, 1.0):
+                yield float(theta), zeta, fraction / eta
+
+
+def random_accepted(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        theta = rng.uniform(1e-3, math.pi / 2)
+        zeta = rng.uniform(0.01, 1.0)
+        eta = cascade_optics(theta, zeta)[0]
+        yield float(theta), float(zeta), float(rng.uniform(0.01, 1.0) / eta)
+
+
+@pytest.mark.parametrize("configs", [list(accepted_grid()), list(random_accepted(300, 16))],
+                         ids=["grid", "random"])
+def test_local_model_exists_exactly_when_the_bell_condition_holds(configs):
+    verdicts = []
+    for theta, zeta, alpha in configs:
+        CascadeConfig(theta, zeta, alpha)
+        lhs, fulfilled = bell_condition(theta, zeta, alpha)
+        # within rounding of the boundary the LP's tolerance decides
+        if abs(lhs - 2.0) < 1e-6:
+            continue
+        assert has_local_model(theta, zeta, alpha) == fulfilled, (theta, zeta, alpha)
+        verdicts.append(fulfilled)
+    assert len(verdicts) > 0.95 * len(configs)
+    assert True in verdicts and False in verdicts

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import bellkit
 from bellkit import cli
-from bellkit.harness import AnalysisConfig, CountDataset, CountRow, render_report, run_analysis
+from bellkit.harness import AnalysisConfig, render_report, run_analysis
+from bellkit.inequalities import CountDataset, CountRow
 
 CONFIG_TEXT = """
 [pdc]
@@ -115,6 +116,22 @@ def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
         assert len(calls) == 1
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ("[search]\neta = 0.5\n", ["--eta", "2"], "--eta: eta = 2.0 outside (1e-9, 1]"),
+        ("[search]\neta = 0\n", [], "[search] eta: eta = 0.0 outside (1e-9, 1]"),
+        ("[search]\netas = 0.5, 2\n", [], "[search] etas: eta = 2.0 outside (1e-9, 1]"),
+    ],
+    ids=["flag", "eta-key", "etas-entry"],
+)
+def test_search_range_error_names_its_flag_or_key(tmp_path, capsys, config, argv, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(config)
+    assert cli.main(["search", "--config", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_import_builds_no_parser():

@@ -187,6 +187,13 @@ class TestSourceConfigs:
         )
         assert stated and float(stated[1]) == 1.0 / eta
 
+    def test_theta_whose_eta_underflows_to_zero_is_accepted(self):
+        # 1 - cos(theta) is 0.0 in floats: nothing is detected, so no alpha
+        # can put a coincidence above the singles
+        theta = 6.343583964094231e-52
+        assert cascade_optics(theta, 0.2)[0] == 0.0
+        assert CascadeConfig(theta, 0.2, alpha=0.9).alpha == 0.9
+
 
 class TestCascadeReports:
     def test_genuine_and_auxiliary_verdicts_from_one_config(self):

@@ -14,18 +14,20 @@ from hypothesis import given, settings, strategies as st
 from bellkit import cli
 from bellkit.experiments import PdcConfig, two_channel_rates
 from bellkit.harness import (
-    CANONICAL_PHI,
     AnalysisConfig,
     AnalysisReport,
+    ingest_counts,
+    load_config,
+    render_report,
+    run_analysis,
+)
+from bellkit.inequalities import (
+    CANONICAL_PHI,
     CountDataset,
     CountRow,
     DatasetError,
     InequalityReport,
     TwoChannelCounts,
-    ingest_counts,
-    load_config,
-    render_report,
-    run_analysis,
 )
 from bellkit.search import sample_counts
 
