@@ -272,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_report)
 
+    # main() hands a command's arguments straight to its parser
+    parser.commands = sub.choices
     return parser
 
 
@@ -291,8 +293,23 @@ def _parser() -> argparse.ArgumentParser:
 INPUT_ERRORS = (OSError, ValueError)
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """parse_args of the top-level parser, which hands everything after the
+    command name to that command's parser.  That parser is called directly;
+    the top-level one answers what it would answer itself: -h, a missing or
+    unknown command, and unrecognized arguments, named under its own usage.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         # every subcommand takes --output; "" would otherwise mean stdout to
         # some and a nameless file to simulate

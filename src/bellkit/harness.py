@@ -128,6 +128,23 @@ REPORT_SCHEMA = {
 }
 
 
+def _pair_misfit(p: dict, pair: tuple, no_e: bool) -> Optional[tuple[str, str]]:
+    """The key and the expected value of the first field of a saved pair
+    that run_analysis could not have written, or None."""
+    e = p["e"]
+    if p["settings"] != list(pair):
+        return "settings", '["{}", "{}"]'.format(*pair)
+    if not 1 <= p["n"] < 4 * MAX_COUNT:
+        return "n", "in [1, 2**1023)"
+    if not abs(p["e_star"]) <= 1.0 + PAIR_TOL:
+        return "e_star", "in [-1, 1]"
+    if e is not None and not abs(e) <= 1.0 + PAIR_TOL:
+        return "e", "in [-1, 1]"
+    if (e is None) != no_e:
+        return "e", f"{'null' if no_e else 'a number'}, as pairs[0].e is"
+    return None
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """The pairs measured, in CANONICAL_PAIRS order, the CH verdict when the
@@ -176,22 +193,16 @@ class AnalysisReport:
     def from_json(cls, data: dict) -> "AnalysisReport":
         """The report a saved one holds, refused unless run_analysis could
         have written its pairs and some ProbabilitySet gives its CH sides."""
-        check_json(data, REPORT_SCHEMA, "")
+        check_json(data, REPORT_SCHEMA)
         # run_analysis writes all four e or none
         no_e = data["pairs"][0]["e"] is None
-        all_e = f"{'null' if no_e else 'a number'}, as pairs[0].e is"
         pairs = []
         for k, (p, pair) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)):
-            for key, ok, expected in [
-                ("settings", p["settings"] == list(pair), '["{}", "{}"]'.format(*pair)),
-                ("n", 1 <= p["n"] < 4 * MAX_COUNT, "in [1, 2**1023)"),
-                ("e_star", abs(p["e_star"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
-                ("e", p["e"] is None or abs(p["e"]) <= 1.0 + PAIR_TOL, "in [-1, 1]"),
-                ("e", (p["e"] is None) == no_e, all_e),
-            ]:
-                if not ok:
-                    found = json.dumps(p[key])[:40]
-                    raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
+            misfit = _pair_misfit(p, pair, no_e)
+            if misfit:
+                key, expected = misfit
+                found = json.dumps(p[key])[:40]
+                raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
             pairs.append(PairStats(n_total=p["n"], e_star=p["e_star"], e=p["e"]))
         # run_analysis writes the CHSH-star verdict, then the CH verdict when
         # the counts were absolutely normalized, which also gives each e

@@ -314,6 +314,8 @@ _JSON_TYPE_NAMES = {
 
 
 def _has_json_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_has_json_type(value, one) for one in kind)
     if kind is None:
         return value is None
     if isinstance(value, bool):
@@ -323,10 +325,10 @@ def _has_json_type(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def check_json(value, schema, path: str) -> None:
+def check_json(value, schema) -> None:
     """Raise ValueError naming the first field of a loaded JSON document
     whose type or shape differs from schema, as in pairs[2].e_star or
-    side1.table[1]; path is the name of value itself, "" at the top level.
+    side1.table[1].
 
     A schema is a type (float for a finite number, int, str, bool, list or
     dict; a bool is never a number), a tuple of alternatives with None for
@@ -334,40 +336,77 @@ def check_json(value, schema, path: str) -> None:
     such items, or a longer list for a list of exactly those items.  A field
     the schema does not list, and the contents of a bare list or dict, may
     hold anything but NaN or an infinity (json.load reads NaN, Infinity and
-    1e400): field <path> must be a finite number, found NaN.
+    1e400): field <name> must be a finite number, found NaN.
     """
-    shape = type(schema) if isinstance(schema, (dict, list)) else schema
-    kinds = shape if isinstance(shape, tuple) else (shape,)
-    if not any(_has_json_type(value, kind) for kind in kinds):
-        expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
-        where = f"field {path}" if path else "top-level value"
-        raise ValueError(f"{where} must be {expected}, found {json.dumps(value)[:40]}")
-    if isinstance(schema, dict):
-        for key, item in schema.items():
-            name = f"{path}.{key}" if path else key
-            if key not in value:
-                raise ValueError(f"field {name} is missing")
-            check_json(value[key], item, name)
-        _check_finite({key: item for key, item in value.items() if key not in schema}, path)
-    elif isinstance(schema, list):
-        if len(schema) > 1 and len(value) != len(schema):
-            raise ValueError(f"field {path} must hold {len(schema)} items, found {len(value)}")
-        for k, item in enumerate(value):
-            check_json(item, schema[0] if len(schema) == 1 else schema[k], f"{path}[{k}]")
-    elif isinstance(value, (dict, list)):
-        _check_finite(value, path)
+    try:
+        _check(value, schema)
+    except _Misfit as misfit:
+        name = ""
+        for key, index in reversed(misfit.keys):
+            name = f"{name}[{key}]" if index else f"{name}.{key}" if name else key
+        where = f"field {name}" if name else "top-level value"
+        raise ValueError(where + misfit.failure) from None
 
 
-def _check_finite(value, path: str) -> None:
-    """check_json of a value no schema describes: its numbers must be finite."""
-    if isinstance(value, float):
-        check_json(value, float, path)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for k, item in enumerate(value):
-            _check_finite(item, f"{path}[{k}]")
+class _Misfit(Exception):
+    """A check_json failure on its way up: what the field fails, as in
+    " is missing", and the field's keys, innermost first, each with whether
+    it is a list index.  No field name is built unless a check fails."""
+
+    def __init__(self, failure: str, *keys):
+        super().__init__()
+        self.failure = failure
+        self.keys = list(keys)
+
+
+def _wrong_type(value, kind) -> _Misfit:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    expected = " or ".join(_JSON_TYPE_NAMES[one] for one in kinds)
+    return _Misfit(f" must be {expected}, found {json.dumps(value)[:40]}")
+
+
+# The schema of a value no schema describes: its numbers must be finite.
+_UNLISTED = object()
+
+
+def _check(value, schema, key=None, index=None) -> None:
+    """check_json of value, the field at key in its parent (a list index when
+    index is True), or the whole document when index is None."""
+    try:
+        if schema is _UNLISTED:
+            if isinstance(value, float) and not abs(value) <= sys.float_info.max:
+                raise _wrong_type(value, float)
+            if isinstance(value, dict):
+                for name, item in value.items():
+                    _check(item, _UNLISTED, name, False)
+            elif isinstance(value, list):
+                for k, item in enumerate(value):
+                    _check(item, _UNLISTED, k, True)
+        elif isinstance(schema, dict):
+            if not isinstance(value, dict):
+                raise _wrong_type(value, dict)
+            for name, item in schema.items():
+                if name not in value:
+                    raise _Misfit(" is missing", (name, False))
+                _check(value[name], item, name, False)
+            for name, item in value.items():
+                if name not in schema:
+                    _check(item, _UNLISTED, name, False)
+        elif isinstance(schema, list):
+            if not isinstance(value, list):
+                raise _wrong_type(value, list)
+            if len(schema) > 1 and len(value) != len(schema):
+                raise _Misfit(f" must hold {len(schema)} items, found {len(value)}")
+            for k, item in enumerate(value):
+                _check(item, schema[0] if len(schema) == 1 else schema[k], k, True)
+        elif not _has_json_type(value, schema):
+            raise _wrong_type(value, schema)
+        elif isinstance(value, (dict, list)):
+            _check(value, _UNLISTED)
+    except _Misfit as misfit:
+        if index is not None:
+            misfit.keys.append((key, index))
+        raise
 
 
 def ch_report(ps: ProbabilitySet) -> InequalityReport:

@@ -123,7 +123,7 @@ class FactorizableModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FactorizableModel":
-        check_json(data, MODEL_SCHEMA, "")
+        check_json(data, MODEL_SCHEMA)
         n_cells = len(data["cells"])
         if len(data["weights"]) != n_cells:
             raise ValueError(

@@ -44,7 +44,7 @@ def files(tmp_path, rng):
 
 
 def session(files):
-    """Every subcommand, a usage error and an input error, interleaved."""
+    """Every subcommand, usage errors, help and an input error, interleaved."""
     d = files["dir"]
     counts, report = str(d / "counts.csv"), str(d / "report.json")
     return [
@@ -57,20 +57,26 @@ def session(files):
         ["analyze", "--format", "xml", counts],
         ["predict", "--config", files["config"]],
         ["report", report, "--format", "json"],
+        ["search", "--eta", "0.8", "extra"],
         ["analyze", str(d / "missing.csv")],
+        ["-h"],
         ["analyze", counts],
         ["report", report],
     ]
 
 
-def run(argv, capsys):
-    """Exit code, stdout and stderr of one main() call, timestamps blanked."""
+def blank(text):
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
+
+
+def run(argv, capsys, call=cli.main):
+    """Exit code, stdout and stderr of one call(argv), timestamps blanked."""
     try:
-        code = cli.main(argv)
+        code = call(argv)
     except SystemExit as exc:
         code = ("SystemExit", exc.code)
     out, err = capsys.readouterr()
-    return code, re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', out), err
+    return code, blank(out), err
 
 
 def test_cached_parser_matches_a_fresh_parser_per_call(files, capsys, monkeypatch):
@@ -80,7 +86,7 @@ def test_cached_parser_matches_a_fresh_parser_per_call(files, capsys, monkeypatc
     assert cached == fresh
     codes = [code for code, _, _ in cached]
     assert codes.count(0) == 10
-    assert ("SystemExit", 2) in codes and 1 in codes
+    assert codes.count(("SystemExit", 2)) == 2 and ("SystemExit", 0) in codes and 1 in codes
 
 
 def test_subcommand_defaults_do_not_leak(files, capsys):
@@ -116,6 +122,74 @@ def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
         assert len(calls) == 1
     finally:
         cli._parser.cache_clear()
+
+
+SUBCOMMANDS = ("validate", "predict", "analyze", "simulate", "search", "report")
+
+
+def command_lines():
+    """Valid command lines of every subcommand, help and usage errors, with
+    paths relative to the working directory.  Each command line finds the
+    files that the ones before it wrote."""
+    config = "cfg.ini"
+    return [
+        ["simulate", "--config", config, "--seed", "7", "--output", "counts.csv"],
+        ["analyze", "counts.csv", "--output", "report.json"],
+        ["analyze", "counts.csv", "--config", config, "--format", "text"],
+        ["report", "report.json"],
+        ["report", "report.json", "--format", "json"],
+        ["predict", "--config", config],
+        ["search", "--eta", "0.8"],
+        ["validate", "model.json"],
+        ["-h"],
+        *([sub, "-h"] for sub in SUBCOMMANDS),
+        ["search", "--eta", "0.8", "-h"],
+        [],
+        ["frobnicate"],
+        ["Search", "--eta", "0.8"],
+        ["search", "--eta", "0.8", "--out", "out.json"],
+        ["predict"],
+        ["simulate", "--config", config, "--seed", "7"],
+        ["search", "--eta"],
+        ["--", "search", "--eta", "0.8"],
+        ["search", "--eta", "0.8", "extra"],
+        ["analyze", "counts.csv", "--format", "text", "--", "extra"],
+    ]
+
+
+def parse_then_run(argv):
+    """The whole command line through a fresh top-level parser, then the
+    command's function: what main() must match on every command line."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def outcomes(call, directory, files, capsys, monkeypatch):
+    """Per command line: the exit code (or SystemExit code), stdout, stderr
+    and the files in directory, each with timestamps blanked."""
+    directory.mkdir()
+    for name in ("config", "model"):
+        (directory / Path(files[name]).name).write_bytes(Path(files[name]).read_bytes())
+    monkeypatch.chdir(directory)
+    results = []
+    for argv in command_lines():
+        code, out, err = run(argv, capsys, call)
+        written = {p.name: blank(p.read_text()) for p in sorted(directory.iterdir())}
+        results.append((argv, code, out, err, written))
+    return results
+
+
+def test_main_matches_the_top_level_parser_on_every_command_line(files, capsys, monkeypatch):
+    d = files["dir"]
+    direct = outcomes(cli.main, d / "main", files, capsys, monkeypatch)
+    assert direct == outcomes(parse_then_run, d / "parse", files, capsys, monkeypatch)
+    codes = [code for _, code, _, _, _ in direct]
+    assert codes.count(0) == 9 and codes.count(("SystemExit", 0)) == 8
+    assert codes.count(("SystemExit", 2)) == len(codes) - 17
+    # the top-level usage names unrecognized arguments, not the command's
+    _, _, out, err, _ = direct[-2]
+    assert out == "" and err.startswith("usage: bellkit [-h]")
+    assert err.endswith("\nbellkit: error: unrecognized arguments: extra\n")
 
 
 @pytest.mark.parametrize(

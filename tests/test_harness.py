@@ -67,6 +67,10 @@ def write_bytes(tmp_path, name, body: bytes):
     return path
 
 
+# an edit value that removes the key it names
+DROP = object()
+
+
 def ingest_bytes(body: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
@@ -1009,6 +1013,56 @@ class TestCli:
         with pytest.raises(ValueError) as exc:
             AnalysisReport.from_json(data)
         assert str(exc.value).startswith(message)
+
+    # Each form of REPORT_SCHEMA's check message, whole: the field is reached
+    # by keys from the top, and its value is replaced (DROP removes the key)
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            ((), "report", 'top-level value must be an object, found "report"'),
+            (("pairs", 1, "settings", 0), 5, "field pairs[1].settings[0] must be a string, found 5"),
+            (("verdicts", 0, "name"), None, "field verdicts[0].name must be a string, found null"),
+            (("plot_data",), [1], "field plot_data[0] must be an object, found 1"),
+            (("plot_data", 3, "err"), DROP, "field plot_data[3].err is missing"),
+            (("verdicts", 0, "genuine"), DROP, "field verdicts[0].genuine is missing"),
+            (("pairs", 2, "settings"), ["C", "B", "A"],
+             "field pairs[2].settings must hold 2 items, found 3"),
+            (("pairs", 4), {}, "field pairs must hold 4 items, found 5"),
+            (("pairs", 0, "e"), "x", 'field pairs[0].e must be a finite number or null, found "x"'),
+            (("s",), math.nan, "field s must be a finite number or null, found NaN"),
+            (("plot_data", 0, "phi"), math.inf,
+             "field plot_data[0].phi must be a finite number or null, found Infinity"),
+            (("provenance", "config", "angles", "A,B"), math.nan,
+             "field provenance.config.angles.A,B must be a finite number, found NaN"),
+            (("pairs", 2, "extra"), math.nan, "field pairs[2].extra must be a finite number, found NaN"),
+            (("verdicts", 0, "note"), [1.0, [math.nan]],
+             "field verdicts[0].note[1][0] must be a finite number, found NaN"),
+            (("digest",), -math.inf, "field digest must be a finite number, found -Infinity"),
+            (("provenance", ""), math.nan, "field provenance. must be a finite number, found NaN"),
+        ],
+        ids=["top-level", "deep-type", "verdict-type", "list-item-type", "nested-missing",
+             "verdict-missing", "long-settings", "five-pairs", "string-or-null", "nan-or-null",
+             "inf-or-null", "unlisted-angle", "unlisted-pair-key", "unlisted-nested-list",
+             "unlisted-top-level", "empty-key"],
+    )
+    def test_saved_report_check_message_for_every_form(self, keys, value, message):
+        report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
+        data = json.loads(render_report(report, "json"))
+        if keys:
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            if value is DROP:
+                del target[keys[-1]]
+            elif isinstance(target, list) and keys[-1] == len(target):
+                target.append(value)
+            else:
+                target[keys[-1]] = value
+        else:
+            data = value
+        with pytest.raises(ValueError) as exc:
+            AnalysisReport.from_json(data)
+        assert str(exc.value) == message
 
     # an absolute report holds e = [0.06, 0.06, 0.06, -0.06] and the CH
     # verdict lhs 0.11, rhs 0.4 as verdicts[1]

@@ -475,6 +475,42 @@ class TestSerialization:
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    # Each form of MODEL_SCHEMA's check message, whole (the schema has no
+    # fixed-length list and no alternative); the field is reached by keys
+    # from the top, and None as the keys replaces the whole document
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (None, "model", 'top-level value must be an object, found "model"'),
+            (("side1", "table", 1, 0), "x",
+             'field side1.table[1][0] must be a finite number, found "x"'),
+            (("side2", "settings", 0), 7, "field side2.settings[0] must be a string, found 7"),
+            (("side1", "table", 0), 0.5, "field side1.table[0] must be a list, found 0.5"),
+            (("side1", "table"), None, "field side1.table is missing"),
+            (("weights", 1), True, "field weights[1] must be a finite number, found true"),
+            (("weights", 0), math.nan, "field weights[0] must be a finite number, found NaN"),
+            (("side1", "extra"), {"x": [math.inf]},
+             "field side1.extra.x[0] must be a finite number, found Infinity"),
+        ],
+        ids=["top-level", "deep-type", "deep-string", "row-type", "nested-missing",
+             "weight-item", "weight-nan", "unlisted-nested"],
+    )
+    def test_malformed_model_check_message_for_every_form(self, keys, value, message):
+        data = model_json(uniform_model(n_cells=2))
+        if keys is None:
+            data = value
+        else:
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            if value is None:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            FactorizableModel.from_json(data)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize(
         "edit, code, output",
         [
