@@ -14,7 +14,6 @@ _PUBLIC = {
     "inequalities": (
         "CountDataset", "CountRow", "DatasetError", "InequalityReport", "ProbabilitySet",
         "TwoChannelCounts", "ch_report", "correlation", "fc_report", "renormalized_correlation",
-        "s_statistic",
     ),
     "models": (
         "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",

@@ -7,6 +7,9 @@ correlations with first-order multinomial error propagation, and every
 inequality verdict carries its genuine/auxiliary flag so a report can never
 silently pass off a fair-sampling violation as a refutation of local
 realism.
+
+run_analysis is the one path to an AnalysisReport: a saved report stores
+each pair's counts, and AnalysisReport.from_json runs it on them again.
 """
 
 from __future__ import annotations
@@ -18,17 +21,18 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .inequalities import (
     CANONICAL_ANGLES,
     CANONICAL_PAIRS,
     CANONICAL_PHI,
-    MAX_COUNT,
-    PAIR_TOL,
+    COUNT_COLUMNS,
     TSIRELSON_BOUND,
     VERDICT_SCHEMA,
     CountDataset,
+    CountRow,
     DatasetError,
     InequalityReport,
     ProbabilitySet,
@@ -37,9 +41,10 @@ from .inequalities import (
     _parse_counts_csv,
     ch_report,
     check_json,
+    check_json_equal,
     chsh_sum,
     renormalized_correlation,
-    s_statistic,
+    s_star_report,
 )
 
 
@@ -94,55 +99,55 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class PairStats:
-    n_total: int
-    e_star: float
-    e: Optional[float] = None  # plain correlation; needs absolute normalization
+    """The counts of one setting pair, and n0, the pairs expected over its
+    duration (r0 times duration) when the counts are absolutely normalized."""
+
+    row: CountRow
+    n0: Optional[float] = None
 
     @property
+    def n(self) -> int:
+        return self.row.total()
+
+    @cached_property
+    def e_star(self) -> float:
+        r = self.row
+        tc = TwoChannelCounts(*map(float, (r.n_pp, r.n_pm, r.n_mp, r.n_mm)))
+        return renormalized_correlation(tc)
+
+    @property
+    def e(self) -> Optional[float]:
+        r = self.row
+        return None if self.n0 is None else (r.n_pp + r.n_mm - r.n_pm - r.n_mp) / self.n0
+
+    @cached_property
     def err(self) -> float:
         # first-order multinomial error on a +/-1 outcome mean over n events
-        return math.sqrt(max(0.0, 1.0 - self.e_star * self.e_star) / self.n_total)
+        return math.sqrt(max(0.0, 1.0 - self.e_star * self.e_star) / self.n)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n_total,
-            "e": self.e,
-            "e_star": self.e_star,
-            "err": self.err,
-        }
+        r = self.row
+        counts = {c: getattr(r, c) for c in COUNT_COLUMNS}
+        return {"settings": [r.setting_a, r.setting_b], **counts, "n": self.n, "e": self.e,
+                "e_star": self.e_star, "err": self.err}
 
 
 # The fields of a saved report, in the check_json schema form: four pairs,
-# in CANONICAL_PAIRS order.  Only pairs, the CH verdict's lhs and rhs, and
-# provenance are read; every other field is checked on load, then recomputed.
+# in CANONICAL_PAIRS order.  Only the pairs' counts and the provenance seed,
+# input_digest and config r0 are read; every field is recomputed from them.
 REPORT_SCHEMA = {
     "pairs": [{"settings": [str, str], "n": int, "e": (float, None), "e_star": float,
-               "err": float}] * len(CANONICAL_PAIRS),
+               "err": float, **dict.fromkeys(COUNT_COLUMNS[:4], int), "singles_a": (int, None),
+               "singles_b": (int, None), "duration": (float, None)}] * len(CANONICAL_PAIRS),
     "s": (float, None),
     "s_star": float,
     "s_err": float,
     "v_b": float,
     "verdicts": [VERDICT_SCHEMA],
     "plot_data": [{"phi": (float, None), "e_star": float, "err": float}],
-    "provenance": dict,
+    "provenance": {"input_digest": (str, None), "seed": (int, None),
+                   "config": {"r0": (float, None), "angles": dict}},
 }
-
-
-def _pair_misfit(p: dict, pair: tuple, no_e: bool) -> Optional[tuple[str, str]]:
-    """The key and the expected value of the first field of a saved pair
-    that run_analysis could not have written, or None."""
-    e = p["e"]
-    if p["settings"] != list(pair):
-        return "settings", '["{}", "{}"]'.format(*pair)
-    if not 1 <= p["n"] < 4 * MAX_COUNT:
-        return "n", "in [1, 2**1023)"
-    if not abs(p["e_star"]) <= 1.0 + PAIR_TOL:
-        return "e_star", "in [-1, 1]"
-    if e is not None and not abs(e) <= 1.0 + PAIR_TOL:
-        return "e", "in [-1, 1]"
-    if (e is None) != no_e:
-        return "e", f"{'null' if no_e else 'a number'}, as pairs[0].e is"
-    return None
 
 
 @dataclass(frozen=True)
@@ -168,14 +173,13 @@ class AnalysisReport:
     def s_err(self) -> float:
         return math.sqrt(sum(p.err * p.err for p in self.pairs))
 
-    @property
+    @cached_property
     def verdicts(self) -> tuple[InequalityReport, ...]:
-        star = s_statistic(*(p.e_star for p in self.pairs), renormalized=True)
+        star = s_star_report([p.row for p in self.pairs])
         return (star,) if self.ch is None else (star, self.ch)
 
     def to_json(self) -> dict:
-        pairs = [{"settings": list(pair), **p.to_json()}
-                 for pair, p in zip(CANONICAL_PAIRS, self.pairs)]
+        pairs = [p.to_json() for p in self.pairs]
         verdicts = self.verdicts
         return {
             "pairs": pairs,
@@ -191,39 +195,21 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
-        """The report a saved one holds, refused unless run_analysis could
-        have written its pairs and some ProbabilitySet gives its CH sides."""
+        """The report run_analysis makes from the pairs' counts and the
+        provenance seed, input_digest and config r0 of a saved report; a
+        ValueError names the first field to_json writes that it differs in."""
         check_json(data, REPORT_SCHEMA)
-        # run_analysis writes all four e or none
-        no_e = data["pairs"][0]["e"] is None
-        pairs = []
-        for k, (p, pair) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)):
-            misfit = _pair_misfit(p, pair, no_e)
-            if misfit:
-                key, expected = misfit
-                found = json.dumps(p[key])[:40]
-                raise ValueError(f"field pairs[{k}].{key} must be {expected}, found {found}")
-            pairs.append(PairStats(n_total=p["n"], e_star=p["e_star"], e=p["e"]))
-        # run_analysis writes the CHSH-star verdict, then the CH verdict when
-        # the counts were absolutely normalized, which also gives each e
-        names = [v["name"] for v in data["verdicts"]]
-        if names != ["CHSH-star"] and (no_e or names != ["CHSH-star", "CH"]):
-            expected = ", as pairs[0].e is null" if no_e else ' or ["CHSH-star", "CH"]'
-            found = json.dumps(names)[:80]
-            raise ValueError(f'field verdicts must be named ["CHSH-star"]{expected}, found {found}')
-        ch = None
-        if len(names) == 2:
-            v = data["verdicts"][1]
-            # the range of each side over every ProbabilitySet, whose six
-            # values each lie in [-PAIR_TOL, 1 + PAIR_TOL]
-            for key, low, high, terms in (("lhs", -1, 3, 4), ("rhs", 0, 2, 2)):
-                if not low - terms * PAIR_TOL <= v[key] <= high + terms * PAIR_TOL:
-                    found = json.dumps(v[key])[:40]
-                    raise ValueError(
-                        f"field verdicts[1].{key} must be in [{low}, {high}], found {found}"
-                    )
-            ch = InequalityReport("CH", v["lhs"], v["rhs"])
-        return cls(tuple(pairs), ch, dict(data["provenance"]))
+        rows = tuple(CountRow(x, y, **{c: p[c] for c in COUNT_COLUMNS}, where=f"field pairs[{k}]")
+                     for k, (p, (x, y)) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)))
+        provenance = data["provenance"]
+        try:
+            cfg = AnalysisConfig(r0=provenance["config"]["r0"])
+        except ValueError as exc:
+            raise ValueError(f"field provenance.config: {exc}") from None
+        ds = CountDataset(rows, provenance["seed"], provenance["input_digest"])
+        report = run_analysis(ds, cfg)
+        check_json_equal(data, report.to_json(), "as the stored counts give")
+        return report
 
 
 def _canonical_json(data: dict) -> str:
@@ -261,16 +247,12 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
         n = row.total()
         if n == 0:
             raise DatasetError(_at_line(row, f"zero total coincidences for setting pair ({x}, {y})"))
-        e_abs = None
-        if absolute_ok:
-            # a pair gives at most one coincidence; more would put |e| above 1
-            if n > n0[(x, y)]:
-                expected = f"r0 = {cfg.r0} times duration {row.duration} expects"
-                message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
-                raise DatasetError(_at_line(row, message))
-            e_abs = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / n0[(x, y)]
-        tc = TwoChannelCounts(*map(float, (row.n_pp, row.n_pm, row.n_mp, row.n_mm)))
-        pair_stats.append(PairStats(n_total=n, e_star=renormalized_correlation(tc), e=e_abs))
+        # a pair gives at most one coincidence; more would put |e| above 1
+        if absolute_ok and n > n0[(x, y)]:
+            expected = f"r0 = {cfg.r0} times duration {row.duration} expects"
+            message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
+            raise DatasetError(_at_line(row, message))
+        pair_stats.append(PairStats(row, n0.get((x, y))))
 
     ch = None
     if absolute_ok:

@@ -3,11 +3,11 @@
 Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).  check_json, the field-by-field type check of a loaded JSON
-document, lives here beside the verdict schema.  The counts format lives
-here too, beside TwoChannelCounts: CountDataset writes the counts CSV text
-and _parse_counts_csv reads it back.  Reading and writing files is left to
-harness and cli.
+correlations).  check_json and check_json_equal, the field-by-field checks
+of a loaded JSON document, live here beside the verdict schema.  So does the
+counts format: CountRow checks each count, CountDataset writes the counts
+CSV text and _parse_counts_csv reads it back.  Reading and writing files is
+left to harness and cli.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 PAIR_TOL = 1e-9
 
@@ -105,6 +105,7 @@ class TwoChannelCounts:
 
 REQUIRED_COLUMNS = ("setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm")
 OPTIONAL_COLUMNS = ("singles_a", "singles_b", "duration")
+COUNT_COLUMNS = REQUIRED_COLUMNS[2:] + OPTIONAL_COLUMNS  # each a CountRow field
 
 # The analysis sums a row's four counts and computes in floats: below this
 # bound each count, and the sum of four, is a finite float.
@@ -117,6 +118,9 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class CountRow:
+    """The counts of one setting pair.  A count outside [0, MAX_COUNT) or a duration not
+    finite and positive is a DatasetError naming where, as in "line 3" or "field pairs[2]"."""
+
     setting_a: str
     setting_b: str
     n_pp: int
@@ -126,14 +130,29 @@ class CountRow:
     singles_a: Optional[int] = None
     singles_b: Optional[int] = None
     duration: Optional[float] = None
-    line: Optional[int] = None
+    where: Optional[str] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for column in COUNT_COLUMNS:
+            value = getattr(self, column)
+            if value is None or (0 < value < math.inf if column == "duration" else
+                                 0 <= value < MAX_COUNT):
+                continue
+            if column == "duration":
+                problem = f"must be finite and positive: {value}"
+            elif value < 0:
+                problem = f"is negative: {value}"
+            else:
+                digits = len(str(value))
+                problem = f"is too large for a float analysis: {digits} digits, not below 2**1021"
+            raise DatasetError(_at_line(self, f"column {column} {problem}"))
 
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
 def _at_line(row: CountRow, message: str) -> str:
-    return message if row.line is None else f"line {row.line}: {message}"
+    return message if row.where is None else f"{row.where}: {message}"
 
 
 @dataclass(frozen=True)
@@ -160,39 +179,16 @@ class CountDataset:
         buf = io.StringIO()
         if self.seed is not None:
             buf.write(f"# seed={self.seed}\n")
-        has_singles = any(r.singles_a is not None or r.singles_b is not None for r in self.rows)
-        has_duration = any(r.duration is not None for r in self.rows)
-        columns = list(REQUIRED_COLUMNS)
-        if has_singles:
-            columns += ["singles_a", "singles_b"]
-        if has_duration:
-            columns += ["duration"]
+        # the optional columns some row fills, both singles columns or neither
+        filled = {c for r in self.rows for c in OPTIONAL_COLUMNS if getattr(r, c) is not None}
+        if filled & {"singles_a", "singles_b"}:
+            filled |= {"singles_a", "singles_b"}
+        columns = REQUIRED_COLUMNS + tuple(c for c in OPTIONAL_COLUMNS if c in filled)
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for r in self.rows:
-            record = [r.setting_a, r.setting_b, r.n_pp, r.n_pm, r.n_mp, r.n_mm]
-            if has_singles:
-                record += [r.singles_a if r.singles_a is not None else "",
-                           r.singles_b if r.singles_b is not None else ""]
-            if has_duration:
-                record += [r.duration if r.duration is not None else ""]
-            writer.writerow(record)
+            writer.writerow(["" if getattr(r, c) is None else getattr(r, c) for c in columns])
         return buf.getvalue()
-
-
-def _parse_count(value: str, column: str, line_no: int) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise DatasetError(f"line {line_no}: column {column} is not an integer: {value!r}") from None
-    if n < 0:
-        raise DatasetError(f"line {line_no}: column {column} is negative: {n}")
-    if n >= MAX_COUNT:
-        raise DatasetError(
-            f"line {line_no}: column {column} is too large for a float analysis: "
-            f"{len(str(n))} digits, not below 2**1021"
-        )
-    return n
 
 
 def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
@@ -240,22 +236,20 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
                 f"line {line_no}: expected {len(header)} fields, found {len(cells)}"
             )
         record = dict(zip(header, cells))
-        counts = {c: _parse_count(record[c], c, line_no) for c in REQUIRED_COLUMNS[2:]}
-        for c in ("singles_a", "singles_b"):
-            if record.get(c, "") != "":
-                counts[c] = _parse_count(record[c], c, line_no)
-        duration = None
-        if record.get("duration", "") != "":
+        where, values = f"line {line_no}", {}
+        for column in COUNT_COLUMNS:
+            value = record.get(column, "")
+            if value == "" and column in OPTIONAL_COLUMNS:
+                continue
             try:
-                duration = float(record["duration"])
+                values[column] = float(value) if column == "duration" else int(value)
             except ValueError:
-                raise DatasetError(f"line {line_no}: column duration is not a number") from None
-            if not (math.isfinite(duration) and duration > 0):
-                raise DatasetError(
-                    f"line {line_no}: column duration must be finite and positive: {duration}"
-                )
-        rows.append(CountRow(record["setting_a"], record["setting_b"], **counts,
-                             duration=duration, line=line_no))
+                # CountRow refuses a value out of range: one in an earlier
+                # column is named first, as the columns are read in order
+                CountRow("", "", **{**dict.fromkeys(REQUIRED_COLUMNS[2:], 0), **values}, where=where)
+                kind = "a number" if column == "duration" else f"an integer: {value!r}"
+                raise DatasetError(f"{where}: column {column} is not {kind}") from None
+        rows.append(CountRow(record["setting_a"], record["setting_b"], **values, where=where))
     if header is None:
         raise DatasetError("empty file: no header row")
     return CountDataset(rows=tuple(rows), seed=seed, source_digest=source_digest)
@@ -315,7 +309,7 @@ _JSON_TYPE_NAMES = {
 
 def _has_json_type(value, kind) -> bool:
     if isinstance(kind, tuple):
-        return any(_has_json_type(value, one) for one in kind)
+        return None in kind if value is None else any(_has_json_type(value, one) for one in kind)
     if kind is None:
         return value is None
     if isinstance(value, bool):
@@ -338,25 +332,48 @@ def check_json(value, schema) -> None:
     hold anything but NaN or an infinity (json.load reads NaN, Infinity and
     1e400): field <name> must be a finite number, found NaN.
     """
-    try:
-        _check(value, schema)
-    except _Misfit as misfit:
-        name = ""
-        for key, index in reversed(misfit.keys):
-            name = f"{name}[{key}]" if index else f"{name}.{key}" if name else key
-        where = f"field {name}" if name else "top-level value"
-        raise ValueError(where + misfit.failure) from None
+    _check(value, schema)
 
 
-class _Misfit(Exception):
-    """A check_json failure on its way up: what the field fails, as in
+def check_json_equal(value, expected, reason: str, keys=()) -> None:
+    """Raise ValueError naming the first field of expected, a JSON document,
+    that value holds differently: field <name> must be <expected>, <reason>,
+    found <value>.  Keys only value has are ignored; keys, as _Misfit takes
+    them, name value in the document.  A field == finds equal is not walked."""
+    if isinstance(expected, dict) and isinstance(value, dict):
+        for key, item in expected.items():
+            if key not in value:
+                raise _Misfit(" is missing", (key, False), *keys)
+            if value[key] != item:
+                check_json_equal(value[key], item, reason, ((key, False), *keys))
+    elif isinstance(expected, list) and isinstance(value, list) and len(value) == len(expected):
+        for k, item in enumerate(expected):
+            if value[k] != item:
+                check_json_equal(value[k], item, reason, ((k, True), *keys))
+    elif isinstance(expected, list) and isinstance(value, list):
+        raise _Misfit(f" must hold {len(expected)} items, {reason}, found {len(value)}", *keys)
+    else:
+        found = json.dumps(value)[:40]
+        raise _Misfit(f" must be {json.dumps(expected)[:40]}, {reason}, found {found}", *keys)
+
+
+class _Misfit(ValueError):
+    """A check_json or check_json_equal failure: what the field fails, as in
     " is missing", and the field's keys, innermost first, each with whether
-    it is a list index.  No field name is built unless a check fails."""
+    it is a list index.  The message names the field, as in pairs[2].e_star,
+    with "" for an empty key, and is built only when read."""
 
     def __init__(self, failure: str, *keys):
-        super().__init__()
+        super().__init__(failure)
         self.failure = failure
         self.keys = list(keys)
+
+    def __str__(self) -> str:
+        name = ""
+        for key, index in reversed(self.keys):
+            key = key if index or key else '""'
+            name = f"{name}[{key}]" if index else f"{name}.{key}" if name else key
+        return (f"field {name}" if name else "top-level value") + self.failure
 
 
 def _wrong_type(value, kind) -> _Misfit:
@@ -447,20 +464,20 @@ def chsh_sum(eAB, eAD, eCB, eCD):
     return (eAB - eCD) + (eAD + eCB)
 
 
-def s_statistic(
-    eAB: float, eAD: float, eCB: float, eCD: float, renormalized: bool
-) -> InequalityReport:
-    """CHSH combination E(A,B)+E(A,D)+E(C,B)-E(C,D) <= 2.
-
-    Genuine only when the inputs are plain correlations whose four outcome
-    probabilities sum to one per setting pair; with renormalized inputs the
-    statistic is the fair-sampling surrogate S*.
-    """
-    for name, value in (("eAB", eAB), ("eAD", eAD), ("eCB", eCB), ("eCD", eCD)):
-        if not -1.0 - PAIR_TOL <= value <= 1.0 + PAIR_TOL:
-            raise ValueError(f"{name} = {value} outside [-1, 1]")
-    name = "CHSH-star" if renormalized else "CHSH"
-    return InequalityReport(name, chsh_sum(eAB, eAD, eCB, eCD), CHSH_BOUND)
+def s_star_report(rows: Sequence[CountRow]) -> InequalityReport:
+    """The CHSH-star verdict on the counts of the four canonical pairs, in
+    CANONICAL_PAIRS order, decided in integers.  With E* = d / n per pair and
+    N the product of the n, lhs is num / N correctly rounded, num the CHSH
+    sum of the d * N / n; or the next float above the bound when S* exceeds
+    it but rounds to it, so the verdict is violated exactly when S* is."""
+    d = [r.n_pp + r.n_mm - r.n_pm - r.n_mp for r in rows]
+    n = [r.total() for r in rows]
+    big_n = math.prod(n)
+    num = chsh_sum(*(dk * (big_n // nk) for dk, nk in zip(d, n)))
+    lhs = num / big_n
+    if lhs == CHSH_BOUND and num > int(CHSH_BOUND) * big_n:
+        lhs = math.nextafter(CHSH_BOUND, math.inf)
+    return InequalityReport("CHSH-star", lhs, CHSH_BOUND)
 
 
 def fc_report(ps: ProbabilitySet, pAinf: float, pInfB: float) -> InequalityReport:

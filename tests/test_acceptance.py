@@ -26,7 +26,7 @@ from bellkit.experiments import (
 )
 from bellkit.harness import AnalysisConfig, render_report, run_analysis
 from bellkit.inequalities import CANONICAL_PHI, TwoChannelCounts
-from bellkit.inequalities import ProbabilitySet, s_statistic
+from bellkit.inequalities import ProbabilitySet, chsh_sum
 from bellkit.inequalities import ch_report
 from bellkit.models import (
     CH_FAMILY_FACETS,
@@ -59,10 +59,10 @@ def test_criterion_1_canonical_identity():
     with scorecard(1, "canonical S* identity"):
         for v in (0.0, 0.5, SQRT2 / 2, 0.85, 1.0):
             correlations = [v * math.cos(2 * phi) for phi in CANONICAL_ANGLES]
-            report = s_statistic(*correlations, renormalized=True)
-            assert abs(report.lhs - 2 * SQRT2 * v) <= 1e-12
+            assert abs(chsh_sum(*correlations) - 2 * SQRT2 * v) <= 1e-12
+        # the boundary visibility gives S* = 2 exactly, so no CHSH-star violation
         boundary = [SQRT2 / 2 * math.cos(2 * phi) for phi in CANONICAL_ANGLES]
-        assert s_statistic(*boundary, renormalized=True).margin == 0.0
+        assert chsh_sum(*boundary) == 2.0
 
 
 def test_criterion_2_cascade_bound():

@@ -380,6 +380,54 @@ def test_mutated_saved_report_never_ends_in_a_traceback(text):
     )
 
 
+@st.composite
+def analyzable_counts(draw) -> tuple[str, float | None]:
+    """A counts CSV that analyze accepts, with or without singles, durations
+    and a seed line, and the r0 of its config, or None for no config.  The
+    singles and the expected pairs r0 * duration exceed every count, so the
+    CH probabilities are valid whenever they are defined."""
+    durations = draw(st.booleans())
+    rows = [
+        CountRow(
+            x, y, *draw(st.tuples(st.integers(1, 1000), *[st.integers(0, 1000)] * 3)),
+            singles_a=draw(st.none() | st.integers(10**4, 10**5)),
+            singles_b=draw(st.none() | st.integers(10**4, 10**5)),
+            duration=draw(st.floats(0.5, 2.0)) if durations else None,
+        )
+        for x, y in [("A", "B"), ("A", "D"), ("C", "B"), ("C", "D")]
+    ]
+    seed = draw(st.none() | st.integers(-(10**30), 10**30))
+    dataset = CountDataset(tuple(draw(st.permutations(rows))), seed=seed)
+    return dataset.to_csv(), draw(st.none() | st.floats(2e5, 1e7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(analyzable_counts())
+def test_report_renders_the_saved_analysis_as_analyze_does(case):
+    counts, r0 = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "counts.csv").write_text(counts)
+        analyze = ["analyze", str(d / "counts.csv")]
+        if r0 is not None:
+            (d / "cfg.ini").write_text(f"[analysis]\nr0 = {r0!r}\n")
+            analyze += ["--config", str(d / "cfg.ini")]
+        saved = str(d / "analysis.json")
+        commands = {
+            "analysis.json": [*analyze, "--format", "json"],
+            "analysis.txt": [*analyze, "--format", "text"],
+            "report.json": ["report", saved, "--format", "json"],
+            "report.txt": ["report", saved, "--format", "text"],
+        }
+        outputs = {}
+        for name, argv in commands.items():
+            assert cli.main([*argv, "--output", str(d / name)]) == 0
+            outputs[name] = blank((d / name).read_text())
+    # the digest included
+    assert outputs["report.json"] == outputs["analysis.json"]
+    assert outputs["report.txt"] == outputs["analysis.txt"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(mutated_json(BASE_MODEL))
 def test_mutated_model_never_ends_in_a_traceback(text):

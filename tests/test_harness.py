@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import hashlib
 import json
 import math
@@ -23,10 +22,10 @@ from bellkit.harness import (
 )
 from bellkit.inequalities import (
     CANONICAL_PHI,
+    COUNT_COLUMNS,
     CountDataset,
     CountRow,
     DatasetError,
-    InequalityReport,
     TwoChannelCounts,
 )
 from bellkit.search import sample_counts
@@ -171,7 +170,7 @@ class TestIngestCounts:
         row = f"A,B,{big},{big},{big},{big}"
         ds = ingest_bytes(GOOD_CSV.replace("A,B,400,100,100,400", row).encode())
         report = run_analysis(ds, AnalysisConfig())
-        assert report.pairs[0].n_total == 4 * big
+        assert report.pairs[0].n == 4 * big
         assert report.pairs[0].e_star == 0.0
 
     def test_non_integer_count(self, tmp_path):
@@ -220,9 +219,9 @@ class TestIngestCounts:
         ds = CountDataset(rows=tuple(rows), seed=seed)
         back = ingest_bytes(ds.to_csv().encode("utf-8"))
         assert back.seed == seed
-        assert tuple(dataclasses.replace(r, line=None) for r in back.rows) == ds.rows
+        assert back.rows == ds.rows
         first = 2 if seed is None else 3
-        assert [r.line for r in back.rows] == list(range(first, first + len(rows)))
+        assert [r.where for r in back.rows] == [f"line {n}" for n in range(first, first + len(rows))]
 
     @given(body=st.binary(max_size=300) | FUZZED_CSV)
     def test_fuzzed_input_raises_only_dataset_or_value_errors(self, body):
@@ -335,40 +334,49 @@ class TestRenderReport:
         assert text.count("verdict") == len(report.verdicts)
         assert "plot data" in text
 
-    def test_saved_plot_data_and_v_b_are_recomputed(self):
-        # every figure but the pairs, the CH verdict's lhs and rhs and the
-        # provenance follows from the pairs; hand-edited values in a saved
-        # report are checked on load, then not rendered
+    # every figure but the pairs' counts and the provenance follows from the
+    # counts; a hand-edited one is refused, naming it
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("plot_data", 1, "e_star"), 0.5),
+            (("pairs", 0, "err"), 0.5),
+            (("v_b",), 0.25),
+            (("s",), 1.5),
+            (("s_star",), 0.0),
+            (("s_err",), 9.0),
+            (("verdicts", 0, "lhs"), 1.0),
+            (("verdicts", 0, "margin"), 1.0),
+            (("verdicts", 0, "violated"), False),
+            (("verdicts", 0, "genuine"), True),
+            (("verdicts", 0, "name"), "CH"),
+        ],
+    )
+    def test_saved_derived_values_must_equal_the_recomputed_ones(self, keys, value):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
         data = json.loads(render_report(report, "json"))
-        for point in data["plot_data"]:
-            point["e_star"] = 0.5
-        for pair in data["pairs"]:
-            pair["err"] = 0.5
-        data.update(v_b=0.25, s=1.5, s_star=0.0, s_err=9.0)
-        data["verdicts"][0].update(lhs=1.0, margin=1.0, violated=False, genuine=True)
-        loaded = AnalysisReport.from_json(data)
-        assert render_report(loaded, "text") == render_report(report, "text")
-        again = json.loads(render_report(loaded, "json"))
-        expected = json.loads(render_report(report, "json"))
-        assert {key: again[key] for key in again if key != "generated_at"} == {
-            key: expected[key] for key in expected if key != "generated_at"
-        }
-        assert again["v_b"] == again["s_star"] / (2 * math.sqrt(2))
-        assert [p["e_star"] for p in again["plot_data"]] == [p["e_star"] for p in data["pairs"]]
-
-        # a verdict relabelled CH is refused: run_analysis writes CHSH-star first
-        data["verdicts"][0].update(name="CH", lhs=2.5, rhs=2.0, violated=False, genuine=True)
-        with pytest.raises(ValueError, match=r'^field verdicts must be named .*, found \["CH"\]$'):
+        target, expected = data, report.to_json()
+        for key in keys[:-1]:
+            target, expected = target[key], expected[key]
+        target[keys[-1]] = value
+        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+        with pytest.raises(ValueError) as exc:
             AnalysisReport.from_json(data)
+        assert str(exc.value) == (
+            f"field {name} must be {json.dumps(expected[keys[-1]])}, as the stored counts give, "
+            f"found {json.dumps(value)}"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_saved_pair_counts_up_to_the_float_bound_render(self, fmt):
-        report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
-        data = json.loads(render_report(report, "json"))
-        data["pairs"][0]["n"] = 2**1023 - 1
-        loaded = AnalysisReport.from_json(data)
+        # four counts just below 2**1021 still sum to a finite float
+        big = 2**1021 - 1
+        rows = GOOD_CSV.replace("A,B,400,100,100,400", f"A,B,{big},{big},{big},{big - 8}")
+        report = run_analysis(ingest_bytes(rows.encode()), AnalysisConfig())
+        loaded = AnalysisReport.from_json(json.loads(render_report(report, "json")))
+        assert loaded == report
         e_star = loaded.pairs[0].e_star
+        assert loaded.pairs[0].n == 4 * big - 8
         assert loaded.pairs[0].err == math.sqrt((1.0 - e_star * e_star) / 2.0**1023)
         assert render_report(loaded, fmt)
 
@@ -656,9 +664,9 @@ class TestCli:
         "counts, config, verdicts, digest",
         [
             (GOOD_CSV, None, ["CHSH-star"],
-             "8bdfe55d27ea467f0b28fa991e0a8d761f1ecef6822e3de2656ed5ba243e6049"),
+             "508e33ff87bea82795a713de479cba4b38823f8110e62b4f803b2ca0e563fce5"),
             (DURATION_CSV.format(duration="1.0"), "[analysis]\nr0 = 10000\n", ["CHSH-star", "CH"],
-             "2542c81d8ee92a00b5ddf0a2fa894c022fd9b7a087968982d79c4e90da042e20"),
+             "d2414fd8b4e3ee4c7cb4d2933bfef75c851fd1b77721db8fa6faf6a52f45940f"),
         ],
         ids=["renormalized", "absolute"],
     )
@@ -862,7 +870,7 @@ class TestCli:
         "path, edit",
         [
             ("note[1]", lambda d: d.update(note=[1.0, "@"])),
-            ("provenance.config.r0", lambda d: d["provenance"]["config"].update(r0="@")),
+            ("provenance.config.unit", lambda d: d["provenance"]["config"].update(unit="@")),
             ("provenance.extra.x", lambda d: d["provenance"].update(extra={"x": "@"})),
             ("plot_data[1].weight", lambda d: d["plot_data"][1].update(weight="@")),
         ],
@@ -961,44 +969,43 @@ class TestCli:
             (lambda d: d["pairs"].pop(), "field pairs must hold 4 items, found 3"),
             (
                 lambda d: d["pairs"][0].update(settings=["B", "A"]),
-                'field pairs[0].settings must be ["A", "B"], found ["B", "A"]',
+                'field pairs[0].settings[0] must be "A", as the stored counts give, found "B"',
             ),
             (
                 lambda d: d["pairs"].insert(1, d["pairs"].pop(2)),
-                'field pairs[1].settings must be ["A", "D"], found ["C", "B"]',
+                'field pairs[1].settings[0] must be "A", as the stored counts give, found "C"',
             ),
             (
                 lambda d: d["pairs"][3].update(settings=["C", "X"]),
-                'field pairs[3].settings must be ["C", "D"], found ["C", "X"]',
+                'field pairs[3].settings[1] must be "D", as the stored counts give, found "X"',
             ),
             (
                 lambda d: d["pairs"][0].update(n=0),
-                "field pairs[0].n must be in [1, 2**1023), found 0",
+                "field pairs[0].n must be 1000, as the stored counts give, found 0",
             ),
             (
                 lambda d: d["pairs"][1].update(n=-4),
-                "field pairs[1].n must be in [1, 2**1023), found -4",
+                "field pairs[1].n must be 1000, as the stored counts give, found -4",
             ),
             (
                 lambda d: d["pairs"][2].update(n=10**400),
-                "field pairs[2].n must be in [1, 2**1023), found 1000000000",
+                "field pairs[2].n must be 1000, as the stored counts give, found 1000000000",
             ),
             (
                 lambda d: d["pairs"][3].update(n=2**1023),
-                "field pairs[3].n must be in [1, 2**1023), found 8988465674",
+                "field pairs[3].n must be 1000, as the stored counts give, found 8988465674",
             ),
             (
                 lambda d: d["pairs"][2].update(e_star=7.5),
-                "field pairs[2].e_star must be in [-1, 1], found 7.5",
+                "field pairs[2].e_star must be 0.672, as the stored counts give, found 7.5",
             ),
             (
                 lambda d: d["pairs"][1].update(e=2),
-                "field pairs[1].e must be in [-1, 1], found 2",
+                "field pairs[1].e must be null, as the stored counts give, found 2",
             ),
             (
                 lambda d: d["verdicts"].append(dict(d["verdicts"][0], name="CH", rhs=0.5)),
-                'field verdicts must be named ["CHSH-star"], as pairs[0].e is null, '
-                'found ["CHSH-star", "CH"]',
+                "field verdicts must hold 1 items, as the stored counts give, found 2",
             ),
         ],
         ids=["missing", "nested-missing", "short-list", "float-count", "string-bool",
@@ -1038,12 +1045,16 @@ class TestCli:
             (("verdicts", 0, "note"), [1.0, [math.nan]],
              "field verdicts[0].note[1][0] must be a finite number, found NaN"),
             (("digest",), -math.inf, "field digest must be a finite number, found -Infinity"),
-            (("provenance", ""), math.nan, "field provenance. must be a finite number, found NaN"),
+            (("provenance", ""), math.nan,
+             'field provenance."" must be a finite number, found NaN'),
+            (("",), math.nan, 'field "" must be a finite number, found NaN'),
+            (("provenance", "config", "r0"), math.nan,
+             "field provenance.config.r0 must be a finite number or null, found NaN"),
         ],
         ids=["top-level", "deep-type", "verdict-type", "list-item-type", "nested-missing",
              "verdict-missing", "long-settings", "five-pairs", "string-or-null", "nan-or-null",
              "inf-or-null", "unlisted-angle", "unlisted-pair-key", "unlisted-nested-list",
-             "unlisted-top-level", "empty-key"],
+             "unlisted-top-level", "empty-key", "top-level-empty-key", "r0-or-null"],
     )
     def test_saved_report_check_message_for_every_form(self, keys, value, message):
         report = run_analysis(pdc_dataset(n=1000), AnalysisConfig())
@@ -1071,24 +1082,23 @@ class TestCli:
         "edit, message",
         [
             (lambda d: d["pairs"][2].update(e=None),
-             "field pairs[2].e must be a number, as pairs[0].e is, found null"),
+             "field pairs[2].e must be 0.06, as the stored counts give, found null"),
             (lambda d: d["pairs"][0].update(e=None),
-             "field pairs[1].e must be null, as pairs[0].e is, found 0.06"),
+             "field pairs[0].e must be 0.06, as the stored counts give, found null"),
             (lambda d: d["verdicts"][1].update(lhs=-1.7e308, rhs=1.7e308),
-             "field verdicts[1].lhs must be in [-1, 3], found -1.7e+308"),
+             "field verdicts[1].lhs must be 0.11, as the stored counts give, found -1.7e+308"),
             (lambda d: d["verdicts"][1].update(lhs=3.00000001),
-             "field verdicts[1].lhs must be in [-1, 3], found 3.00000001"),
+             "field verdicts[1].lhs must be 0.11, as the stored counts give, found 3.00000001"),
             (lambda d: d["verdicts"][1].update(rhs=1.7e308),
-             "field verdicts[1].rhs must be in [0, 2], found 1.7e+308"),
+             "field verdicts[1].rhs must be 0.4, as the stored counts give, found 1.7e+308"),
             (lambda d: d["verdicts"][1].update(rhs=-1e-8),
-             "field verdicts[1].rhs must be in [0, 2], found -1e-08"),
+             "field verdicts[1].rhs must be 0.4, as the stored counts give, found -1e-08"),
             (lambda d: d["verdicts"][0].update(name="CH"),
-             'field verdicts must be named ["CHSH-star"] or ["CHSH-star", "CH"], '
-             'found ["CH", "CH"]'),
+             'field verdicts[0].name must be "CHSH-star", as the stored counts give, '
+             'found "CH"'),
             (lambda d: d["verdicts"].extend([dict(d["verdicts"][1], lhs=2.9, rhs=0.1),
                                              dict(d["verdicts"][1], name="FC")]),
-             'field verdicts must be named ["CHSH-star"] or ["CHSH-star", "CH"], '
-             'found ["CHSH-star", "CH", "CH", "FC"]'),
+             "field verdicts must hold 2 items, as the stored counts give, found 4"),
         ],
         ids=["e-null-in-one-pair", "e-null-in-pair-0", "ch-overflow", "ch-lhs-above-3",
              "ch-rhs-overflow", "ch-rhs-negative", "star-renamed-ch", "extra-ch-and-fc"],
@@ -1107,16 +1117,74 @@ class TestCli:
         assert cli.main(["report", str(saved), "--format", fmt]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_report_saved_without_counts_is_refused(self, tmp_path, capsys):
+        # a report as analyze wrote it before each pair stored its counts
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", GOOD_CSV)
+        assert cli.main(["analyze", str(counts), "--output", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        for pair in data["pairs"]:
+            for column in COUNT_COLUMNS:
+                del pair[column]
+        saved.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr() == ("", "error: field pairs[0].n_pp is missing\n")
+
     @pytest.mark.parametrize(
-        "lhs, rhs", [(-1.0, 0.0), (3.0, 2.0), (-1.0 - 4e-9, -2e-9), (3.0 + 4e-9, 2.0 + 2e-9)]
+        "k, column, value, message",
+        [
+            (1, "n_pp", -4, "field pairs[1]: column n_pp is negative: -4"),
+            (0, "singles_b", -1, "field pairs[0]: column singles_b is negative: -1"),
+            (2, "n_mm", 2**1021, "field pairs[2]: column n_mm is too large for a float "
+             "analysis: 308 digits, not below 2**1021"),
+            (3, "n_pm", 2.5, "field pairs[3].n_pm must be an integer, found 2.5"),
+            (0, "singles_a", 1.5, "field pairs[0].singles_a must be an integer or null, found 1.5"),
+            (3, "duration", 0, "field pairs[3]: column duration must be finite and positive: 0"),
+            (2, "duration", -2.5,
+             "field pairs[2]: column duration must be finite and positive: -2.5"),
+        ],
+        ids=["negative", "negative-singles", "at-bound", "non-integer", "non-integer-singles",
+             "zero-duration", "negative-duration"],
     )
-    def test_saved_ch_sides_within_the_probability_set_range_load(self, lhs, rhs):
-        # lhs = pAB + pAD + pCB - pCD and rhs = pA + pB, each of the six
-        # probabilities in [-PAIR_TOL, 1 + PAIR_TOL]
+    def test_saved_counts_out_of_range_name_the_pair(
+        self, tmp_path, capsys, k, column, value, message
+    ):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", DURATION_CSV.format(duration="1.0"))
+        config = write(tmp_path, "cfg.ini", "[analysis]\nr0 = 10000\n")
+        argv = ["analyze", str(counts), "--config", str(config), "--output", str(saved)]
+        assert cli.main(argv) == 0
+        data = json.loads(saved.read_text())
+        data["pairs"][k][column] = value
+        saved.write_text(json.dumps(data))
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_chsh_star_verdict_is_decided_on_the_exact_counts(self, tmp_path, capsys):
+        # S* is exactly 2 here; the float CHSH sum of the four E* exceeds 2
+        body = GOOD_CSV.splitlines()[0] + "\nA,B,20,2,0,0\nA,D,48,5,0,0\nC,B,30,3,0,0\nC,D,422,161,0,0\n"
+        assert cli.main(["analyze", str(write(tmp_path, "counts.csv", body)), "--format", "text"]) == 0
+        verdict = "verdict CHSH-star: lhs 2.000000 vs rhs 2.000000: fulfilled;"
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("verdict")]
+        assert line.startswith(verdict)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(2.5, 2.0), (-1.0, 0.0), (3.0, 2.0), (-1.0 - 4e-9, -2e-9), (3.0 + 4e-9, 2.0 + 2e-9)],
+    )
+    def test_saved_ch_sides_the_counts_do_not_give_are_refused(self, tmp_path, capsys, lhs, rhs):
+        # the counts give lhs 0.11 and rhs 0.4; an edited genuine violation
+        # (2.5 > 2.0) and sides anywhere in the range some ProbabilitySet
+        # gives are refused alike
         counts = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
         data = json.loads(render_report(run_analysis(counts, AnalysisConfig(r0=1e4)), "json"))
         data["verdicts"][1].update(lhs=lhs, rhs=rhs)
-        assert AnalysisReport.from_json(data).ch == InequalityReport("CH", lhs, rhs)
+        saved = write(tmp_path, "report.json", json.dumps(data))
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: field verdicts[1].lhs must be 0.11, as the stored counts give, found {lhs}\n"
+        )
 
     @pytest.mark.parametrize(
         "config, argv, message",

@@ -166,7 +166,6 @@ def test_setting_labels_are_written_only_in_inequalities():
 PUBLIC_NAMES = [
     "CountDataset", "CountRow", "DatasetError", "InequalityReport", "ProbabilitySet",
     "TwoChannelCounts", "ch_report", "correlation", "fc_report", "renormalized_correlation",
-    "s_statistic",
     "FactorizableModel", "Feasible", "FourOutcomeJoint", "HiddenVariableSpace", "Infeasible",
     "ResponseTable", "ValidationReport", "joint_feasibility", "joint_probability",
     "marginal_probability", "probability_set_from_model", "validate_model",
@@ -179,7 +178,7 @@ PUBLIC_NAMES = [
 REMOVED_NAMES = [
     "AngleSet", "optimal_angles", "visibility_estimators", "InsufficientCoverageError",
     "channel_conversion", "ChannelProbabilities", "emit_report", "formal_joint_distribution",
-    "mixture_to_model", "NormalizationError", "KinematicsInput",
+    "mixture_to_model", "NormalizationError", "KinematicsInput", "s_statistic",
 ]
 SUBMODULES = ["inequalities", "models", "experiments", "search", "harness"]
 
@@ -204,7 +203,8 @@ def test_public_names_resolve_from_their_modules():
 
 def test_report_types_store_only_what_was_measured():
     # S, S*, their errors, the verdicts and each verdict's margin and flags
-    # are computed from these fields, so a saved report cannot contradict them
+    # are computed from these fields, and a pair's n, E*, E and error from
+    # its counts row, so a saved report cannot contradict them
     fields = {
         name: [f.name for f in dataclasses.fields(getattr(bellkit, name))]
         for name in ("AnalysisReport", "InequalityReport")
@@ -217,7 +217,7 @@ def test_report_types_store_only_what_was_measured():
     assert fields == {
         "AnalysisReport": ["pairs", "ch", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
-        "PairStats": ["n_total", "e_star", "e"],
+        "PairStats": ["row", "n0"],
         "SearchResult": ["eta", "mixture", "pair_counts"],
         "_SearchLP": ["c", "b_eq", "matrix", "eta_slots"],
     }

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
+    CANONICAL_PAIRS,
     TSIRELSON_BOUND,
+    CountRow,
     InequalityReport,
     ProbabilitySet,
     TwoChannelCounts,
@@ -16,7 +18,7 @@ from bellkit.inequalities import (
     correlation,
     fc_report,
     renormalized_correlation,
-    s_statistic,
+    s_star_report,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -113,37 +115,49 @@ class TestRenormalizedCorrelation:
         assert correlation(tc) == pytest.approx(renormalized_correlation(tc), abs=1e-12)
 
 
-class TestSStatistic:
-    def test_maximal_quantum_value(self):
-        e = [math.cos(2 * phi) for phi in CANONICAL_ANGLES]
-        report = s_statistic(*e, renormalized=True)
-        assert report.lhs == pytest.approx(2 * SQRT2, abs=1e-12)
+def fraction_s_star(counts) -> Fraction:
+    """The oracle: S* in rationals, E* = (n_pp + n_mm - n_pm - n_mp) / n for
+    each of (A,B), (A,D), (C,B), (C,D), summed with the signs + + + -."""
+    e = [Fraction(pp + mm - pm - mp, pp + pm + mp + mm) for pp, pm, mp, mm in counts]
+    return e[0] + e[1] + e[2] - e[3]
+
+
+def count_rows(counts) -> list[CountRow]:
+    return [CountRow(x, y, *c) for (x, y), c in zip(CANONICAL_PAIRS, counts)]
+
+
+PAIR_COUNTS = st.tuples(*[st.integers(0, 60) | st.integers(0, 10**7)] * 4).filter(any)
+
+
+class TestSStarReport:
+    def test_exactly_two_is_fulfilled(self):
+        # the float CHSH sum of the four E* is 2.0000000000000004
+        counts = [(20, 2, 0, 0), (48, 5, 0, 0), (30, 3, 0, 0), (422, 161, 0, 0)]
+        e = [renormalized_correlation(TwoChannelCounts(*map(float, c))) for c in counts]
+        assert fraction_s_star(counts) == 2 and chsh_sum(*e) > 2.0
+        report = s_star_report(count_rows(counts))
+        assert (report.name, report.lhs, report.rhs, report.violated) == (
+            "CHSH-star", 2.0, 2.0, False
+        )
+
+    def test_just_above_two_is_violated(self):
+        # E* = 1, 1, 1 / (2k + 1) and 0: S* is above 2 by far less than half
+        # an ulp, and the float CHSH sum of the four E* is 2.0
+        k = 10**17
+        counts = [(1, 0, 0, 0), (1, 0, 0, 0), (k + 1, k, 0, 0), (1, 1, 0, 0)]
+        e = [renormalized_correlation(TwoChannelCounts(*map(float, c))) for c in counts]
+        assert fraction_s_star(counts) > 2 and chsh_sum(*e) == 2.0
+        report = s_star_report(count_rows(counts))
+        assert report.lhs == math.nextafter(2.0, 3.0)
         assert report.violated
-        assert not report.genuine
-        assert report.name == "CHSH-star"
 
-    def test_flat_correlations(self):
-        report = s_statistic(0.5, 0.5, 0.5, 0.5, renormalized=False)
-        assert report.lhs == 1.0
-        assert not report.violated
-        assert report.genuine
-        assert report.name == "CHSH"
-
-    def test_reduced_visibility(self):
-        e = [0.85 * math.cos(2 * phi) for phi in CANONICAL_ANGLES]
-        report = s_statistic(*e, renormalized=True)
-        assert report.lhs == pytest.approx(2 * SQRT2 * 0.85, abs=1e-12)
-        assert report.violated
-
-    def test_boundary_visibility_margin_is_exactly_zero(self):
-        e = [SQRT2 / 2 * math.cos(2 * phi) for phi in CANONICAL_ANGLES]
-        report = s_statistic(*e, renormalized=True)
-        assert report.margin == 0.0
-        assert not report.violated
-
-    def test_out_of_range_input_rejected(self):
-        with pytest.raises(ValueError):
-            s_statistic(1.5, 0.0, 0.0, 0.0, renormalized=False)
+    @given(st.lists(PAIR_COUNTS, min_size=4, max_size=4))
+    def test_lhs_is_the_exact_value_correctly_rounded(self, counts):
+        exact = fraction_s_star(counts)
+        report = s_star_report(count_rows(counts))
+        assert report.violated == (exact > 2)
+        if not (exact > 2 and float(exact) == 2.0):
+            assert report.lhs == float(exact)
 
 
 class TestFcReport:

@@ -5,6 +5,7 @@ field, without calling the code that produced it, so a field wired to the
 wrong value fails even when the function behind it is right.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -105,3 +106,32 @@ def test_analyze_angles_are_the_canonical_ones(tmp_path, config):
     out = run_json(tmp_path, ["analyze", str(counts)])
     assert out["provenance"]["config"]["angles"] == ANGLES
     assert [point["phi"] for point in out["plot_data"]] == list(ANGLES.values())
+
+
+# Counts with singles and durations, some left empty, rows out of order.
+WRITTEN_CSV = """setting_a,setting_b,n_pp,n_mm,n_pm,n_mp,singles_a,singles_b,duration
+C,D,100,100,400,400,,,0.5
+A,B,400,400,100,100,2000,1900,1.0
+A,D,410,400,90,100,2000,,1.5
+C,B,400,400,100,120,,2100,2.0
+"""
+
+
+def test_analyze_pairs_hold_the_counts_of_their_csv_rows(tmp_path, config):
+    path, _ = config
+    simulated, written = tmp_path / "simulated.csv", tmp_path / "written.csv"
+    simulate = ["simulate", "--config", path, "--seed", "5", "--output", str(simulated)]
+    assert cli.main(simulate) == 0
+    written.write_text(WRITTEN_CSV)
+    for counts in (simulated, written):
+        lines = [line for line in counts.read_text().splitlines() if not line.startswith("#")]
+        rows = {f"{r['setting_a']},{r['setting_b']}": r for r in csv.DictReader(lines)}
+        out = run_json(tmp_path, ["analyze", str(counts)])
+        for pair in out["pairs"]:
+            row = rows[",".join(pair["settings"])]
+            cells = {column: row.get(column) or None for column in
+                     ("n_pp", "n_pm", "n_mp", "n_mm", "singles_a", "singles_b", "duration")}
+            for column, cell in cells.items():
+                expected = None if cell is None else float(cell) if column == "duration" else int(cell)
+                assert pair[column] == expected, (counts.name, pair["settings"], column)
+            assert pair["n"] == sum(int(cells[c]) for c in ("n_pp", "n_pm", "n_mp", "n_mm"))
