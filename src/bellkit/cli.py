@@ -18,7 +18,8 @@ import traceback
 # models and search import numpy, which analyze, predict and report never
 # use, so only the commands that need them import them
 from . import experiments, harness
-from .inequalities import CANONICAL_ANGLES, CANONICAL_PHI, TSIRELSON_BOUND, TwoChannelCounts
+from .inequalities import (CANONICAL_ANGLES, CANONICAL_PHI, TSIRELSON_BOUND, DatasetError,
+                           TwoChannelCounts)
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
@@ -57,14 +58,14 @@ def _in_section(section: str, make, *args, **kwargs):
 
 def load_json(path):
     """The JSON document in a file, read as UTF-8 with or without a leading
-    byte-order mark.  Bytes that are not UTF-8, malformed JSON and a nesting
-    too deep for json.loads, which ends in RecursionError, are each a
-    ValueError naming the file."""
+    byte-order mark.  Bytes that are not UTF-8, JSON that json.loads refuses
+    (an integer of more digits than int() converts included) and a nesting
+    too deep for it (a RecursionError) are each a ValueError naming the file."""
     with open(path, "rb") as fh:
         text = harness._decode_utf8(fh.read(), f"{path}, ")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
@@ -163,10 +164,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    ds = harness.ingest_counts(args.counts)
-    cfg = harness.load_config(args.config) if args.config else {}
-    r0 = _setting(cfg, "analysis", "r0", default=None)
-    report = harness.run_analysis(ds, _in_section("analysis", harness.AnalysisConfig, r0=r0))
+    # a DatasetError names the line or no place at all; the file is named here
+    try:
+        ds = harness.ingest_counts(args.counts)
+        cfg = harness.load_config(args.config) if args.config else {}
+        r0 = _setting(cfg, "analysis", "r0", default=None)
+        report = harness.run_analysis(ds, _in_section("analysis", harness.AnalysisConfig, r0=r0))
+    except DatasetError as exc:
+        raise DatasetError(f"{args.counts}: {exc}") from None
     write_text(args.output, harness.render_report(report, args.format))
     return 0
 

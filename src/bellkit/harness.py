@@ -30,7 +30,6 @@ from .inequalities import (
     CANONICAL_PHI,
     COUNT_COLUMNS,
     TSIRELSON_BOUND,
-    VERDICT_SCHEMA,
     CountDataset,
     CountRow,
     DatasetError,
@@ -38,10 +37,10 @@ from .inequalities import (
     ProbabilitySet,
     TwoChannelCounts,
     _at_line,
+    _has_json_type,
     _parse_counts_csv,
     ch_report,
     check_json,
-    check_json_equal,
     chsh_sum,
     renormalized_correlation,
     s_star_report,
@@ -87,8 +86,8 @@ class AnalysisConfig:
     r0: Optional[float] = None
 
     def __post_init__(self):
-        if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > 0):
-            raise ValueError(f"r0 = {self.r0} must be finite and positive")
+        if self.r0 is not None and not (_has_json_type(self.r0, float) and self.r0 > 0):
+            raise ValueError(f"r0 = {self.r0!r} must be finite and positive")
 
     def to_json(self) -> dict:
         return {
@@ -132,21 +131,13 @@ class PairStats:
                 "e_star": self.e_star, "err": self.err}
 
 
-# The fields of a saved report, in the check_json schema form: four pairs,
-# in CANONICAL_PAIRS order.  Only the pairs' counts and the provenance seed,
-# input_digest and config r0 are read; every field is recomputed from them.
+# What AnalysisReport.from_json reads of a saved report, in the check_json
+# schema form: four pairs' counts, in CANONICAL_PAIRS order, and provenance.
 REPORT_SCHEMA = {
-    "pairs": [{"settings": [str, str], "n": int, "e": (float, None), "e_star": float,
-               "err": float, **dict.fromkeys(COUNT_COLUMNS[:4], int), "singles_a": (int, None),
+    "pairs": [{**dict.fromkeys(COUNT_COLUMNS[:4], int), "singles_a": (int, None),
                "singles_b": (int, None), "duration": (float, None)}] * len(CANONICAL_PAIRS),
-    "s": (float, None),
-    "s_star": float,
-    "s_err": float,
-    "v_b": float,
-    "verdicts": [VERDICT_SCHEMA],
-    "plot_data": [{"phi": (float, None), "e_star": float, "err": float}],
     "provenance": {"input_digest": (str, None), "seed": (int, None),
-                   "config": {"r0": (float, None), "angles": dict}},
+                   "config": {"r0": (float, None)}},
 }
 
 
@@ -195,20 +186,26 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisReport":
-        """The report run_analysis makes from the pairs' counts and the
-        provenance seed, input_digest and config r0 of a saved report; a
-        ValueError names the first field to_json writes that it differs in."""
-        check_json(data, REPORT_SCHEMA)
-        rows = tuple(CountRow(x, y, **{c: p[c] for c in COUNT_COLUMNS}, where=f"field pairs[{k}]")
-                     for k, (p, (x, y)) in enumerate(zip(data["pairs"], CANONICAL_PAIRS)))
-        provenance = data["provenance"]
+        """The report run_analysis makes from the REPORT_SCHEMA fields of a
+        saved report; a ValueError names the first of them that is missing,
+        mistyped or out of range, or else the first field to_json writes
+        that the saved report holds differently."""
         try:
+            pairs, provenance = data["pairs"], data["provenance"]
+            rows = tuple(CountRow(x, y, **{c: pairs[k][c] for c in COUNT_COLUMNS},
+                                  where=f"field pairs[{k}]")
+                         for k, (x, y) in enumerate(CANONICAL_PAIRS))
+            ds = CountDataset(rows, provenance["seed"], provenance["input_digest"])
             cfg = AnalysisConfig(r0=provenance["config"]["r0"])
-        except ValueError as exc:
+        except (LookupError, TypeError, ValueError) as exc:
+            # the schema names a missing or mistyped field, a DatasetError
+            # the pair of a count out of range; what remains is r0's range
+            check_json(data, REPORT_SCHEMA)
+            if isinstance(exc, DatasetError):
+                raise
             raise ValueError(f"field provenance.config: {exc}") from None
-        ds = CountDataset(rows, provenance["seed"], provenance["input_digest"])
         report = run_analysis(ds, cfg)
-        check_json_equal(data, report.to_json(), "as the stored counts give")
+        check_json(data, report.to_json(), "as the stored counts give")
         return report
 
 

@@ -3,11 +3,12 @@
 Every verdict carries a ``genuine`` flag: True only for inequalities that
 follow from factorizability (local realism) alone, False for those that
 need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).  check_json and check_json_equal, the field-by-field checks
-of a loaded JSON document, live here beside the verdict schema.  So does the
-counts format: CountRow checks each count, CountDataset writes the counts
-CSV text and _parse_counts_csv reads it back.  Reading and writing files is
-left to harness and cli.
+correlations).  check_json, the one field-by-field check of a loaded JSON
+document, lives here: a schema leaf is a type or the value the field must
+hold, [item, ...] a list of such items, and a refused value's message gives
+the reason.  So does the counts format: CountRow checks each count's type
+and range, CountDataset writes the counts CSV text and _parse_counts_csv
+reads it back.  Reading and writing files is left to harness and cli.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class CountRow:
-    """The counts of one setting pair.  A count outside [0, MAX_COUNT) or a duration not
-    finite and positive is a DatasetError naming where, as in "line 3" or "field pairs[2]"."""
+    """The counts of one setting pair.  A count that is not an int in [0, MAX_COUNT), or a
+    duration that is not a finite positive number, is a DatasetError naming where, as in
+    "line 3" or "field pairs[2]"; a bool is no number."""
 
     setting_a: str
     setting_b: str
@@ -135,10 +137,14 @@ class CountRow:
     def __post_init__(self):
         for column in COUNT_COLUMNS:
             value = getattr(self, column)
-            if value is None or (0 < value < math.inf if column == "duration" else
-                                 0 <= value < MAX_COUNT):
+            if value is None and column in OPTIONAL_COLUMNS:
                 continue
-            if column == "duration":
+            duration = column == "duration"
+            if isinstance(value, bool) or not isinstance(value, (int, float) if duration else int):
+                problem = "is not a number" if duration else f"is not an integer: {value!r}"
+            elif 0 < value <= sys.float_info.max if duration else 0 <= value < MAX_COUNT:
+                continue
+            elif duration:
                 problem = f"must be finite and positive: {value}"
             elif value < 0:
                 problem = f"is negative: {value}"
@@ -162,6 +168,10 @@ class CountDataset:
     source_digest: Optional[str] = None
 
     def __post_init__(self):
+        if not _has_json_type(self.seed, (int, None)):
+            raise DatasetError(f"seed {self.seed!r} is not an integer")
+        if not _has_json_type(self.source_digest, (str, None)):
+            raise DatasetError(f"source digest {self.source_digest!r} is not a string")
         seen = set()
         for row in self.rows:
             key = (row.setting_a, row.setting_b)
@@ -244,11 +254,9 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
             try:
                 values[column] = float(value) if column == "duration" else int(value)
             except ValueError:
-                # CountRow refuses a value out of range: one in an earlier
-                # column is named first, as the columns are read in order
-                CountRow("", "", **{**dict.fromkeys(REQUIRED_COLUMNS[2:], 0), **values}, where=where)
-                kind = "a number" if column == "duration" else f"an integer: {value!r}"
-                raise DatasetError(f"{where}: column {column} is not {kind}") from None
+                # CountRow names the first column, in order, that is not
+                # a number or out of range: this one or an earlier one
+                values[column] = value
         rows.append(CountRow(record["setting_a"], record["setting_b"], **values, where=where))
     if header is None:
         raise DatasetError("empty file: no header row")
@@ -283,24 +291,14 @@ class InequalityReport:
         return GENUINE[self.name]
 
     def to_json(self) -> dict:
-        return {key: getattr(self, key) for key in VERDICT_SCHEMA}
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin,
+                "violated": self.violated, "genuine": self.genuine}
 
-
-# The fields of a saved verdict, in the check_json schema form.
-VERDICT_SCHEMA = {
-    "name": str,
-    "lhs": float,
-    "rhs": float,
-    "margin": float,
-    "violated": bool,
-    "genuine": bool,
-}
 
 _JSON_TYPE_NAMES = {
     float: "a finite number",
     int: "an integer",
     str: "a string",
-    bool: "true or false",
     list: "a list",
     dict: "an object",
     None: "null",
@@ -309,59 +307,34 @@ _JSON_TYPE_NAMES = {
 
 def _has_json_type(value, kind) -> bool:
     if isinstance(kind, tuple):
-        return None in kind if value is None else any(_has_json_type(value, one) for one in kind)
-    if kind is None:
-        return value is None
-    if isinstance(value, bool):
-        return kind is bool
+        return any(_has_json_type(value, one) for one in kind)
+    if kind is None or isinstance(value, bool):
+        return value is kind  # null has kind None only, and a bool no kind at all
     if kind is float:
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
-def check_json(value, schema) -> None:
-    """Raise ValueError naming the first field of a loaded JSON document
-    whose type or shape differs from schema, as in pairs[2].e_star or
-    side1.table[1].
+def check_json(value, schema, reason: str = "") -> None:
+    """Raise ValueError naming the first field of a loaded JSON document that
+    schema refuses, as in pairs[2].e_star or side1.table[1].
 
-    A schema is a type (float for a finite number, int, str, bool, list or
-    dict; a bool is never a number), a tuple of alternatives with None for
-    null, a dict of required fields, a one-item list [item] for a list of
-    such items, or a longer list for a list of exactly those items.  A field
-    the schema does not list, and the contents of a bare list or dict, may
-    hold anything but NaN or an infinity (json.load reads NaN, Infinity and
-    1e400): field <name> must be a finite number, found NaN.
-    """
-    _check(value, schema)
-
-
-def check_json_equal(value, expected, reason: str, keys=()) -> None:
-    """Raise ValueError naming the first field of expected, a JSON document,
-    that value holds differently: field <name> must be <expected>, <reason>,
-    found <value>.  Keys only value has are ignored; keys, as _Misfit takes
-    them, name value in the document.  A field == finds equal is not walked."""
-    if isinstance(expected, dict) and isinstance(value, dict):
-        for key, item in expected.items():
-            if key not in value:
-                raise _Misfit(" is missing", (key, False), *keys)
-            if value[key] != item:
-                check_json_equal(value[key], item, reason, ((key, False), *keys))
-    elif isinstance(expected, list) and isinstance(value, list) and len(value) == len(expected):
-        for k, item in enumerate(expected):
-            if value[k] != item:
-                check_json_equal(value[k], item, reason, ((k, True), *keys))
-    elif isinstance(expected, list) and isinstance(value, list):
-        raise _Misfit(f" must hold {len(expected)} items, {reason}, found {len(value)}", *keys)
-    else:
-        found = json.dumps(value)[:40]
-        raise _Misfit(f" must be {json.dumps(expected)[:40]}, {reason}, found {found}", *keys)
+    A schema is a dict of required fields, a list of exactly those items,
+    [item, ...] for a list of such items, or a leaf: a type (float for a
+    finite number, int or str; a bool is no number) or a tuple of them, None
+    for null; or else the field's value, matched type-strictly (an int
+    matches an int or a float, a bool only a bool), with reason in the
+    message: field s_star must be 2.4, <reason>, found "2.5".  An unlisted
+    field may hold anything but NaN or an infinity (json.loads reads NaN,
+    Infinity and 1e400)."""
+    _check(value, schema, f", {reason}" if reason else "")
 
 
 class _Misfit(ValueError):
-    """A check_json or check_json_equal failure: what the field fails, as in
-    " is missing", and the field's keys, innermost first, each with whether
-    it is a list index.  The message names the field, as in pairs[2].e_star,
-    with "" for an empty key, and is built only when read."""
+    """A check_json failure: what the field fails, as in " is missing", and
+    the field's keys, innermost first, each with whether it is a list index.
+    The message names the field, as in pairs[2].e_star, with "" for an empty
+    key, and is built only when read."""
 
     def __init__(self, failure: str, *keys):
         super().__init__(failure)
@@ -385,41 +358,45 @@ def _wrong_type(value, kind) -> _Misfit:
 # The schema of a value no schema describes: its numbers must be finite.
 _UNLISTED = object()
 
+# The types of a schema leaf that is a value, not a type.
+_VALUE_TYPES = {str, int, float, bool, type(None)}
 
-def _check(value, schema, key=None, index=None) -> None:
+
+def _check(value, schema, reason: str, key=None, index=None) -> None:
     """check_json of value, the field at key in its parent (a list index when
-    index is True), or the whole document when index is None."""
+    index is True), or the whole document when index is None; reason is ""
+    or starts with ", "."""
     try:
-        if schema is _UNLISTED:
+        kind = type(schema)
+        if kind in _VALUE_TYPES:
+            if not (type(value) is kind or kind is float and type(value) is int) or value != schema:
+                found = json.dumps(value)[:40]
+                raise _Misfit(f" must be {json.dumps(schema)[:40]}{reason}, found {found}")
+        elif schema is _UNLISTED:
             if isinstance(value, float) and not abs(value) <= sys.float_info.max:
                 raise _wrong_type(value, float)
-            if isinstance(value, dict):
-                for name, item in value.items():
-                    _check(item, _UNLISTED, name, False)
-            elif isinstance(value, list):
-                for k, item in enumerate(value):
-                    _check(item, _UNLISTED, k, True)
-        elif isinstance(schema, dict):
-            if not isinstance(value, dict):
-                raise _wrong_type(value, dict)
+            if isinstance(value, (dict, list)):  # each of its keys or items is unlisted too
+                _check(value, {} if isinstance(value, dict) else [_UNLISTED, ...], reason)
+        elif kind is not dict and kind is not list:
+            if not _has_json_type(value, schema):
+                raise _wrong_type(value, schema)
+        elif not isinstance(value, kind):
+            raise _wrong_type(value, kind)
+        elif kind is dict:
             for name, item in schema.items():
                 if name not in value:
                     raise _Misfit(" is missing", (name, False))
-                _check(value[name], item, name, False)
+                _check(value[name], item, reason, name, False)
             for name, item in value.items():
                 if name not in schema:
-                    _check(item, _UNLISTED, name, False)
-        elif isinstance(schema, list):
-            if not isinstance(value, list):
-                raise _wrong_type(value, list)
-            if len(schema) > 1 and len(value) != len(schema):
-                raise _Misfit(f" must hold {len(schema)} items, found {len(value)}")
-            for k, item in enumerate(value):
-                _check(item, schema[0] if len(schema) == 1 else schema[k], k, True)
-        elif not _has_json_type(value, schema):
-            raise _wrong_type(value, schema)
-        elif isinstance(value, (dict, list)):
-            _check(value, _UNLISTED)
+                    _check(item, _UNLISTED, reason, name, False)
+        else:
+            if schema and schema[-1] is ...:
+                schema = schema[:1] * len(value)
+            for k, (item, expected) in enumerate(zip(value, schema)):
+                _check(item, expected, reason, k, True)
+            if len(value) != len(schema):
+                raise _Misfit(f" must hold {len(schema)} items{reason}, found {len(value)}")
     except _Misfit as misfit:
         if index is not None:
             misfit.keys.append((key, index))

@@ -104,8 +104,9 @@ class ResponseTable:
 
 
 # The fields of a saved model, in the check_json schema form.
-_SIDE_SCHEMA = {"settings": [str], "table": [[float]]}
-MODEL_SCHEMA = {"cells": [str], "weights": [float], "side1": _SIDE_SCHEMA, "side2": _SIDE_SCHEMA}
+_SIDE_SCHEMA = {"settings": [str, ...], "table": [[float, ...], ...]}
+MODEL_SCHEMA = {"cells": [str, ...], "weights": [float, ...], "side1": _SIDE_SCHEMA,
+                "side2": _SIDE_SCHEMA}
 
 
 @dataclass(frozen=True)

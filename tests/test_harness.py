@@ -70,6 +70,23 @@ def write_bytes(tmp_path, name, body: bytes):
 DROP = object()
 
 
+def field_name(keys) -> str:
+    """The field keys reach from the top of a document, as messages name it."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+
+
+def leaves(value, keys=()):
+    """The keys and value of each leaf of a JSON document, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, (*keys, key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from leaves(item, (*keys, k))
+    else:
+        yield keys, value
+
+
 def ingest_bytes(body: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
@@ -149,7 +166,7 @@ class TestIngestCounts:
         with pytest.raises(DatasetError, match=rf"^line 1: column '{repeated}' repeated$"):
             ingest_counts(path)
         assert cli.main(["analyze", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: line 1: column '{repeated}' repeated\n"
+        assert capsys.readouterr().err == f"error: {path}: line 1: column '{repeated}' repeated\n"
 
     @pytest.mark.parametrize(
         "column, row",
@@ -241,7 +258,7 @@ class TestIngestCounts:
             ingest_counts(path)
         assert str(exc.value) == "line 3: not valid UTF-8 (byte 0xe9)"
         assert cli.main(["analyze", str(path)]) == 1
-        assert capsys.readouterr().err == "error: line 3: not valid UTF-8 (byte 0xe9)\n"
+        assert capsys.readouterr().err == f"error: {path}: line 3: not valid UTF-8 (byte 0xe9)\n"
 
     def test_seed_comment_round_trip(self, tmp_path):
         ds = pdc_dataset(n=100)
@@ -250,6 +267,36 @@ class TestIngestCounts:
         back = ingest_counts(path)
         assert back.seed == ds.seed
         assert back.rows[0].n_pp == ds.rows[0].n_pp
+
+
+class TestStoredTypes:
+    # a saved report's read fields go straight into these types, which
+    # refuse a value of the wrong JSON type; a bool is no number
+    @pytest.mark.parametrize("n_pp", [True, 5.0, "5", None])
+    def test_count_row_refuses_a_count_that_is_not_an_int(self, n_pp):
+        with pytest.raises(DatasetError) as exc:
+            CountRow("A", "B", n_pp, 1, 1, 1, where="field pairs[2]")
+        assert str(exc.value) == f"field pairs[2]: column n_pp is not an integer: {n_pp!r}"
+
+    @pytest.mark.parametrize("duration", [True, "1.0"])
+    def test_count_row_refuses_a_duration_that_is_not_a_number(self, duration):
+        with pytest.raises(DatasetError, match=r"^line 3: column duration is not a number$"):
+            CountRow("A", "B", 1, 1, 1, 1, duration=duration, where="line 3")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"seed": "7"}, "seed '7' is not an integer"),
+         ({"seed": False}, "seed False is not an integer"),
+         ({"source_digest": 5}, "source digest 5 is not a string")],
+    )
+    def test_count_dataset_refuses_a_mistyped_seed_or_digest(self, kwargs, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            CountDataset((), **kwargs)
+
+    @pytest.mark.parametrize("r0", [True, "5"])
+    def test_analysis_config_refuses_an_r0_that_is_not_a_number(self, r0):
+        with pytest.raises(ValueError, match=rf"^r0 = {re.escape(repr(r0))} must be finite and"):
+            AnalysisConfig(r0=r0)
 
 
 class TestRunAnalysis:
@@ -359,12 +406,11 @@ class TestRenderReport:
         for key in keys[:-1]:
             target, expected = target[key], expected[key]
         target[keys[-1]] = value
-        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
         with pytest.raises(ValueError) as exc:
             AnalysisReport.from_json(data)
         assert str(exc.value) == (
-            f"field {name} must be {json.dumps(expected[keys[-1]])}, as the stored counts give, "
-            f"found {json.dumps(value)}"
+            f"field {field_name(keys)} must be {json.dumps(expected[keys[-1]])}, "
+            f"as the stored counts give, found {json.dumps(value)}"
         )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -639,7 +685,7 @@ class TestCli:
         v = float(value)
         assert capsys.readouterr() == (
             "",
-            f"error: line 3: r0 = {v} times duration {v} expects {pairs} pairs, "
+            f"error: {path}: line 3: r0 = {v} times duration {v} expects {pairs} pairs, "
             "not a finite positive number\n",
         )
 
@@ -654,8 +700,8 @@ class TestCli:
         assert cli.main(argv) == 1
         assert capsys.readouterr() == (
             "",
-            f"error: line 2: 1000 coincidences exceed the {pairs} pairs that r0 = {float(r0)} "
-            "times duration 1e-10 expects\n",
+            f"error: {path}: line 2: 1000 coincidences exceed the {pairs} pairs that "
+            f"r0 = {float(r0)} times duration 1e-10 expects\n",
         )
 
     # sha256 digests of the reports as they stand; a change meant to keep
@@ -789,7 +835,7 @@ class TestCli:
     def test_non_integer_seed_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "counts.csv", "# seed=abc\n" + GOOD_CSV)
         assert cli.main(["analyze", str(path)]) == 1
-        assert "error: line 1: seed 'abc' is not an integer" in capsys.readouterr().err
+        assert f"error: {path}: line 1: seed 'abc' is not an integer" in capsys.readouterr().err
 
     def test_singles_below_coincidences_names_pair_and_line(self, tmp_path, capsys):
         counts = DURATION_CSV.format(duration="1.0").replace(
@@ -799,14 +845,15 @@ class TestCli:
         config = write(tmp_path, "cfg.ini", "[analysis]\nr0 = 10000\n")
         assert cli.main(["analyze", str(path), "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2: singles of setting pair (A, B)")
+        assert err.startswith(f"error: {path}: line 2: singles of setting pair (A, B)")
         assert "pAB = 0.04 exceeds marginal pA = 0.001" in err
 
     def test_count_too_large_for_a_float_exit_code(self, tmp_path, capsys):
         counts = GOOD_CSV.replace("C,D,100,400,400,100", f"C,D,100,400,400,{10**400}")
         path = write(tmp_path, "counts.csv", counts)
         assert cli.main(["analyze", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: line 5: column n_mm is too large")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 5: column n_mm is too large")
 
     def test_deeply_nested_saved_report_names_the_file(self, tmp_path, capsys):
         saved = write(tmp_path, "report.json", "[" * 100_000)
@@ -820,6 +867,28 @@ class TestCli:
             f"error: {saved}: Expecting property name enclosed in double quotes: "
             "line 1 column 9 (char 8)\n"
         )
+
+    @pytest.mark.parametrize("command", ["report", "validate"])
+    def test_integer_literal_too_long_to_read_names_the_file(self, tmp_path, capsys, command):
+        # json.loads refuses an integer of more digits than int() converts
+        saved = write(tmp_path, "long.json", '{"pairs": ' + "1" * 5000 + "}")
+        assert cli.main([command, str(saved)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {saved}: Exceeds the limit")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file: no header row"),
+         (GOOD_CSV.splitlines()[0] + "\n", "empty dataset"),
+         (GOOD_CSV.replace("C,D,100,400,400,100\n", ""),
+          "dataset lacks canonical setting pair (C, D)")],
+        ids=["empty-file", "header-only", "missing-pair"],
+    )
+    def test_dataset_wide_errors_name_the_counts_file(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "counts.csv", text)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_nan_in_saved_report_is_an_input_error(self, tmp_path, capsys):
         saved = tmp_path / "report.json"
@@ -837,15 +906,15 @@ class TestCli:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
-        "field, keys, value",
+        "field, keys, value, expected",
         [
-            ("s_star", ("s_star",), "nan"),
-            ("pairs[2].e_star", ("pairs", 2, "e_star"), "inf"),
-            ("verdicts[0].lhs", ("verdicts", 0, "lhs"), "-inf"),
+            ("s_star", ("s_star",), "nan", "2.4"),
+            ("pairs[2].e_star", ("pairs", 2, "e_star"), "inf", "0.6"),
+            ("verdicts[0].lhs", ("verdicts", 0, "lhs"), "-inf", "2.4"),
         ],
     )
     def test_non_finite_saved_report_names_the_field(
-        self, tmp_path, capsys, fmt, field, keys, value
+        self, tmp_path, capsys, fmt, field, keys, value, expected
     ):
         saved = tmp_path / "report.json"
         counts = write(tmp_path, "counts.csv", GOOD_CSV)
@@ -861,7 +930,8 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         found = json.dumps(float(value))
-        assert err == f"error: field {field} must be a finite number, found {found}\n"
+        reason = "as the stored counts give"
+        assert err == f"error: field {field} must be {expected}, {reason}, found {found}\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("token, found", [("NaN", "NaN"), ("-Infinity", "-Infinity"),
@@ -923,8 +993,8 @@ class TestCli:
             ("pairs", 5, "field pairs must be a list, found 5"),
             ("verdicts", [1], "field verdicts[0] must be an object, found 1"),
             ("plot_data", None, "field plot_data must be a list, found null"),
-            ("s_star", "2.5", 'field s_star must be a finite number, found "2.5"'),
-            ("s", True, "field s must be a finite number or null, found true"),
+            ("s_star", "2.5", 'field s_star must be 2.4, as the stored counts give, found "2.5"'),
+            ("s", True, "field s must be null, as the stored counts give, found true"),
             ("provenance", [], "field provenance must be an object, found []"),
         ],
     )
@@ -948,23 +1018,24 @@ class TestCli:
             (lambda d: d["pairs"][1].pop("settings"), "field pairs[1].settings is missing"),
             (
                 lambda d: d["pairs"][0].update(settings=["A"]),
-                "field pairs[0].settings must hold 2 items, found 1",
+                "field pairs[0].settings must hold 2 items, as the stored counts give, found 1",
             ),
             (
                 lambda d: d["pairs"][3].update(n=2.5),
-                "field pairs[3].n must be an integer, found 2.5",
+                "field pairs[3].n must be 1000, as the stored counts give, found 2.5",
             ),
             (
                 lambda d: d["verdicts"][0].update(violated="no"),
-                'field verdicts[0].violated must be true or false, found "no"',
+                'field verdicts[0].violated must be true, as the stored counts give, found "no"',
             ),
             (
                 lambda d: d["plot_data"][2].update(phi="pi/8"),
-                'field plot_data[2].phi must be a finite number or null, found "pi/8"',
+                'field plot_data[2].phi must be 0.39269908169872414, as the stored counts give, '
+                'found "pi/8"',
             ),
             (
                 lambda d: d.update(v_b=10**400),
-                "field v_b must be a finite number, found 1000000000",
+                "field v_b must be 0.953179941039466, as the stored counts give, found 1000000000",
             ),
             (lambda d: d["pairs"].pop(), "field pairs must hold 4 items, found 3"),
             (
@@ -1021,26 +1092,94 @@ class TestCli:
             AnalysisReport.from_json(data)
         assert str(exc.value).startswith(message)
 
-    # Each form of REPORT_SCHEMA's check message, whole: the field is reached
+    # Python's == equates these with the saved value, JSON's types do not
+    @pytest.mark.parametrize(
+        "keys, retype",
+        [
+            (("pairs", 0, "n_pp"), float),
+            (("pairs", 0, "n_pp"), lambda value: True),
+            (("pairs", 0, "n"), float),
+            (("verdicts", 0, "violated"), int),
+            (("verdicts", 0, "genuine"), int),
+            (("provenance", "seed"), str),
+            (("provenance", "config", "r0"), lambda value: True),
+        ],
+        ids=["float-count", "true-count", "float-n", "int-violated", "int-genuine",
+             "string-seed", "true-r0"],
+    )
+    def test_saved_value_of_another_json_type_is_refused(self, keys, retype):
+        report = run_analysis(pdc_dataset(n=1000, seed=7), AnalysisConfig())
+        data = json.loads(render_report(report, "json"))
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = retype(target[keys[-1]])
+        with pytest.raises(ValueError) as exc:
+            AnalysisReport.from_json(data)
+        assert str(exc.value).startswith(f"field {field_name(keys)} must be ")
+
+    def test_saved_int_where_a_float_is_written_loads(self):
+        counts = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
+        report = run_analysis(counts, AnalysisConfig(r0=1e4))
+        data = json.loads(render_report(report, "json"))
+        data["verdicts"][0]["rhs"] = 2
+        data["pairs"][1]["duration"] = 1
+        assert AnalysisReport.from_json(data) == report
+
+    # Each leaf a report can be checked against, set to another value of its
+    # type: the leaf is named, or for a count the pair's n, which the count
+    # moves.  Not changed: null leaves, which have no other value; the
+    # digest and generated_at, which the report does not check; and the
+    # singles, durations, seed, input digest and r0, which are read as stored.
+    @pytest.mark.parametrize("r0", [None, 1e4], ids=["relative", "absolute"])
+    def test_every_checked_leaf_of_a_saved_report_is_compared(self, r0):
+        counts = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
+        saved = render_report(run_analysis(counts, AnalysisConfig(r0=r0)), "json")
+        unchecked = {"digest", "generated_at", "singles_a", "singles_b", "duration",
+                     "seed", "input_digest", "r0"}
+        changed = 0
+        for keys, value in leaves(json.loads(saved)):
+            if value is None or keys[-1] in unchecked:
+                continue
+            other = (not value if isinstance(value, bool) else value + "x"
+                     if isinstance(value, str) else value + 1)
+            data = json.loads(saved)
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = other
+            named = keys[:2] + ("n",) if keys[-1] in COUNT_COLUMNS else keys
+            with pytest.raises(ValueError) as exc:
+                AnalysisReport.from_json(data)
+            assert str(exc.value).startswith(f"field {field_name(named)} must be ")
+            changed += 1
+        assert changed == (61 if r0 is None else 72)
+
+    # Each form of a saved report's check message, whole: the field is reached
     # by keys from the top, and its value is replaced (DROP removes the key)
     @pytest.mark.parametrize(
         "keys, value, message",
         [
             ((), "report", 'top-level value must be an object, found "report"'),
-            (("pairs", 1, "settings", 0), 5, "field pairs[1].settings[0] must be a string, found 5"),
-            (("verdicts", 0, "name"), None, "field verdicts[0].name must be a string, found null"),
+            (("pairs", 1, "settings", 0), 5,
+             'field pairs[1].settings[0] must be "A", as the stored counts give, found 5'),
+            (("verdicts", 0, "name"), None,
+             'field verdicts[0].name must be "CHSH-star", as the stored counts give, found null'),
             (("plot_data",), [1], "field plot_data[0] must be an object, found 1"),
             (("plot_data", 3, "err"), DROP, "field plot_data[3].err is missing"),
             (("verdicts", 0, "genuine"), DROP, "field verdicts[0].genuine is missing"),
             (("pairs", 2, "settings"), ["C", "B", "A"],
-             "field pairs[2].settings must hold 2 items, found 3"),
-            (("pairs", 4), {}, "field pairs must hold 4 items, found 5"),
-            (("pairs", 0, "e"), "x", 'field pairs[0].e must be a finite number or null, found "x"'),
-            (("s",), math.nan, "field s must be a finite number or null, found NaN"),
+             "field pairs[2].settings must hold 2 items, as the stored counts give, found 3"),
+            (("pairs", 4), {}, "field pairs must hold 4 items, as the stored counts give, found 5"),
+            (("pairs", 0, "e"), "x",
+             'field pairs[0].e must be null, as the stored counts give, found "x"'),
+            (("s",), math.nan, "field s must be null, as the stored counts give, found NaN"),
             (("plot_data", 0, "phi"), math.inf,
-             "field plot_data[0].phi must be a finite number or null, found Infinity"),
+             "field plot_data[0].phi must be -0.39269908169872414, as the stored counts give, "
+             "found Infinity"),
             (("provenance", "config", "angles", "A,B"), math.nan,
-             "field provenance.config.angles.A,B must be a finite number, found NaN"),
+             "field provenance.config.angles.A,B must be -0.39269908169872414, as the stored "
+             "counts give, found NaN"),
             (("pairs", 2, "extra"), math.nan, "field pairs[2].extra must be a finite number, found NaN"),
             (("verdicts", 0, "note"), [1.0, [math.nan]],
              "field verdicts[0].note[1][0] must be a finite number, found NaN"),
@@ -1143,9 +1282,11 @@ class TestCli:
             (3, "duration", 0, "field pairs[3]: column duration must be finite and positive: 0"),
             (2, "duration", -2.5,
              "field pairs[2]: column duration must be finite and positive: -2.5"),
+            (1, "duration", 10**400,
+             "field pairs[1].duration must be a finite number or null, found 1" + "0" * 39),
         ],
         ids=["negative", "negative-singles", "at-bound", "non-integer", "non-integer-singles",
-             "zero-duration", "negative-duration"],
+             "zero-duration", "negative-duration", "duration-beyond-floats"],
     )
     def test_saved_counts_out_of_range_name_the_pair(
         self, tmp_path, capsys, k, column, value, message
