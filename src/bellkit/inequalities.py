@@ -149,12 +149,15 @@ class CountRow:
             elif value < 0:
                 problem = f"is negative: {value}"
             else:
-                digits = len(str(value))
-                problem = f"is too large for a float analysis: {digits} digits, not below 2**1021"
+                problem = _too_large(len(str(value)))
             raise DatasetError(_at_line(self, f"column {column} {problem}"))
 
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
+
+
+def _too_large(digits: int) -> str:
+    return f"is too large for a float analysis: {digits} digits, not below 2**1021"
 
 
 def _at_line(row: CountRow, message: str) -> str:
@@ -222,9 +225,12 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
                 try:
                     seed = int(value)
                 except ValueError:
-                    raise DatasetError(
-                        f"line {line_no}: seed {value!r} is not an integer"
-                    ) from None
+                    # int() refuses a run of digits only for its length
+                    problem = (
+                        f"of {len(value)} digits is too long to read"
+                        if value.isascii() and value.isdigit() else f"{value!r} is not an integer"
+                    )
+                    raise DatasetError(f"line {line_no}: seed {problem}") from None
             continue
         try:
             cells = [c.strip() for c in next(csv.reader([stripped], strict=True))]
@@ -254,6 +260,12 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
             try:
                 values[column] = float(value) if column == "duration" else int(value)
             except ValueError:
+                if value.isascii() and value.isdigit():
+                    # too long for int(), so far above MAX_COUNT; CountRow first
+                    # checks the columns before it, with 0 for the counts after
+                    counts = dict.fromkeys(REQUIRED_COLUMNS[2:], 0) | values
+                    CountRow(record["setting_a"], record["setting_b"], **counts, where=where)
+                    raise DatasetError(f"{where}: column {column} {_too_large(len(value))}")
                 # CountRow names the first column, in order, that is not
                 # a number or out of range: this one or an earlier one
                 values[column] = value

@@ -9,7 +9,6 @@ construction).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -337,59 +336,50 @@ def scan_ch_family(ps: ProbabilitySet) -> Optional[FacetCertificate]:
 LP_RESIDUAL_TOL = math.sqrt(1e-9) * 10
 
 
-def sparse_matrix(a: np.ndarray):
-    """a as the CSC matrix milp hands HiGHS, with read-only data.
-
-    The same matrix milp builds from the dense a (its zeros, -0.0 among
-    them, are not stored); scipy.sparse is imported on the first call, so
-    import bellkit does not load it.
-    """
-    from scipy.sparse import csc_array
-
-    m = csc_array(a)
-    m.data = _frozen(m.data)
-    return m
+# linprog's status number of each HiGHS model status; any other is 4.
+_LP_STATUS = {"kOptimal": 0, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
 
 
-@functools.cache
-def _feasibility_matrix():
-    """_FEASIBILITY_A_EQ in sparse form, built on the first solve."""
-    return sparse_matrix(_FEASIBILITY_A_EQ)
-
-
-def solve_equality_lp(c: np.ndarray, a_eq, b_eq: np.ndarray, upper: float):
+def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: float):
     """Minimize c.x subject to a_eq x = b_eq and 0 <= x <= upper, by HiGHS.
 
-    a_eq is a CSC matrix (sparse_matrix), so milp passes it on as it is
-    instead of converting a dense array on every call.  milp with no
-    integrality hands HiGHS the LP without linprog's per-call option
-    handling and input cleaning, and presolve is off: on LPs of 7 x 16 and
-    9 x 82 it costs more than it saves.  The check linprog makes after the
-    solve is kept: an optimal status whose x is missing, not finite,
-    outside its bounds, or off an equality row by more than
-    LP_RESIDUAL_TOL becomes status 4.  Returns milp's result, whose status
-    is 0 only for a checked optimum.  Where the optimum is not unique, the
-    vertex HiGHS returns without presolve may differ from the one it
-    returned with it.
+    Each call hands HiGHS the LP on a fresh solver, through the bindings
+    scipy ships, so that no answer depends on the calls before it; a_eq goes
+    column-wise without its zeros (-0.0 among them), as milp would pass it.
+    Presolve is off: on LPs of 7 x 16 and 9 x 82 it costs more than it
+    saves.  linprog's post-solve check is kept: an optimum whose x is not
+    finite, outside its bounds, or off an equality row by more than
+    LP_RESIDUAL_TOL becomes status 4.  Returns (status, x, message) with
+    linprog's status numbers; x is None unless status is 0.
     """
-    from scipy.optimize import milp
+    from scipy.optimize._highspy import _core as highs
 
-    res = milp(
-        c, constraints=(a_eq, b_eq, b_eq), bounds=(0.0, upper), options={"presolve": False}
-    )
-    x = res.x
-    if res.status == 0 and not (
-        x is not None
-        and np.isfinite(x).all()
+    cols, rows = np.nonzero(a_eq.T)
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a_eq.shape
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros_like(c), np.full_like(c, upper)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(len(c) + 1))
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows, a_eq[rows, cols]
+    solver = highs._Highs()
+    solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("log_to_console", False)
+    solver.passModel(lp)  # a model it refuses is not solved: status 4
+    solver.run()
+    model_status = solver.getModelStatus()
+    status = _LP_STATUS.get(model_status.name, 4)
+    if status != 0:
+        return status, None, solver.modelStatusToString(model_status)
+    x = np.array(solver.getSolution().col_value)
+    if not (
+        np.isfinite(x).all()
         and x.min() >= -LP_RESIDUAL_TOL
         and x.max() <= upper + LP_RESIDUAL_TOL
         and np.abs(a_eq @ x - b_eq).max() <= LP_RESIDUAL_TOL
     ):
-        res.status = 4
-        res.message = (
-            f"the solution misses its bounds or equality rows by more than {LP_RESIDUAL_TOL:.2e}"
-        )
-    return res
+        return 4, None, f"the solution misses its bounds or rows by more than {LP_RESIDUAL_TOL:.2e}"
+    return 0, x, "optimal"
 
 
 def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
@@ -401,9 +391,9 @@ def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
     the CH-family facet with the least slack at ps.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))
-    res = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _feasibility_matrix(), b_eq, 1.0)
-    if res.status == 0:
-        q = np.clip(res.x, 0.0, None)
+    status, x, _ = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _FEASIBILITY_A_EQ, b_eq, 1.0)
+    if status == 0:
+        q = np.clip(x, 0.0, None)
         q = q / q.sum()
         return Feasible(witness=FourOutcomeJoint(dict(zip(OUTCOME_TUPLES, map(float, q)))))
     return Infeasible(certificate=_least_slack_facet(ps))

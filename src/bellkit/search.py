@@ -21,7 +21,7 @@ import numpy as np
 from .inequalities import CANONICAL_PAIRS as PAIRS
 from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS, CountDataset, CountRow
 from .inequalities import TwoChannelCounts, chsh_sum, correlation, renormalized_correlation
-from .models import _frozen, _value_eq, solve_equality_lp, sparse_matrix
+from .models import _frozen, _value_eq, solve_equality_lp
 
 OUTCOMES = ("+", "-", "u")
 
@@ -136,17 +136,15 @@ class SearchFailure(RuntimeError):
 class _SearchLP:
     """The eta-independent part of the Charnes-Cooper LP in (y, tau).
 
-    matrix stacks the equality system [A | -b] over the strategy pairs in
-    product order and the denominator row [d | 0], in the sparse form the
-    solver takes.  The tau entries of the four detection rows, whose
-    right-hand side is eta, hold nan until a solve fills in -eta; eta_slots
-    are their positions in matrix.data.
+    a_eq stacks the equality system [A | -b] over the strategy pairs in
+    product order and the denominator row [d | 0].  The tau entries of the
+    four detection rows, whose right-hand side is eta, hold nan; a solve
+    fills them with -eta in a copy.
     """
 
     c: np.ndarray
     b_eq: np.ndarray
-    matrix: object
-    eta_slots: np.ndarray
+    a_eq: np.ndarray
 
 
 @functools.cache
@@ -176,13 +174,12 @@ def _search_lp() -> _SearchLP:
         b_eq.append(0.0)
 
     a_eq, b_eq = np.array(a_eq), np.array(b_eq)
-    a_eq = np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)])
-    matrix = sparse_matrix(a_eq)
+    # + 0.0 turns the -0.0 of -b_eq into 0.0
+    a_eq = np.vstack([np.column_stack([a_eq, -b_eq]), np.append(den_rows[0], 0.0)]) + 0.0
     return _SearchLP(
         c=_frozen(np.append(-chsh_sum(*num_rows), 0.0)),
         b_eq=_frozen(np.append(np.zeros(len(b_eq)), 1.0)),
-        matrix=matrix,
-        eta_slots=_frozen(np.flatnonzero(np.isnan(matrix.data))),
+        a_eq=_frozen(a_eq),
     )
 
 
@@ -202,13 +199,12 @@ def maximize_s_star(eta: float) -> SearchResult:
     if not 1e-9 < eta <= 1.0:
         raise ValueError(f"eta = {eta} outside (1e-9, 1]")
     lp = _search_lp()
-    a_eq = lp.matrix.copy()
-    a_eq.data[lp.eta_slots] = -eta
+    a_eq = np.where(np.isnan(lp.a_eq), -eta, lp.a_eq)
 
-    res = solve_equality_lp(lp.c, a_eq, lp.b_eq, math.inf)
-    if res.status != 0:
-        raise SearchFailure(f"LP solver status {res.status}: {res.message}")
-    best_x = res.x[:-1] / res.x[-1]
+    status, x, message = solve_equality_lp(lp.c, a_eq, lp.b_eq, math.inf)
+    if status != 0:
+        raise SearchFailure(f"LP solver status {status}: {message}")
+    best_x = x[:-1] / x[-1]
 
     w = np.clip(best_x, 0.0, None).reshape(len(STRATEGIES), len(STRATEGIES))
     mixture = StrategyMixture(w / w.sum())

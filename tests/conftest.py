@@ -67,22 +67,26 @@ def rng():
 
 
 @pytest.fixture
-def milp_off_one_row(monkeypatch):
-    """Patch scipy's milp to solve every LP with its last equality row moved
-    by 1e-3, so each optimum it returns misses that row of the LP it was
-    asked for by 1e-3.  Yields the solver statuses it returned."""
-    import scipy.optimize
+def solver_off_one_row(monkeypatch):
+    """Patch the HiGHS bindings so that every LP is solved with its last
+    equality row moved by 1e-3: each optimum the solver returns misses that
+    row of the LP it was asked for by 1e-3.  Yields the model status name
+    the solver reported for each solve."""
+    from scipy.optimize._highspy import _core
 
-    real_milp = scipy.optimize.milp
     statuses = []
 
-    def shifted(c, *, constraints, **kwargs):
-        a_eq, b_eq, _ = constraints
-        b_eq = np.array(b_eq, dtype=float)
-        b_eq[-1] += 1e-3
-        res = real_milp(c, constraints=(a_eq, b_eq, b_eq), **kwargs)
-        statuses.append(res.status)
-        return res
+    class Shifted(_core._Highs):
+        def passModel(self, lp):
+            bounds = np.array(lp.row_upper_)
+            bounds[-1] += 1e-3
+            lp.row_lower_ = lp.row_upper_ = bounds
+            return super().passModel(lp)
 
-    monkeypatch.setattr(scipy.optimize, "milp", shifted)
+        def run(self):
+            status = super().run()
+            statuses.append(self.getModelStatus().name)
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Shifted)
     yield statuses

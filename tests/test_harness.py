@@ -173,12 +173,24 @@ class TestIngestCounts:
         [
             ("n_mm", f"C,D,100,400,400,{10**400},2000,2000,1.0"),
             ("singles_a", f"C,D,100,400,400,100,{10**400},2000,1.0"),
+            # more digits than int() reads; the cell is not quoted back
+            ("n_pp", f"C,D,{'1' * 5000},400,400,100,2000,2000,1.0"),
         ],
-        ids=["n_mm", "singles_a"],
+        ids=["n_mm", "singles_a", "n_pp-5000-digits"],
     )
     def test_count_too_large_for_a_float_names_line_and_column(self, tmp_path, column, row):
         counts = DURATION_CSV.format(duration="1.0").replace("C,D,100,400,400,100,2000,2000,1.0", row)
-        with pytest.raises(DatasetError, match=rf"^line 5: column {column} is too large"):
+        with pytest.raises(DatasetError, match=rf"^line 5: column {column} is too large") as exc:
+            ingest_counts(write(tmp_path, "big.csv", counts))
+        digits = len(row.split(",")[DURATION_CSV.split("\n")[0].split(",").index(column)])
+        assert str(exc.value).endswith(f": {digits} digits, not below 2**1021")
+        assert len(str(exc.value).encode()) < 200
+
+    def test_count_of_too_many_digits_follows_an_earlier_error(self, tmp_path):
+        # the columns before it are checked first, as for any other cell
+        row = f"C,D,-4,{'1' * 5000},400,100,2000,2000,1.0"
+        counts = DURATION_CSV.format(duration="1.0").replace("C,D,100,400,400,100,2000,2000,1.0", row)
+        with pytest.raises(DatasetError, match=r"^line 5: column n_pp is negative: -4$"):
             ingest_counts(write(tmp_path, "big.csv", counts))
 
     def test_counts_just_below_the_bound_analyze(self):
@@ -209,9 +221,20 @@ class TestIngestCounts:
         with pytest.raises(DatasetError, match="empty"):
             ingest_counts(write(tmp_path, "empty.csv", ""))
 
-    def test_non_integer_seed_names_line(self, tmp_path):
-        with pytest.raises(DatasetError, match=r"line 1: seed 'abc' is not an integer"):
-            ingest_counts(write(tmp_path, "bad.csv", "# seed=abc\n" + GOOD_CSV))
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("abc", "line 1: seed 'abc' is not an integer"),
+            # more digits than int() reads; the seed is not quoted back
+            ("1" * 5000, "line 1: seed of 5000 digits is too long to read"),
+        ],
+        ids=["abc", "5000-digits"],
+    )
+    def test_non_integer_seed_names_line(self, tmp_path, seed, message):
+        with pytest.raises(DatasetError) as exc:
+            ingest_counts(write(tmp_path, "bad.csv", f"# seed={seed}\n" + GOOD_CSV))
+        assert str(exc.value) == message
+        assert len(message.encode()) < 200
 
     def test_quoted_fields_are_unquoted(self, tmp_path):
         quoted = GOOD_CSV.replace("A,B,400", '"A","B",400')

@@ -37,7 +37,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # the LP matrices are built in sparse form on the first solve
+    # neither is loaded before the first LP solve, which loads the HiGHS
+    # bindings with scipy.optimize
     code = (
         "import sys, bellkit; "
         "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
@@ -212,14 +213,14 @@ def test_report_types_store_only_what_was_measured():
     fields["PairStats"] = [f.name for f in dataclasses.fields(bellkit.harness.PairStats)]
     # S* and the genuine S of a search follow from its outcome tables
     fields["SearchResult"] = [f.name for f in dataclasses.fields(bellkit.SearchResult)]
-    # the search LP keeps only the sparse matrix the solver takes
+    # the search LP keeps one dense table, its eta entries nan
     fields["_SearchLP"] = [f.name for f in dataclasses.fields(bellkit.search._SearchLP)]
     assert fields == {
         "AnalysisReport": ["pairs", "ch", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
         "PairStats": ["row", "n0"],
         "SearchResult": ["eta", "mixture", "pair_counts"],
-        "_SearchLP": ["c", "b_eq", "matrix", "eta_slots"],
+        "_SearchLP": ["c", "b_eq", "a_eq"],
     }
 
 

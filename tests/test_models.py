@@ -21,7 +21,7 @@ from bellkit.models import (
     marginal_probability,
     probability_set_from_model,
     scan_ch_family,
-    sparse_matrix,
+    solve_equality_lp,
     validate_model,
 )
 from conftest import formal_joint_distribution, model_json, random_model
@@ -241,12 +241,12 @@ class TestJointFeasibility:
             ps = probability_set_from_model(random_model(rng))
             assert isinstance(joint_feasibility(ps), Feasible)
 
-    def test_solution_off_an_equality_row_is_not_feasible(self, milp_off_one_row):
+    def test_solution_off_an_equality_row_is_not_feasible(self, solver_off_one_row):
         # the solver reports an optimum that misses the pCD row by 1e-3; the
         # post-solve residual check refuses it
         ps = ProbabilitySet(0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
         result = joint_feasibility(ps)
-        assert milp_off_one_row == [0]
+        assert solver_off_one_row == ["kOptimal"]
         assert isinstance(result, Infeasible)
         assert result.certificate.name in FACET_IDS
 
@@ -309,35 +309,6 @@ class TestLocalPolytope:
         assert models._FEASIBILITY_A_EQ.tobytes() == np.array(rows).tobytes()
         assert models.OUTCOME_VERTICES.tobytes() == VERTICES.tobytes()
 
-    def test_sparse_matrix_equals_the_dense_one(self):
-        matrix = models._feasibility_matrix()
-        assert matrix.format == "csc"
-        assert matrix.toarray().tobytes() == models._FEASIBILITY_A_EQ.tobytes()
-
-    def test_sparse_matrix_is_built_once_and_never_written(self, monkeypatch, rng):
-        calls = []
-
-        def counting(a):
-            calls.append(1)
-            return sparse_matrix(a)
-
-        monkeypatch.setattr(models, "sparse_matrix", counting)
-        models._feasibility_matrix.cache_clear()
-        try:
-            data = models._feasibility_matrix().data.copy()
-            outside = ProbabilitySet(0.5, 0.5, 0.5, 0.5, 0.5, 0.0)
-            for _ in range(25):
-                assert isinstance(joint_feasibility(outside), Infeasible)
-                inside = probability_set_from_model(random_model(rng))
-                assert isinstance(joint_feasibility(inside), Feasible)
-            matrix = models._feasibility_matrix()
-            assert len(calls) == 1
-            assert matrix.data.tobytes() == data.tobytes()
-            with pytest.raises(ValueError):
-                matrix.data[0] = 0.5
-        finally:
-            models._feasibility_matrix.cache_clear()
-
     @pytest.mark.parametrize("facet", CH_FAMILY_FACETS, ids=FACET_IDS)
     def test_facet_centroid_is_feasible_and_just_outside_is_not(self, facet):
         name, coeff, offset = facet
@@ -399,6 +370,46 @@ class TestLocalPolytope:
             else:
                 assert scan_ch_family(ps) is None
         assert refused > 0
+
+
+class TestDirectSolve:
+    def test_matches_milp_bit_for_bit(self, rng):
+        # scipy's milp hands HiGHS the same LP through its own front-end: it
+        # is the oracle of the direct solve, on identical inputs
+        from scipy.optimize import milp
+
+        from bellkit import search
+
+        lp = search._search_lp()
+        problems = []
+        for eta in [k / 100 for k in range(10, 101)] + [1.001e-9]:
+            a_eq = np.where(np.isnan(lp.a_eq), -eta, lp.a_eq)
+            problems.append((lp.c, a_eq, lp.b_eq, math.inf))
+        n_search = len(problems)
+        levels = np.linspace(0.0, 1.0, 5)
+        for _ in range(600):
+            model_point = probability_set_from_model(random_model(rng)).as_dict().values()
+            p_a, p_b = rng.choice(levels, size=2)
+            grid_point = (p_a, p_b, *(rng.choice(levels, size=4) * min(p_a, p_b)))
+            for point in (model_point, grid_point):
+                b_eq = np.array((1.0, *point))
+                problems.append((np.zeros(16), models._FEASIBILITY_A_EQ, b_eq, 1.0))
+        statuses = []
+        for c, a_eq, b_eq, upper in problems:
+            status, x, _ = solve_equality_lp(c, a_eq, b_eq, upper)
+            res = milp(
+                c, constraints=(a_eq, b_eq, b_eq), bounds=(0.0, upper),
+                options={"presolve": False},
+            )
+            assert (status == 0) == (res.status == 0)
+            if status == 0:
+                assert x.tobytes() == res.x.tobytes()
+            else:
+                assert x is None
+            statuses.append(status)
+        # every search LP and model point is solved; some grid points are not
+        assert set(statuses[:n_search]) == set(statuses[n_search::2]) == {0}
+        assert 0 < statuses[n_search + 1::2].count(2) < 600
 
 
 class TestChHoldsForFactorizableModels:

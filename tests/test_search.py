@@ -11,7 +11,6 @@ from bellkit.models import (
     HiddenVariableSpace,
     ResponseTable,
     joint_probability,
-    sparse_matrix,
     validate_model,
 )
 from bellkit import search
@@ -266,12 +265,12 @@ class TestMaximizeSStar:
                 maximize_s_star(eta)
         assert maximize_s_star(1.001e-9).s_star_max == pytest.approx(4.0, abs=1e-9)
 
-    def test_solution_off_an_equality_row_is_a_search_failure(self, milp_off_one_row):
+    def test_solution_off_an_equality_row_is_a_search_failure(self, solver_off_one_row):
         # the solver reports an optimum that misses the denominator row by
         # 1e-3; the post-solve residual check refuses it
         with pytest.raises(search.SearchFailure, match="LP solver status 4"):
             maximize_s_star(0.8)
-        assert milp_off_one_row == [0]
+        assert solver_off_one_row == ["kOptimal"]
 
     @pytest.mark.parametrize("eta", [k / 20 for k in range(2, 21)])
     def test_matches_larsson_closed_form(self, eta):
@@ -287,14 +286,12 @@ class TestMaximizeSStar:
 class TestCachedSearchStructure:
     def cached_arrays(self):
         lp = search._search_lp()
-        yield from (lp.c, lp.matrix.data, lp.b_eq, lp.eta_slots, search._INDICATORS)
+        yield from (lp.c, lp.a_eq, lp.b_eq, search._INDICATORS)
 
     def test_cached_arrays_are_read_only(self):
         arrays = list(self.cached_arrays())
-        assert len(arrays) == 5
+        assert len(arrays) == 4
         assert search._INDICATORS.flags.c_contiguous
-        # eta_slots index matrix.data, so they stay integers
-        assert search._search_lp().eta_slots.dtype.kind == "i"
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.5
@@ -314,39 +311,33 @@ class TestCachedSearchStructure:
         lp = search._search_lp()
         assert lp.c.tobytes() == c.tobytes()
         assert lp.b_eq.tolist() == [0.0] * 8 + [1.0]
-        assert lp.matrix.format == "csc"
-        assert len(lp.eta_slots) == 4
+        # the four eta entries: the tau column of the detection rows
+        assert np.argwhere(np.isnan(lp.a_eq)).tolist() == [[k, len(pairs)] for k in range(1, 5)]
         for eta in [k / 20 for k in range(2, 21)]:
             rows = [[1.0] * len(pairs) + [-1.0]]
             rows += [[float(a[k] != "u") for a, _ in pairs] + [-eta] for k in range(2)]
             rows += [[float(b[k] != "u") for _, b in pairs] + [-eta] for k in range(2)]
             rows += [list(den[0] - den[k]) + [0.0] for k in range(1, 4)]
             rows += [list(den[0]) + [0.0]]
-            matrix = lp.matrix.copy()
-            matrix.data[lp.eta_slots] = -eta
-            # a sparse matrix stores no zeros, so each zero reads back as +0.0
-            assert matrix.toarray().tobytes() == np.array(rows).tobytes()
+            a_eq = lp.a_eq.copy()
+            a_eq[np.isnan(a_eq)] = -eta
+            # bytes compare the sign of each zero too
+            assert a_eq.tobytes() == np.array(rows).tobytes()
 
-    def test_sparse_matrix_is_built_once_and_never_written(self, monkeypatch):
-        calls = []
-
-        def counting(a):
-            calls.append(1)
-            return sparse_matrix(a)
-
-        monkeypatch.setattr(search, "sparse_matrix", counting)
+    def test_table_is_built_once_and_never_written(self):
         search._search_lp.cache_clear()
         try:
-            data = search._search_lp().matrix.data.copy()
+            a_eq = search._search_lp().a_eq
+            data = a_eq.copy()
             for eta in [k / 20 for k in range(2, 21)] * 3:
                 maximize_s_star(eta)
-            matrix = search._search_lp().matrix
-            assert len(calls) == 1
-            # the eta slots still hold nan: bytes, not ==, compare them
-            assert matrix.data.tobytes() == data.tobytes()
-            assert np.isnan(matrix.data[search._search_lp().eta_slots]).all()
+            assert search._search_lp.cache_info().misses == 1
+            assert search._search_lp().a_eq is a_eq
+            # the eta entries still hold nan: bytes, not ==, compare them
+            assert a_eq.tobytes() == data.tobytes()
+            assert np.isnan(a_eq).sum() == 4
             with pytest.raises(ValueError):
-                matrix.data[0] = 0.5
+                a_eq[0, 0] = 0.5
         finally:
             search._search_lp.cache_clear()
 
