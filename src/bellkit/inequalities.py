@@ -1,14 +1,15 @@
 """Bell-type inequality evaluation on measurable probabilities.
 
 Every verdict carries a ``genuine`` flag: True only for inequalities that
-follow from factorizability (local realism) alone, False for those that
-need auxiliary assumptions (no-enhancement, fair sampling / renormalized
-correlations).  check_json, the one field-by-field check of a loaded JSON
-document, lives here: a schema leaf is a type or the value the field must
-hold, [item, ...] a list of such items, and a refused value's message gives
-the reason.  So does the counts format: CountRow checks each count's type
-and range, CountDataset writes the counts CSV text and _parse_counts_csv
-reads it back.  Reading and writing files is left to harness and cli.
+follow from factorizability (local realism) alone, as each facet of the local
+polytope in CH_FAMILY_FACETS does, False for those that need auxiliary
+assumptions (no-enhancement, fair sampling / renormalized correlations).
+check_json, the one field-by-field check of a loaded JSON document, lives
+here: a schema leaf is a type or the value the field must hold, [item, ...]
+a list of such items, and a refused value's message gives the reason.  So
+does the counts format: CountRow checks each count's type and range,
+CountDataset writes the counts CSV text and _parse_counts_csv reads it
+back.  Reading and writing files is left to harness and cli.
 """
 
 from __future__ import annotations
@@ -146,18 +147,22 @@ class CountRow:
                 continue
             elif duration:
                 problem = f"must be finite and positive: {value}"
-            elif value < 0:
-                problem = f"is negative: {value}"
+            elif value < 0:  # one of MAX_COUNT's size or more by its digits
+                shown = value if value > -MAX_COUNT else f"{_digits(-value)} digits"
+                problem = f"is negative: {shown}"
             else:
-                problem = _too_large(len(str(value)))
+                digits = _digits(value)
+                problem = f"is too large for a float analysis: {digits} digits, not below 2**1021"
             raise DatasetError(_at_line(self, f"column {column} {problem}"))
 
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
-def _too_large(digits: int) -> str:
-    return f"is too large for a float analysis: {digits} digits, not below 2**1021"
+def _digits(n: int) -> int:
+    """The decimal digits of n > 0; str(n) refuses an n of over 4300 digits."""
+    d = int(math.log10(n)) + 1  # off by at most one in the float's rounding
+    return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
 def _at_line(row: CountRow, message: str) -> str:
@@ -204,6 +209,33 @@ class CountDataset:
         return buf.getvalue()
 
 
+def _integer_cell(cell: str) -> Optional[tuple[int, str]]:
+    """The sign and the digits, leading zeros dropped, of an integer cell: an
+    optional '-', then ASCII digits; None for any other cell.  int() alone
+    also reads '+4', '4_00' and non-ASCII digits, which csv.writer never writes."""
+    digits = cell.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return -1 if len(digits) < len(cell) else 1, digits.lstrip("0") or "0"
+    return None
+
+
+def _read_cell(column: str, cell: str):
+    """A count cell's int or a duration cell's float; the cell itself when it
+    holds neither, for CountRow to refuse in column order."""
+    if column == "duration":
+        try:  # float() also reads '1_0' and non-ASCII digits
+            return float(cell) if cell.isascii() and "_" not in cell else cell
+        except ValueError:
+            return cell
+    integer = _integer_cell(cell)
+    if integer is None:
+        return cell
+    sign, digits = integer
+    # a count of more digits than MAX_COUNT has is refused for its digit
+    # count, which 10**(n-1) keeps without int() reading all n digits
+    return sign * (int(digits) if len(digits) <= 308 else 10 ** (len(digits) - 1))
+
+
 def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
     """The dataset a counts CSV holds, each error naming its line.
 
@@ -221,15 +253,15 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.startswith("seed="):
-                value = body[len("seed="):]
+                value = body[len("seed="):].strip()
+                integer = _integer_cell(value)
+                if integer is None:
+                    raise DatasetError(f"line {line_no}: seed {value!r} is not an integer")
+                sign, digits = integer
                 try:
-                    seed = int(value)
-                except ValueError:
-                    # int() refuses a run of digits only for its length
-                    problem = (
-                        f"of {len(value)} digits is too long to read"
-                        if value.isascii() and value.isdigit() else f"{value!r} is not an integer"
-                    )
+                    seed = sign * int(digits)
+                except ValueError:  # int() refuses a run of digits only for its length
+                    problem = f"of {len(digits)} digits is too long to read"
                     raise DatasetError(f"line {line_no}: seed {problem}") from None
             continue
         try:
@@ -255,29 +287,39 @@ def _parse_counts_csv(text: str, source_digest: Optional[str]) -> CountDataset:
         where, values = f"line {line_no}", {}
         for column in COUNT_COLUMNS:
             value = record.get(column, "")
-            if value == "" and column in OPTIONAL_COLUMNS:
-                continue
-            try:
-                values[column] = float(value) if column == "duration" else int(value)
-            except ValueError:
-                if value.isascii() and value.isdigit():
-                    # too long for int(), so far above MAX_COUNT; CountRow first
-                    # checks the columns before it, with 0 for the counts after
-                    counts = dict.fromkeys(REQUIRED_COLUMNS[2:], 0) | values
-                    CountRow(record["setting_a"], record["setting_b"], **counts, where=where)
-                    raise DatasetError(f"{where}: column {column} {_too_large(len(value))}")
-                # CountRow names the first column, in order, that is not
-                # a number or out of range: this one or an earlier one
-                values[column] = value
+            if value != "" or column not in OPTIONAL_COLUMNS:
+                values[column] = _read_cell(column, value)
         rows.append(CountRow(record["setting_a"], record["setting_b"], **values, where=where))
     if header is None:
         raise DatasetError("empty file: no header row")
     return CountDataset(rows=tuple(rows), seed=seed, source_digest=source_digest)
 
 
+# Facets of the local polytope, the hull of models.OUTCOME_VERTICES: the
+# projection of the 16-outcome simplex onto the six measurable quantities
+# (Fine, PRL 48, 291, 1982).  The CH combination appears with both its upper
+# and lower bound; the remaining CH relabelings involve the unrecorded
+# marginals p(C), p(D) and survive projection only as the Frechet-style
+# bounds below.  Each entry: (name, coefficients, offset) for coeff . x <= offset.
+CH_FAMILY_FACETS: tuple[tuple[str, tuple[float, ...], float], ...] = (
+    ("CH", (-1, -1, 1, 1, 1, -1), 0.0),
+    ("CH-lower", (1, 1, -1, -1, -1, 1), 1.0),
+    ("bound pAB <= pA", (-1, 0, 1, 0, 0, 0), 0.0),
+    ("bound pAB <= pB", (0, -1, 1, 0, 0, 0), 0.0),
+    ("bound pAD <= pA", (-1, 0, 0, 1, 0, 0), 0.0),
+    ("bound pCB <= pB", (0, -1, 0, 0, 1, 0), 0.0),
+    ("bound pAB >= 0", (0, 0, -1, 0, 0, 0), 0.0),
+    ("bound pAD >= 0", (0, 0, 0, -1, 0, 0), 0.0),
+    ("bound pCB >= 0", (0, 0, 0, 0, -1, 0), 0.0),
+    ("bound pCD >= 0", (0, 0, 0, 0, 0, -1), 0.0),
+    ("bound pAB >= pA+pB-1", (1, 1, -1, 0, 0, 0), 1.0),
+    ("bound pCD <= 1-pA+pAD", (1, 0, 0, -1, 0, 1), 1.0),
+    ("bound pCD <= 1-pB+pCB", (0, 1, 0, 0, -1, 1), 1.0),
+)
+
 # Whether a violation of each inequality refutes factorizability itself
-# (genuine) or only an auxiliary assumption it needs.
-GENUINE = {"CH": True, "CHSH": True, "CHSH-star": False, "FC": False}
+# (genuine), as each facet's does, or only an auxiliary assumption it needs.
+GENUINE = {**{name: True for name, _, _ in CH_FAMILY_FACETS}, "CHSH-star": False, "FC": False}
 
 
 @dataclass(frozen=True)
@@ -424,6 +466,16 @@ def ch_report(ps: ProbabilitySet) -> InequalityReport:
     lhs = ps.pAB + ps.pAD + ps.pCB - ps.pCD
     rhs = ps.pA + ps.pB
     return InequalityReport("CH", lhs, rhs)
+
+
+def least_slack_facet(ps: ProbabilitySet) -> InequalityReport:
+    """The verdict of the facet of CH_FAMILY_FACETS with the least slack at
+    ps, the first on ties: lhs is coeff . ps, rhs the offset."""
+    x = tuple(ps.as_dict().values())
+    lhs = [sum(c * v for c, v in zip(coeff, x)) for _, coeff, _ in CH_FAMILY_FACETS]
+    k = min(range(len(lhs)), key=lambda i: CH_FAMILY_FACETS[i][2] - lhs[i])
+    name, _, offset = CH_FAMILY_FACETS[k]
+    return InequalityReport(name, lhs[k], offset)
 
 
 def correlation(tc: TwoChannelCounts) -> float:

@@ -4,7 +4,8 @@ The hidden variable is discretized into finitely many cells with explicit
 weights, so all integrals become finite sums and tests can be exact.  Each
 side carries its own response table: the detection probability at a setting
 depends only on the cell and the local setting (parameter independence by
-construction).
+construction).  joint_feasibility decides by LP whether six CH quantities
+admit such a model; inequalities holds the facets that certify a refusal.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .inequalities import CANONICAL_PAIRS, PAIR_TOL, SIDE1_SETTINGS, SIDE2_SETTINGS
-from .inequalities import ProbabilitySet, check_json
+from .inequalities import CANONICAL_PAIRS, CH_FAMILY_FACETS, PAIR_TOL, InequalityReport, check_json
+from .inequalities import SIDE1_SETTINGS, SIDE2_SETTINGS, ProbabilitySet, least_slack_facet
 
 MODEL_TOL = 1e-12
 
@@ -227,7 +228,7 @@ OUTCOME_TUPLES = tuple(itertools.product((0, 1), repeat=4))
 
 # The point each deterministic outcome gives in ProbabilitySet field order
 # (pA, pB, pAB, pAD, pCB, pCD), one row per entry of OUTCOME_TUPLES: the
-# local polytope is the convex hull of these rows (Fine, PRL 48, 291, 1982).
+# local polytope is their convex hull, whose facets are CH_FAMILY_FACETS.
 OUTCOME_VERTICES = _frozen(
     [(a, b, a * b, a * d, c * b, c * d) for a, c, b, d in OUTCOME_TUPLES], float
 )
@@ -270,64 +271,19 @@ def probability_set_from_model(model: FactorizableModel) -> ProbabilitySet:
 
 
 @dataclass(frozen=True)
-class FacetCertificate:
-    """A violated facet of the local polytope, as evidence of infeasibility."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
 class Feasible:
     witness: FourOutcomeJoint
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    certificate: FacetCertificate
+    certificate: InequalityReport
 
 
-# Facets of the hull of OUTCOME_VERTICES, the projection of the 16-outcome
-# simplex onto the six measurable quantities.  The CH combination appears with
-# both its upper and lower bound; the remaining CH relabelings involve the
-# unrecorded marginals p(C), p(D) and survive projection only as the
-# Frechet-style bounds below.  Each entry: (name, coefficients, offset) for
-# coeff . x <= offset.
-CH_FAMILY_FACETS: tuple[tuple[str, tuple[float, ...], float], ...] = (
-    ("CH", (-1, -1, 1, 1, 1, -1), 0.0),
-    ("CH-lower", (1, 1, -1, -1, -1, 1), 1.0),
-    ("bound pAB <= pA", (-1, 0, 1, 0, 0, 0), 0.0),
-    ("bound pAB <= pB", (0, -1, 1, 0, 0, 0), 0.0),
-    ("bound pAD <= pA", (-1, 0, 0, 1, 0, 0), 0.0),
-    ("bound pCB <= pB", (0, -1, 0, 0, 1, 0), 0.0),
-    ("bound pAB >= 0", (0, 0, -1, 0, 0, 0), 0.0),
-    ("bound pAD >= 0", (0, 0, 0, -1, 0, 0), 0.0),
-    ("bound pCB >= 0", (0, 0, 0, 0, -1, 0), 0.0),
-    ("bound pCD >= 0", (0, 0, 0, 0, 0, -1), 0.0),
-    ("bound pAB >= pA+pB-1", (1, 1, -1, 0, 0, 0), 1.0),
-    ("bound pCD <= 1-pA+pAD", (1, 0, 0, -1, 0, 1), 1.0),
-    ("bound pCD <= 1-pB+pCB", (0, 1, 0, 0, -1, 1), 1.0),
-)
-
-
-def _least_slack_facet(ps: ProbabilitySet) -> FacetCertificate:
-    """The CH-family facet with the least slack at ps, the first on ties."""
-    x = tuple(ps.as_dict().values())
-    lhs = [sum(c * v for c, v in zip(coeff, x)) for _, coeff, _ in CH_FAMILY_FACETS]
-    k = min(range(len(lhs)), key=lambda i: CH_FAMILY_FACETS[i][2] - lhs[i])
-    name, _, offset = CH_FAMILY_FACETS[k]
-    return FacetCertificate(name=name, lhs=lhs[k], rhs=offset)
-
-
-def scan_ch_family(ps: ProbabilitySet) -> Optional[FacetCertificate]:
-    """Return the most violated CH-family facet, or None if every facet
-    holds within PAIR_TOL."""
-    cert = _least_slack_facet(ps)
+def scan_ch_family(ps: ProbabilitySet) -> Optional[InequalityReport]:
+    """The verdict of the most violated CH-family facet, or None if every
+    facet holds within PAIR_TOL."""
+    cert = least_slack_facet(ps)
     return cert if cert.margin < -PAIR_TOL else None
 
 
@@ -388,7 +344,7 @@ def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
     Linear-program feasibility over the 16 outcome weights with equality
     constraints for the six given probabilities.  On success the recovered
     joint over (A, C, B, D) is the witness; on failure the certificate is
-    the CH-family facet with the least slack at ps.
+    least_slack_facet(ps), the violated facet verdict with the least slack.
     """
     b_eq = np.array((1.0, *ps.as_dict().values()))
     status, x, _ = solve_equality_lp(np.zeros(len(OUTCOME_TUPLES)), _FEASIBILITY_A_EQ, b_eq, 1.0)
@@ -396,4 +352,4 @@ def joint_feasibility(ps: ProbabilitySet) -> Union[Feasible, Infeasible]:
         q = np.clip(x, 0.0, None)
         q = q / q.sum()
         return Feasible(witness=FourOutcomeJoint(dict(zip(OUTCOME_TUPLES, map(float, q)))))
-    return Infeasible(certificate=_least_slack_facet(ps))
+    return Infeasible(certificate=least_slack_facet(ps))

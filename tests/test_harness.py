@@ -175,14 +175,18 @@ class TestIngestCounts:
             ("singles_a", f"C,D,100,400,400,100,{10**400},2000,1.0"),
             # more digits than int() reads; the cell is not quoted back
             ("n_pp", f"C,D,{'1' * 5000},400,400,100,2000,2000,1.0"),
+            ("n_pp", f"C,D,1{'0' * 5000},400,400,100,2000,2000,1.0"),
+            # leading zeros are no digits: n_pp reads as 5, n_mm has 401 digits
+            ("n_mm", f"C,D,{'0' * 4300}5,400,400,{'0' * 4300}{10**400},2000,2000,1.0"),
         ],
-        ids=["n_mm", "singles_a", "n_pp-5000-digits"],
+        ids=["n_mm", "singles_a", "n_pp-5000-digits", "n_pp-5001-digits", "leading-zeros"],
     )
     def test_count_too_large_for_a_float_names_line_and_column(self, tmp_path, column, row):
         counts = DURATION_CSV.format(duration="1.0").replace("C,D,100,400,400,100,2000,2000,1.0", row)
         with pytest.raises(DatasetError, match=rf"^line 5: column {column} is too large") as exc:
             ingest_counts(write(tmp_path, "big.csv", counts))
-        digits = len(row.split(",")[DURATION_CSV.split("\n")[0].split(",").index(column)])
+        cell = row.split(",")[DURATION_CSV.split("\n")[0].split(",").index(column)]
+        digits = len(cell.lstrip("0"))
         assert str(exc.value).endswith(f": {digits} digits, not below 2**1021")
         assert len(str(exc.value).encode()) < 200
 
@@ -227,8 +231,13 @@ class TestIngestCounts:
             ("abc", "line 1: seed 'abc' is not an integer"),
             # more digits than int() reads; the seed is not quoted back
             ("1" * 5000, "line 1: seed of 5000 digits is too long to read"),
+            ("0" * 5000 + "1" * 5000, "line 1: seed of 5000 digits is too long to read"),
+            # int() reads these as 42, csv.writer never writes them
+            ("4_2", "line 1: seed '4_2' is not an integer"),
+            ("+42", "line 1: seed '+42' is not an integer"),
+            ("\uff14\uff12", "line 1: seed '\uff14\uff12' is not an integer"),
         ],
-        ids=["abc", "5000-digits"],
+        ids=["abc", "5000-digits", "leading-zeros", "underscore", "plus", "fullwidth"],
     )
     def test_non_integer_seed_names_line(self, tmp_path, seed, message):
         with pytest.raises(DatasetError) as exc:
@@ -290,6 +299,8 @@ class TestIngestCounts:
         back = ingest_counts(path)
         assert back.seed == ds.seed
         assert back.rows[0].n_pp == ds.rows[0].n_pp
+        # leading zeros are no digits, also beyond the 4300 that int() reads
+        assert ingest_bytes(f"# seed=-{'0' * 4300}7\n{GOOD_CSV}".encode()).seed == -7
 
 
 class TestStoredTypes:
@@ -693,7 +704,8 @@ class TestCli:
         assert cli.main(["analyze", str(path), "--config", str(config)]) == 1
         assert "r0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("duration", ["0", "-2.5", "nan", "inf"])
+    # float() reads "1_0" and fullwidth digits as 10.0, csv.writer never writes them
+    @pytest.mark.parametrize("duration", ["0", "-2.5", "nan", "inf", "1_0", "\uff11\uff10"])
     def test_non_positive_duration_exit_code(self, tmp_path, capsys, duration):
         path = write(tmp_path, "counts.csv", DURATION_CSV.format(duration=duration))
         assert cli.main(["analyze", str(path)]) == 1
@@ -905,8 +917,17 @@ class TestCli:
         [("", "empty file: no header row"),
          (GOOD_CSV.splitlines()[0] + "\n", "empty dataset"),
          (GOOD_CSV.replace("C,D,100,400,400,100\n", ""),
-          "dataset lacks canonical setting pair (C, D)")],
-        ids=["empty-file", "header-only", "missing-pair"],
+          "dataset lacks canonical setting pair (C, D)"),
+         # int() reads each of these as 400, csv.writer never writes them
+         (GOOD_CSV.replace("A,B,400", "A,B,4_00"), "line 2: column n_pp is not an integer: '4_00'"),
+         (GOOD_CSV.replace("A,B,400", "A,B,+400"), "line 2: column n_pp is not an integer: '+400'"),
+         (GOOD_CSV.replace("A,B,400", "A,B,\uff14\uff10\uff10"),
+          "line 2: column n_pp is not an integer: '\uff14\uff10\uff10'"),
+         # a negative count too long to spell out gives its digits
+         (GOOD_CSV.replace("A,B,400", f"A,B,-{'1' * 5000}"),
+          "line 2: column n_pp is negative: 5000 digits")],
+        ids=["empty-file", "header-only", "missing-pair", "underscore-count", "plus-count",
+             "fullwidth-count", "negative-5000-digits"],
     )
     def test_dataset_wide_errors_name_the_counts_file(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "counts.csv", text)
@@ -1300,6 +1321,8 @@ class TestCli:
             (0, "singles_b", -1, "field pairs[0]: column singles_b is negative: -1"),
             (2, "n_mm", 2**1021, "field pairs[2]: column n_mm is too large for a float "
              "analysis: 308 digits, not below 2**1021"),
+            (2, "n_mm", 10**308 - 1, "field pairs[2]: column n_mm is too large for a float "
+             "analysis: 308 digits, not below 2**1021"),
             (3, "n_pm", 2.5, "field pairs[3].n_pm must be an integer, found 2.5"),
             (0, "singles_a", 1.5, "field pairs[0].singles_a must be an integer or null, found 1.5"),
             (3, "duration", 0, "field pairs[3]: column duration must be finite and positive: 0"),
@@ -1308,8 +1331,8 @@ class TestCli:
             (1, "duration", 10**400,
              "field pairs[1].duration must be a finite number or null, found 1" + "0" * 39),
         ],
-        ids=["negative", "negative-singles", "at-bound", "non-integer", "non-integer-singles",
-             "zero-duration", "negative-duration", "duration-beyond-floats"],
+        ids=["negative", "negative-singles", "at-bound", "largest-308-digits", "non-integer",
+             "non-integer-singles", "zero-duration", "negative-duration", "duration-beyond-floats"],
     )
     def test_saved_counts_out_of_range_name_the_pair(
         self, tmp_path, capsys, k, column, value, message

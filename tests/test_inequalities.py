@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from bellkit.experiments import CANONICAL_ANGLES, predicted_probability_set, prediction_reports
 from bellkit.inequalities import (
     CANONICAL_PAIRS,
+    CH_FAMILY_FACETS,
+    GENUINE,
     TSIRELSON_BOUND,
     CountRow,
     InequalityReport,
@@ -181,7 +183,7 @@ class TestFcReport:
 
 class TestInequalityReport:
     @pytest.mark.parametrize(
-        "name, genuine", [("CH", True), ("CHSH", True), ("CHSH-star", False), ("FC", False)]
+        "name, genuine", [("CH", True), ("CH-lower", True), ("CHSH-star", False), ("FC", False)]
     )
     def test_flags_follow_from_the_name_lhs_and_rhs(self, name, genuine):
         above, at = InequalityReport(name, 2.5, 2.0), InequalityReport(name, 2.0, 2.0)
@@ -191,6 +193,14 @@ class TestInequalityReport:
     def test_unknown_inequality_is_refused(self):
         with pytest.raises(ValueError, match="^unknown inequality 'Bell'$"):
             InequalityReport("Bell", 2.5, 2.0)
+        # no verdict of the plain CHSH sum is produced
+        with pytest.raises(ValueError, match="^unknown inequality 'CHSH'$"):
+            InequalityReport("CHSH", 2.5, 2.0)
+
+    def test_every_facet_is_a_genuine_verdict(self):
+        facets = [name for name, _, _ in CH_FAMILY_FACETS]
+        assert all(InequalityReport(name, 0.0, 0.0).genuine for name in facets)
+        assert list(GENUINE) == [*facets, "CHSH-star", "FC"]
 
 
 def test_canonical_angles_reach_the_chsh_maximum():

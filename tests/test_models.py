@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bellkit import models
-from bellkit.inequalities import PAIR_TOL, ProbabilitySet, ch_report
+from bellkit import inequalities, models
+from bellkit.inequalities import (
+    PAIR_TOL,
+    InequalityReport,
+    ProbabilitySet,
+    ch_report,
+    least_slack_facet,
+)
 from bellkit.models import (
     CH_FAMILY_FACETS,
     FactorizableModel,
@@ -215,6 +221,9 @@ class TestJointFeasibility:
         assert result.certificate.name == "CH"
         # CH arithmetic: lhs 1.5 exceeds rhs 1.0 by 0.5
         assert result.certificate.lhs - result.certificate.rhs == pytest.approx(0.5)
+        # the certificate is a verdict: a violated inequality of local realism alone
+        assert type(result.certificate) is InequalityReport
+        assert result.certificate.violated and result.certificate.genuine
 
     def test_product_sets_feasible(self, rng):
         for _ in range(20):
@@ -289,6 +298,19 @@ class TestLocalPolytope:
             listed.add(tuple(np.round(np.append(coeff, -offset) / norm, 9) + 0.0))
         assert len(listed) == len(CH_FAMILY_FACETS) == 13
         assert hull == listed
+
+    def test_facet_table_is_the_one_inequalities_holds(self):
+        assert models.CH_FAMILY_FACETS is inequalities.CH_FAMILY_FACETS
+
+    def test_least_slack_facet_names_the_lower_ch_bound(self):
+        # the upper CH verdict holds at this point; the lower CH bound does not
+        ps = ProbabilitySet(0.5, 0.5, 0.006, 0.0065, 0.0062, 0.41)
+        verdict = least_slack_facet(ps)
+        assert (verdict.name, verdict.rhs) == ("CH-lower", 1.0)
+        assert verdict.lhs == pytest.approx(1.3913, abs=1e-12)
+        assert verdict.violated and verdict.genuine
+        assert not ch_report(ps).violated
+        assert scan_ch_family(ps) == verdict == joint_feasibility(ps).certificate
 
     def test_tables_are_read_only(self):
         for table in (models.OUTCOME_VERTICES, models._FEASIBILITY_A_EQ):
@@ -365,6 +387,7 @@ class TestLocalPolytope:
                 refused += 1
                 assert result.certificate.name in FACET_IDS
                 assert result.certificate.lhs > result.certificate.rhs
+                assert result.certificate.violated and result.certificate.genuine
                 # the scan names the same facet, with the same sides
                 assert scan_ch_family(ps) == result.certificate
             else:
