@@ -98,8 +98,8 @@ class TwoChannelCounts:
 
     def __post_init__(self):
         for name in ("ppp", "ppm", "pmp", "pmm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} = {getattr(self, name)} is negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} = {getattr(self, name)}, not finite and non-negative")
 
     def total(self) -> float:
         return self.ppp + self.ppm + self.pmp + self.pmm

@@ -34,10 +34,9 @@ def _frozen(a, dtype=None) -> np.ndarray:
 
 def _value_eq(self, other) -> bool:
     """Equality of two instances of one dataclass, field by field: arrays
-    are equal when np.array_equal holds, dicts when they hold the same keys
-    with equal values.  The generated __eq__ compares arrays with ==, whose
-    truth value is ambiguous.  A class that sets __eq__ = _value_eq is
-    unhashable."""
+    are equal when np.array_equal holds.  The generated __eq__ compares
+    arrays with ==, whose truth value is ambiguous.  A class that sets
+    __eq__ = _value_eq is unhashable."""
     if type(other) is not type(self):
         return NotImplemented
     return all(
@@ -46,8 +45,6 @@ def _value_eq(self, other) -> bool:
 
 
 def _equal_values(a, b) -> bool:
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_equal_values(a[k], b[k]) for k in a)
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
     return a == b
@@ -256,7 +253,7 @@ class FourOutcomeJoint:
         total = sum(self.probabilities.values())
         if any(p < -MODEL_TOL for p in self.probabilities.values()):
             raise ValueError("negative outcome probability")
-        if abs(total - 1.0) > PAIR_TOL:
+        if not abs(total - 1.0) <= PAIR_TOL:  # nan fails it
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 
 

@@ -48,25 +48,11 @@ class StrategyMixture:
             raise ValueError(f"mixture weights must have shape {shape}, not {w.shape}")
         if w.min() < -WEIGHT_TOL:
             raise ValueError("negative mixture weight")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if not abs(w.sum() - 1.0) <= WEIGHT_TOL:  # nan fails it
             raise ValueError(f"mixture weights sum to {w.sum()}, not 1")
         # rounding residue in [-WEIGHT_TOL, 0) becomes 0, so that every
         # outcome table of the mixture is a valid TwoChannelCounts
         object.__setattr__(self, "weights", _frozen(np.where(w < 0.0, 0.0, w)))
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureStatistics:
-    """Per-setting-pair outcome tables of a mixture: tables[(X, Y)] is the
-    read-only 3x3 joint outcome distribution in OUTCOMES order."""
-
-    tables: dict[tuple[str, str], np.ndarray]
-
-    __eq__ = _value_eq
-
-    def two_channel(self, x: str, y: str) -> TwoChannelCounts:
-        t = self.tables[(x, y)]
-        return TwoChannelCounts(ppp=t[0, 0], ppm=t[0, 1], pmp=t[1, 0], pmm=t[1, 1])
 
 
 # Read-only 0/1 array of shape (settings, len(OUTCOMES), len(STRATEGIES)):
@@ -80,9 +66,10 @@ _INDICATORS = _frozen(
 )
 
 
-def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
+def mixture_statistics(m: StrategyMixture) -> dict[tuple[str, str], np.ndarray]:
     """Outcome tables of a mixture of strategies on the settings
-    SIDE1_SETTINGS and SIDE2_SETTINGS.
+    SIDE1_SETTINGS and SIDE2_SETTINGS: setting pair (X, Y) -> the read-only
+    3x3 joint outcome distribution in OUTCOMES order.
 
     All 16 tables come from one product of the weights with the indicator
     array on both sides.
@@ -90,23 +77,26 @@ def mixture_statistics(m: StrategyMixture) -> MixtureStatistics:
     ind = _INDICATORS.reshape(-1, len(STRATEGIES))
     # t[x, o1, y, o2]: weight of the pairs giving o1 at x and o2 at y
     t = _frozen((ind @ m.weights @ ind.T).reshape(2, 3, 2, 3))
-    return MixtureStatistics(
-        tables={
-            (x, y): t[xi, :, yi]
-            for xi, x in enumerate(SIDE1_SETTINGS)
-            for yi, y in enumerate(SIDE2_SETTINGS)
-        }
-    )
+    return {
+        (x, y): t[xi, :, yi]
+        for xi, x in enumerate(SIDE1_SETTINGS)
+        for yi, y in enumerate(SIDE2_SETTINGS)
+    }
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The optimal mixture at efficiency eta and its outcome table for each
-    setting pair; S* and the genuine S follow from the tables."""
+    """The optimal mixture at efficiency eta.  Its coincidence counts for
+    each setting pair come from mixture_statistics; S* and the genuine S
+    follow from them."""
 
     eta: float
     mixture: StrategyMixture
-    pair_counts: dict[tuple[str, str], TwoChannelCounts]
+
+    @functools.cached_property
+    def pair_counts(self) -> dict[tuple[str, str], TwoChannelCounts]:
+        tables = mixture_statistics(self.mixture)
+        return {pair: TwoChannelCounts(*tables[pair][:2, :2].ravel()) for pair in PAIRS}
 
     @property
     def s_star_max(self) -> float:
@@ -207,10 +197,7 @@ def maximize_s_star(eta: float) -> SearchResult:
     best_x = x[:-1] / x[-1]
 
     w = np.clip(best_x, 0.0, None).reshape(len(STRATEGIES), len(STRATEGIES))
-    mixture = StrategyMixture(w / w.sum())
-    stats = mixture_statistics(mixture)
-    pair_counts = {(x, y): stats.two_channel(x, y) for x, y in PAIRS}
-    return SearchResult(eta=eta, mixture=mixture, pair_counts=pair_counts)
+    return SearchResult(eta, StrategyMixture(w / w.sum()))
 
 
 def sample_counts(

@@ -145,7 +145,7 @@ def test_criterion_7_detection_loophole_optimizer():
             # parameter independence: side 1's outcome distribution at X,
             # the row sums of table (X, B) and of table (X, D), is one and the
             # same, the summed weight of the strategies giving each outcome
-            tables = mixture_statistics(result.mixture).tables
+            tables = mixture_statistics(result.mixture)
             weights = result.mixture.weights.tolist()
             for xi, x in enumerate(("A", "C")):
                 reference = [

@@ -219,9 +219,51 @@ def test_report_types_store_only_what_was_measured():
         "AnalysisReport": ["pairs", "ch", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
         "PairStats": ["row", "n0"],
-        "SearchResult": ["eta", "mixture", "pair_counts"],
+        "SearchResult": ["eta", "mixture"],
         "_SearchLP": ["c", "b_eq", "a_eq"],
     }
+
+
+def array_dataclasses(namespace: dict) -> dict[str, type]:
+    """The dataclasses defined in namespace with a field annotated as an
+    ndarray, by name."""
+    return {
+        name: value
+        for name, value in namespace.items()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == namespace["__name__"]
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
+    }
+
+
+def test_array_guard_finds_every_array_field():
+    namespace = {"__name__": __name__}
+    exec(
+        "from __future__ import annotations\n"
+        "from dataclasses import dataclass\n"
+        "import numpy as np\n"
+        "@dataclass(frozen=True)\nclass Witness:\n    q: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    a: float\n    b: tuple[np.ndarray, ...]\n"
+        "@dataclass(frozen=True)\nclass Plain:\n    a: float\n",
+        namespace,
+    )
+    assert sorted(array_dataclasses(namespace)) == ["Pair", "Witness"]
+
+
+def test_array_holding_dataclasses_compare_by_value():
+    # the generated __eq__ compares array fields with ==, whose truth value
+    # is ambiguous: a dataclass holding an array compares by value with
+    # models._value_eq, or, built with eq=False and no __eq__ of its own,
+    # by identity as _SearchLP does
+    package = Path(bellkit.__file__).resolve().parent
+    found = {}
+    for path in package.glob("[!_]*.py"):
+        module = importlib.import_module(f"bellkit.{path.stem}")
+        found.update(array_dataclasses(vars(module)))
+    assert {"StrategyMixture", "HiddenVariableSpace", "ResponseTable"} <= set(found)
+    for name, cls in found.items():
+        assert cls.__eq__ in (bellkit.models._value_eq, object.__eq__), name
 
 
 def test_dir_lists_public_names_and_submodules():

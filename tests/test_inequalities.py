@@ -66,8 +66,14 @@ class TestCorrelation:
         assert correlation(TwoChannelCounts(0.2, 0.05, 0.05, 0.2)) == pytest.approx(0.3)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ppm = -0\.1, not finite and non-negative$"):
             TwoChannelCounts(0.2, -0.1, 0.05, 0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # a nan or inf entry would make E and E* nan
+        with pytest.raises(ValueError, match=f"^pmm = {bad}, not finite and non-negative$"):
+            TwoChannelCounts(0.2, 0.05, 0.05, bad)
 
 
 class TestRenormalizedCorrelation:

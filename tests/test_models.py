@@ -212,6 +212,13 @@ class TestFormalJointDistribution:
         assert FourOutcomeJoint(point_mass) != FourOutcomeJoint(uniform)
         assert Feasible(FourOutcomeJoint(point_mass)) != Feasible(FourOutcomeJoint(uniform))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        probs = {t: 1 / 16 for t in OUTCOME_TUPLES}
+        probs[(1, 0, 0, 1)] = bad
+        with pytest.raises(ValueError, match=f"^outcome probabilities sum to {bad}, not 1$"):
+            FourOutcomeJoint(probs)
+
 
 class TestJointFeasibility:
     def test_overlapping_pairs_infeasible_with_certificate(self):
@@ -369,6 +376,42 @@ class TestLocalPolytope:
             else:
                 assert cert.name == name
                 assert cert.margin == pytest.approx(-outside, rel=1e-6)
+
+    def test_verdicts_just_across_the_least_slack_facet_of_random_points(self):
+        # random mixtures of the vertices, each put on its least-slack facet
+        # and moved 1e-6 (coeff . point = offset -/+ 1e-6) to either side:
+        # unlike the 5-level grid points, these sit next to a facet
+        rng = np.random.default_rng(2026_10)
+        across = 1e-6
+        sides = {"refused": 0, "infeasible": 0, "feasible": 0}
+        for _ in range(400):
+            point = rng.dirichlet(np.full(len(VERTICES), 0.2)) @ VERTICES
+            name = least_slack_facet(ProbabilitySet(*point)).name
+            _, coeff, offset = CH_FAMILY_FACETS[FACET_IDS.index(name)]
+            normal = np.array(coeff, dtype=float)
+            # the step that raises coeff . point by 1
+            unit = normal / (normal @ normal)
+            on_facet = point + (offset - normal @ point) * unit
+
+            try:
+                ps = ProbabilitySet(*(on_facet + across * unit))
+            except ValueError:
+                assert name not in CROSSABLE_FACETS
+                sides["refused"] += 1
+            else:
+                assert name in CROSSABLE_FACETS
+                result = joint_feasibility(ps)
+                assert isinstance(result, Infeasible)
+                assert result.certificate.name == name
+                assert result.certificate == scan_ch_family(ps)
+                sides["infeasible"] += 1
+
+            inside = on_facet - across * unit
+            result = joint_feasibility(ProbabilitySet(*inside))
+            assert isinstance(result, Feasible)
+            np.testing.assert_allclose(witness_point(result.witness), inside, rtol=0, atol=1e-9)
+            sides["feasible"] += 1
+        assert min(sides.values()) > 0
 
     def test_every_refusal_on_the_grid_names_a_violated_facet(self):
         # the first 1000 draws of the point stream of acceptance criterion 6

@@ -18,7 +18,6 @@ from bellkit.search import (
     OUTCOMES,
     PAIRS,
     STRATEGIES,
-    MixtureStatistics,
     StrategyMixture,
     maximize_s_star,
     mixture_statistics,
@@ -48,7 +47,7 @@ class TestMixtureStatistics:
     def test_point_mass_always_plus(self):
         stats = mixture_statistics(point_mass(("+", "+"), ("+", "+")))
         for x, y in PAIRS:
-            assert stats.two_channel(x, y).ppp == 1.0
+            assert stats[(x, y)][0, 0] == 1.0
 
     def test_uniform_mixture_by_explicit_enumeration(self):
         # independent count: strategies fixing one outcome at one setting
@@ -56,8 +55,7 @@ class TestMixtureStatistics:
             1 for a, b in itertools.product(REFERENCE_STRATEGIES, repeat=2) if a[0] == b[0] == "+"
         ) / 81
         stats = mixture_statistics(uniform_mixture())
-        tc = stats.two_channel("A", "B")
-        for entry in (tc.ppp, tc.ppm, tc.pmp, tc.pmm):
+        for entry in stats[("A", "B")][:2, :2].ravel():
             assert entry == pytest.approx(expected, abs=1e-15)
 
     def test_parameter_independence_within_rounding(self):
@@ -67,18 +65,21 @@ class TestMixtureStatistics:
         for _ in range(200):
             stats = mixture_statistics(StrategyMixture(rng.dirichlet(np.ones(81)).reshape(9, 9)))
             for x in ("A", "C"):
-                gap = stats.tables[(x, "B")].sum(axis=1) - stats.tables[(x, "D")].sum(axis=1)
+                gap = stats[(x, "B")].sum(axis=1) - stats[(x, "D")].sum(axis=1)
                 assert np.abs(gap).max() <= 1e-15
 
     def test_tables_are_read_only(self):
         stats = mixture_statistics(uniform_mixture())
-        for table in stats.tables.values():
+        for table in stats.values():
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.5
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             StrategyMixture(np.full((9, 9), 0.5))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^mixture weights sum to {bad}, not 1$"):
+                StrategyMixture(np.full((9, 9), bad))
 
     def test_rounding_residue_weight_is_clipped_to_zero(self):
         # a weight of -8e-17 is what rounding leaves on the boundary of a
@@ -92,7 +93,7 @@ class TestMixtureStatistics:
         assert mixture.weights.min() == 0.0 and not mixture.weights.flags.writeable
         stats = mixture_statistics(mixture)
         for x, y in PAIRS:
-            assert stats.two_channel(x, y).ppp == 0.0
+            assert stats[(x, y)][0, 0] == 0.0
         with pytest.raises(ValueError, match="negative mixture weight"):
             StrategyMixture(np.where(w < 0, -2e-10, w))
 
@@ -120,7 +121,7 @@ class TestMixtureStatistics:
                     for o in OUTCOMES
                 )
                 for y in "BD":
-                    rows = stats.tables[(x, y)].sum(axis=1)
+                    rows = stats[(x, y)].sum(axis=1)
                     np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-15)
 
     def test_matches_per_strategy_pair_reference(self):
@@ -141,9 +142,9 @@ class TestMixtureStatistics:
                     cell = (x, y, OUTCOMES.index(a[xi]), OUTCOMES.index(b[yi]))
                     terms.setdefault(cell, []).append(w[i, j])
             stats = mixture_statistics(StrategyMixture(w))
-            assert len(stats.tables) == 4
+            assert len(stats) == 4
             for (x, y, oi, oj), cell in terms.items():
-                worst = max(worst, abs(stats.tables[(x, y)][oi, oj] - math.fsum(cell)))
+                worst = max(worst, abs(stats[(x, y)][oi, oj] - math.fsum(cell)))
         assert worst <= 1e-15
 
 
@@ -156,9 +157,6 @@ def array_valued_instances() -> dict[str, tuple]:
     table = np.array([[0.5, 0.25], [1.0, 0.0]])
     table_changed = table.copy()
     table_changed[1, 1] = 0.75
-    stats = mixture_statistics(StrategyMixture(w))
-    cd = stats.tables[("C", "D")].copy()
-    cd[2, 2] += 0.25
     cells = ("c0", "c1")
     return {
         "StrategyMixture": (
@@ -174,17 +172,10 @@ def array_valued_instances() -> dict[str, tuple]:
             ResponseTable(1, ("A", "C"), table.copy()),
             ResponseTable(1, ("A", "C"), table_changed),
         ),
-        "MixtureStatistics": (
-            stats,
-            mixture_statistics(StrategyMixture(w.copy())),
-            MixtureStatistics({**stats.tables, ("C", "D"): cd}),
-        ),
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["StrategyMixture", "HiddenVariableSpace", "ResponseTable", "MixtureStatistics"]
-)
+@pytest.mark.parametrize("name", ["StrategyMixture", "HiddenVariableSpace", "ResponseTable"])
 def test_array_valued_types_compare_by_value(name):
     a, b, changed = array_valued_instances()[name]
     assert type(a).__name__ == name and a is not b
@@ -227,7 +218,7 @@ class TestMixtureToModel:
         stats = mixture_statistics(mixture)
         for x, y in PAIRS:
             assert joint_probability(model, x, y) == pytest.approx(
-                stats.two_channel(x, y).ppp, abs=1e-12
+                stats[(x, y)][0, 0], abs=1e-12
             )
 
 
@@ -250,7 +241,7 @@ class TestMaximizeSStar:
         # in its +/- columns
         result = maximize_s_star(0.6)
         stats = mixture_statistics(result.mixture)
-        for pair, table in stats.tables.items():
+        for pair, table in stats.items():
             assert table[:2].sum() == pytest.approx(0.6, abs=1e-7), pair
             assert table[:, :2].sum() == pytest.approx(0.6, abs=1e-7), pair
 
@@ -346,6 +337,16 @@ class TestCachedSearchStructure:
         first = [json.dumps(maximize_s_star(eta).to_json()) for eta in grid]
         again = [json.dumps(maximize_s_star(eta).to_json()) for eta in reversed(grid)]
         assert first == again[::-1]
+
+    @pytest.mark.parametrize("eta", [0.1, 0.6, 0.8, 0.999, 1.0])
+    def test_result_follows_from_eta_and_mixture(self, eta):
+        # the counts, S* and genuine S of a result are computed from its
+        # mixture, so a result rebuilt from the two fields is the same result
+        solved = maximize_s_star(eta)
+        rebuilt = search.SearchResult(eta, solved.mixture)
+        assert rebuilt == solved
+        assert json.dumps(rebuilt.to_json()) == json.dumps(solved.to_json())
+        assert (rebuilt.s_star_max, rebuilt.genuine_s) == (solved.s_star_max, solved.genuine_s)
 
 
 class TestSampleCounts:
