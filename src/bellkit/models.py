@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -292,33 +293,46 @@ LP_RESIDUAL_TOL = math.sqrt(1e-9) * 10
 # linprog's status number of each HiGHS model status; any other is 4.
 _LP_STATUS = {"kOptimal": 0, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
 
+# The HiGHS solver of each thread, made on its first LP.
+_SOLVERS = threading.local()
+
 
 def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: float):
     """Minimize c.x subject to a_eq x = b_eq and 0 <= x <= upper, by HiGHS.
 
-    Each call hands HiGHS the LP on a fresh solver, through the bindings
-    scipy ships, so that no answer depends on the calls before it; a_eq goes
-    column-wise without its zeros (-0.0 among them), as milp would pass it.
-    Presolve is off: on LPs of 7 x 16 and 9 x 82 it costs more than it
-    saves.  linprog's post-solve check is kept: an optimum whose x is not
-    finite, outside its bounds, or off an equality row by more than
-    LP_RESIDUAL_TOL becomes status 4.  Returns (status, x, message) with
-    linprog's status numbers; x is None unless status is 0.
+    Each thread keeps one solver, made with presolve off (on LPs of 7 x 16
+    and 9 x 82 it costs more than it saves).  Each call clears the solver's
+    model, which drops every solution and basis with it, and passes the LP
+    as arrays through the bindings scipy ships, so that no answer depends on
+    the calls before it: a kept model edited in place (changeCoeff, then
+    clearSolver) answered in other last bits.  a_eq goes column-wise without
+    its zeros (-0.0 among them), as milp would pass it.  A c, a_eq or b_eq
+    with an entry that is not finite is refused before HiGHS sees it, as
+    milp refuses such a c: a NaN cost never returned.  linprog's post-solve
+    check is kept: an optimum whose x is not finite, outside its bounds, or
+    off an equality row by more than LP_RESIDUAL_TOL becomes status 4.
+    Returns (status, x, message) with linprog's status numbers; x is None
+    unless status is 0.
     """
+    if not (np.isfinite(c).all() and np.isfinite(a_eq).all() and np.isfinite(b_eq).all()):
+        return 4, None, "the LP's costs, matrix or right-hand side are not all finite"
     from scipy.optimize._highspy import _core as highs
 
+    solver = getattr(_SOLVERS, "solver", None)
+    if solver is None:
+        solver = _SOLVERS.solver = highs._Highs()
+        solver.setOptionValue("presolve", "off")
+        solver.setOptionValue("log_to_console", False)
+    n_row, n_col = a_eq.shape
     cols, rows = np.nonzero(a_eq.T)
-    lp = highs.HighsLp()
-    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a_eq.shape
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros_like(c), np.full_like(c, upper)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(len(c) + 1))
-    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows, a_eq[rows, cols]
-    solver = highs._Highs()
-    solver.setOptionValue("presolve", "off")
-    solver.setOptionValue("log_to_console", False)
-    solver.passModel(lp)  # a model it refuses is not solved: status 4
+    solver.clearModel()
+    # a model it refuses is not solved: status 4
+    solver.passModel(
+        n_col, n_row, len(rows), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        c, np.zeros_like(c), np.full_like(c, upper), b_eq, b_eq,
+        np.searchsorted(cols, np.arange(n_col + 1)), rows, a_eq[rows, cols],
+        np.zeros(n_col, np.int32),  # an empty integrality array reads as kModelEmpty
+    )
     solver.run()
     model_status = solver.getModelStatus()
     status = _LP_STATUS.get(model_status.name, 4)

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +75,16 @@ def solver_off_one_row(monkeypatch):
     the solver reported for each solve."""
     from scipy.optimize._highspy import _core
 
+    from bellkit import models
+
     statuses = []
 
     class Shifted(_core._Highs):
-        def passModel(self, lp):
-            bounds = np.array(lp.row_upper_)
+        def passModel(self, *args):
+            # the array form: arguments 9 and 10 are the row bounds
+            bounds = np.array(args[9])
             bounds[-1] += 1e-3
-            lp.row_lower_ = lp.row_upper_ = bounds
-            return super().passModel(lp)
+            return super().passModel(*args[:9], bounds, bounds, *args[11:])
 
         def run(self):
             status = super().run()
@@ -89,4 +92,6 @@ def solver_off_one_row(monkeypatch):
             return status
 
     monkeypatch.setattr(_core, "_Highs", Shifted)
+    # a fresh per-thread store, so that the next solve makes a Shifted solver
+    monkeypatch.setattr(models, "_SOLVERS", threading.local())
     yield statuses

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from bellkit.models import (
 )
 from conftest import formal_joint_distribution, model_json, random_model
 
+SRC = str(Path(models.__file__).resolve().parent.parent)
 SIDE1 = ("A", "C")
 SIDE2 = ("B", "D")
 
@@ -476,6 +481,152 @@ class TestDirectSolve:
         # every search LP and model point is solved; some grid points are not
         assert set(statuses[:n_search]) == set(statuses[n_search::2]) == {0}
         assert 0 < statuses[n_search + 1::2].count(2) < 600
+
+
+def fresh_solve(c, a_eq, b_eq, upper):
+    """The oracle of the kept solver: each LP on a fresh _Highs, fed
+    through a HighsLp, with solve_equality_lp's options and post-solve
+    check."""
+    from scipy.optimize._highspy import _core as highs
+
+    cols, rows = np.nonzero(a_eq.T)
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a_eq.shape
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros_like(c), np.full_like(c, upper)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(len(c) + 1))
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows, a_eq[rows, cols]
+    solver = highs._Highs()
+    solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("log_to_console", False)
+    solver.passModel(lp)
+    solver.run()
+    status = models._LP_STATUS.get(solver.getModelStatus().name, 4)
+    if status != 0:
+        return status, None
+    x = np.array(solver.getSolution().col_value)
+    if not (
+        np.isfinite(x).all()
+        and x.min() >= -models.LP_RESIDUAL_TOL
+        and x.max() <= upper + models.LP_RESIDUAL_TOL
+        and np.abs(a_eq @ x - b_eq).max() <= models.LP_RESIDUAL_TOL
+    ):
+        return 4, None
+    return 0, x
+
+
+def search_problem(eta):
+    from bellkit import search
+
+    lp = search._search_lp()
+    return lp.c, np.where(np.isnan(lp.a_eq), -eta, lp.a_eq), lp.b_eq, math.inf
+
+
+def feasibility_problem(point):
+    return np.zeros(16), models._FEASIBILITY_A_EQ, np.array((1.0, *point)), 1.0
+
+
+def answer(status, x):
+    """An LP answer as bytes-comparable values."""
+    return status, None if x is None else x.tobytes()
+
+
+REFUSAL = "the LP's costs, matrix or right-hand side are not all finite"
+SEARCH_ETAS = [k / 100 for k in range(10, 101)] + [1.001e-9]
+
+
+class TestKeptSolver:
+    def test_shuffled_stream_matches_a_fresh_solver(self, rng):
+        problems = [search_problem(eta) for eta in SEARCH_ETAS]
+        levels = np.linspace(0.0, 1.0, 5)
+        for _ in range(150):
+            p_a, p_b = rng.choice(levels, size=2)
+            for point in (
+                probability_set_from_model(random_model(rng)).as_dict().values(),
+                (p_a, p_b, *(rng.choice(levels, size=4) * min(p_a, p_b))),
+                rng.random(6),
+            ):
+                problems.append(feasibility_problem(point))
+        statuses = []
+        for k in rng.permutation(len(problems)):
+            status, x, _ = solve_equality_lp(*problems[k])
+            assert answer(status, x) == answer(*fresh_solve(*problems[k]))
+            statuses.append(status)
+        # the stream holds infeasible LPs between the solved ones
+        assert 0 < statuses.count(2) < len(statuses) - len(SEARCH_ETAS)
+
+    def test_solve_after_a_refused_input_matches_a_fresh_solver(self):
+        c, a_eq, b_eq, upper = search_problem(0.8)
+        point = (0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
+        # a NaN cost is left to the subprocess test below: unrefused, it hangs
+        for refused in (
+            (np.where(c == 0.0, c, np.inf), a_eq, b_eq, upper),
+            (c, np.where(a_eq == 1.0, np.inf, a_eq), b_eq, upper),
+            (np.zeros(16), models._FEASIBILITY_A_EQ, np.array((1.0, *point[:-1], -np.inf)), 1.0),
+        ):
+            assert solve_equality_lp(*refused) == (4, None, REFUSAL)
+            for problem in (search_problem(0.8), feasibility_problem(point)):
+                status, x, _ = solve_equality_lp(*problem)
+                assert status == 0
+                assert answer(status, x) == answer(*fresh_solve(*problem))
+
+    def test_four_threads_answer_as_serial_order(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        serial = {eta: answer(*solve_equality_lp(*search_problem(eta))[:2]) for eta in SEARCH_ETAS}
+
+        def solve_in_order(seed):
+            order = np.random.default_rng(seed).permutation(SEARCH_ETAS)
+            return {eta: answer(*solve_equality_lp(*search_problem(eta))[:2]) for eta in order}
+
+        # more threads than cores, switched often, so that their solves interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(solve_in_order, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for answers in results:
+            assert answers == serial
+
+    def test_one_thread_makes_one_solver(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        made = []
+
+        class Counted(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(_core, "_Highs", Counted)
+        monkeypatch.setattr(models, "_SOLVERS", threading.local())
+        problems = [feasibility_problem((0.5, 0.5, 0.25, 0.25, 0.25, 0.25))]
+        problems += map(search_problem, SEARCH_ETAS)
+        for k in range(200):
+            assert solve_equality_lp(*problems[k % len(problems)])[0] == 0
+        assert len(made) == 1
+
+    def test_non_finite_input_is_refused_without_a_solve(self):
+        # HiGHS given a NaN cost did not return; a hang fails on the timeout
+        code = (
+            "import numpy as np\n"
+            "from bellkit import models\n"
+            "a, b = models._FEASIBILITY_A_EQ, np.array((1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25))\n"
+            "bad_b = b.copy(); bad_b[3] = np.nan\n"
+            "bad_a = np.array(a); bad_a[2, 3] = -np.inf\n"
+            "for args in ((np.full(16, np.nan), a, b), (np.zeros(16), a, bad_b),"
+            " (np.zeros(16), bad_a, b)):\n"
+            "    print(models.solve_equality_lp(*args, 1.0))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr((4, None, REFUSAL))] * 3
 
 
 class TestChHoldsForFactorizableModels:
