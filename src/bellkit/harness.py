@@ -35,14 +35,12 @@ from .inequalities import (
     DatasetError,
     InequalityReport,
     ProbabilitySet,
-    TwoChannelCounts,
     _at_line,
     _has_json_type,
     _parse_counts_csv,
     ch_report,
     check_json,
     chsh_sum,
-    renormalized_correlation,
     s_star_report,
 )
 
@@ -110,9 +108,9 @@ class PairStats:
 
     @cached_property
     def e_star(self) -> float:
+        # the integer quotient, correctly rounded however large the counts
         r = self.row
-        tc = TwoChannelCounts(*map(float, (r.n_pp, r.n_pm, r.n_mp, r.n_mm)))
-        return renormalized_correlation(tc)
+        return (r.n_pp + r.n_mm - r.n_pm - r.n_mp) / self.n
 
     @property
     def e(self) -> Optional[float]:
@@ -143,12 +141,10 @@ REPORT_SCHEMA = {
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """The pairs measured, in CANONICAL_PAIRS order, the CH verdict when the
-    counts were absolutely normalized, and their provenance; S, S*, its error
-    and the verdicts follow from these."""
+    """The pairs measured, in CANONICAL_PAIRS order, and their provenance;
+    S, S*, its error and the verdicts follow from these."""
 
     pairs: tuple[PairStats, ...]
-    ch: Optional[InequalityReport]
     provenance: dict
 
     @property
@@ -166,8 +162,20 @@ class AnalysisReport:
 
     @cached_property
     def verdicts(self) -> tuple[InequalityReport, ...]:
+        """CHSH-star's verdict, then CH's when the pairs are absolutely
+        normalized and (A, B) has singles: ProbabilitySet's ValueError if
+        the CH probabilities are not a valid set."""
         star = s_star_report([p.row for p in self.pairs])
-        return (star,) if self.ch is None else (star, self.ch)
+        # p(A) and p(B) are the singles of the first pair, (A, B)
+        ab, n_ab = self.pairs[0].row, self.pairs[0].n0
+        if n_ab is None or ab.singles_a is None or ab.singles_b is None:
+            return (star,)
+        ps = ProbabilitySet(
+            pA=ab.singles_a / n_ab,
+            pB=ab.singles_b / n_ab,
+            **{f"p{p.row.setting_a}{p.row.setting_b}": p.row.n_pp / p.n0 for p in self.pairs},
+        )
+        return (star, ch_report(ps))
 
     def to_json(self) -> dict:
         pairs = [p.to_json() for p in self.pairs]
@@ -221,7 +229,9 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     durations and +-channel singles, additionally evaluates the genuine CH
     test on absolute probabilities.  With cfg.r0 declared, a row whose
     r0 * duration is not finite and positive, or is below the row's
-    coincidence count, is a DatasetError naming its line.
+    coincidence count, is a DatasetError naming its line; so are singles of
+    (A, B) that make no valid CH probability set, found by computing the
+    verdicts here.
     """
     if not ds.rows:
         raise DatasetError("empty dataset")
@@ -251,29 +261,15 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
             raise DatasetError(_at_line(row, message))
         pair_stats.append(PairStats(row, n0.get((x, y))))
 
-    ch = None
-    if absolute_ok:
-        # p(A) and p(B) are the singles of the first pair, (A, B)
-        row_ab, n_ab = rows[CANONICAL_PAIRS[0]], n0[CANONICAL_PAIRS[0]]
-        if row_ab.singles_a is not None and row_ab.singles_b is not None:
-            try:
-                ps = ProbabilitySet(
-                    pA=row_ab.singles_a / n_ab,
-                    pB=row_ab.singles_b / n_ab,
-                    **{f"p{x}{y}": row.n_pp / n0[(x, y)] for (x, y), row in rows.items()},
-                )
-            except ValueError as exc:
-                raise DatasetError(
-                    _at_line(
-                        row_ab,
-                        f"singles of setting pair (A, B) and the coincidences at r0 = {cfg.r0} "
-                        f"give no valid CH probability set: {exc}",
-                    )
-                ) from None
-            ch = ch_report(ps)
-
     provenance = {"input_digest": ds.source_digest, "seed": ds.seed, "config": cfg.to_json()}
-    return AnalysisReport(pairs=tuple(pair_stats), ch=ch, provenance=provenance)
+    report = AnalysisReport(pairs=tuple(pair_stats), provenance=provenance)
+    try:
+        report.verdicts
+    except ValueError as exc:
+        message = (f"singles of setting pair (A, B) and the coincidences at r0 = {cfg.r0} "
+                   f"give no valid CH probability set: {exc}")
+        raise DatasetError(_at_line(rows[CANONICAL_PAIRS[0]], message)) from None
+    return report
 
 
 def _verdict_line(v: dict) -> str:

@@ -1,9 +1,11 @@
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from bellkit.experiments import PdcConfig, two_channel_rates
 from bellkit.harness import (
     AnalysisConfig,
     AnalysisReport,
+    PairStats,
     ingest_counts,
     load_config,
     render_report,
@@ -394,6 +397,37 @@ class TestRunAnalysis:
         ds = ingest_counts(write(tmp_path, "bad.csv", bad))
         with pytest.raises(DatasetError, match=r"line 5: zero total"):
             run_analysis(ds, AnalysisConfig())
+
+    def test_report_follows_from_its_pairs(self):
+        # n_pp of 1500, 1500, 1500 and 0 of 10000 pairs expected against
+        # singles of 2000 put CH's lhs 0.45 above its rhs 0.4; 400, 400, 400
+        # and 100 put it at 0.11, and S* at 2.67 and 1.29
+        def absolute(n_pp):
+            rows = tuple(CountRow(x, y, n, 100, 100, 100, 2000, 2000, 1.0)
+                         for (x, y), n in zip(CANONICAL_PHI, n_pp))
+            return run_analysis(CountDataset(rows), AnalysisConfig(r0=1e4))
+
+        violated, fulfilled = absolute((1500, 1500, 1500, 0)), absolute((400, 400, 400, 100))
+        assert [(v.name, v.violated) for v in violated.verdicts] == [("CHSH-star", True), ("CH", True)]
+        assert [(v.name, v.violated) for v in fulfilled.verdicts] == [("CHSH-star", False), ("CH", False)]
+        for a, b in ((violated, fulfilled), (fulfilled, violated)):
+            moved = dataclasses.replace(a, pairs=b.pairs)
+            assert (moved.verdicts, moved.s, moved.s_star, moved.s_err) == (
+                b.verdicts, b.s, b.s_star, b.s_err
+            )
+
+    def test_e_star_is_the_count_quotient_correctly_rounded(self):
+        # a total of 2**53 + 2 has no float: a float quotient read
+        # 0.9999999999999999, the rational rounds to 0.9999999999999998
+        rng = np.random.default_rng(31)
+        rows = [CountRow("A", "B", 2**53 + 1, 1, 0, 0)]
+        for _ in range(200):
+            n_pp, n_pm, n_mp, n_mm = (int(rng.integers(1, 2**62)) << int(rng.integers(0, 957))
+                                      for _ in range(4))
+            rows.append(CountRow("A", "B", n_pp, n_pm, n_mp, n_mm))
+        for row in rows:
+            d = row.n_pp + row.n_mm - row.n_pm - row.n_mp
+            assert PairStats(row).e_star == float(Fraction(d, row.total())), row
 
     def test_errors_shrink_like_inverse_sqrt_n(self):
         small = run_analysis(pdc_dataset(n=10**5, seed=1), AnalysisConfig())

@@ -216,7 +216,7 @@ def test_report_types_store_only_what_was_measured():
     # the search LP keeps one dense table, its eta entries nan
     fields["_SearchLP"] = [f.name for f in dataclasses.fields(bellkit.search._SearchLP)]
     assert fields == {
-        "AnalysisReport": ["pairs", "ch", "provenance"],
+        "AnalysisReport": ["pairs", "provenance"],
         "InequalityReport": ["name", "lhs", "rhs"],
         "PairStats": ["row", "n0"],
         "SearchResult": ["eta", "mixture"],
