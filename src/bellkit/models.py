@@ -285,11 +285,6 @@ def scan_ch_family(ps: ProbabilitySet) -> Optional[InequalityReport]:
     return cert if cert.margin < -PAIR_TOL else None
 
 
-# linprog's post-solve tolerance at its default HiGHS tol of 1e-9: a solution
-# counts as optimal only within this of its bounds and equality rows.
-LP_RESIDUAL_TOL = math.sqrt(1e-9) * 10
-
-
 # linprog's status number of each HiGHS model status; any other is 4.
 _LP_STATUS = {"kOptimal": 0, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
 
@@ -308,9 +303,10 @@ def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: 
     clearSolver) answered in other last bits.  a_eq goes column-wise without
     its zeros (-0.0 among them), as milp would pass it.  A c, a_eq or b_eq
     with an entry that is not finite is refused before HiGHS sees it, as
-    milp refuses such a c: a NaN cost never returned.  linprog's post-solve
-    check is kept: an optimum whose x is not finite, outside its bounds, or
-    off an equality row by more than LP_RESIDUAL_TOL becomes status 4.
+    milp refuses such a c: a NaN cost never returned.  An optimum whose x is
+    not finite, or misses its bounds or an equality row by more than
+    PAIR_TOL, becomes status 4: HiGHS decides within its own feasibility
+    tolerance of 1e-7, and scan_ch_family decides within PAIR_TOL.
     Returns (status, x, message) with linprog's status numbers; x is None
     unless status is 0.
     """
@@ -341,11 +337,11 @@ def solve_equality_lp(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, upper: 
     x = np.array(solver.getSolution().col_value)
     if not (
         np.isfinite(x).all()
-        and x.min() >= -LP_RESIDUAL_TOL
-        and x.max() <= upper + LP_RESIDUAL_TOL
-        and np.abs(a_eq @ x - b_eq).max() <= LP_RESIDUAL_TOL
+        and x.min() >= -PAIR_TOL
+        and x.max() <= upper + PAIR_TOL
+        and np.abs(a_eq @ x - b_eq).max() <= PAIR_TOL
     ):
-        return 4, None, f"the solution misses its bounds or rows by more than {LP_RESIDUAL_TOL:.2e}"
+        return 4, None, f"the solution misses its bounds or rows by more than {PAIR_TOL:.2e}"
     return 0, x, "optimal"
 
 

@@ -11,6 +11,10 @@ first 16 hex digits of a SHA-256 fed one item at a time, in order:
   point of bench/inputs.feasibility_stream(seed, 4096), seeds 601, 602, 713;
 - certificates: repr((name, lhs, rhs, margin)) of each Infeasible verdict's
   certificate over the same points;
+- the 15 288 points: verdict types, certificates and repr(verdict) of every
+  verdict, witnesses included, over those points followed by the first 3000
+  points ProbabilitySet accepts in the loop of acceptance criterion 6 (rng
+  seed 8_2026, 5-level grid);
 - search: json.dumps(r.to_json(), sort_keys=True) + repr((r.s_star_max,
   r.genuine_s)) of maximize_s_star(eta) for eta = k/100 (k = 10..100), 2e-9,
   0.333, 0.7777 and 0.999;
@@ -39,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 
 from bellkit import cli, models  # noqa: E402
 from bellkit.inequalities import ProbabilitySet  # noqa: E402
@@ -84,16 +89,47 @@ def stream_point(point) -> ProbabilitySet:
     return models.probability_set_from_model(model)
 
 
-def feasibility() -> tuple[Fingerprint, Fingerprint]:
-    types, certificates = Fingerprint(), Fingerprint()
+def criterion_6_points(n: int):
+    """The first n points ProbabilitySet accepts in acceptance criterion 6."""
+    rng = np.random.default_rng(8_2026)
+    grid = np.linspace(0.0, 1.0, 5)
+    while n:
+        p_a, p_b = rng.choice(grid, size=2)
+        pairs = rng.choice(grid, size=4) * min(p_a, p_b)
+        try:
+            ps = ProbabilitySet(p_a, p_b, *pairs)
+        except ValueError:
+            continue
+        n -= 1
+        yield ps
+
+
+class Verdicts:
+    """Fingerprints of joint_feasibility's verdicts: their type names, their
+    certificates, and their whole reprs."""
+
+    def __init__(self):
+        self.types, self.certificates, self.reprs = Fingerprint(), Fingerprint(), Fingerprint()
+
+    def add(self, verdict) -> None:
+        self.types.add(type(verdict).__name__)
+        if isinstance(verdict, models.Infeasible):
+            c = verdict.certificate
+            self.certificates.add(repr((c.name, c.lhs, c.rhs, c.margin)))
+        self.reprs.add(repr(verdict))
+
+
+def feasibility() -> tuple[Verdicts, Verdicts]:
+    """The verdicts over the bench streams, and over the 15 288 points."""
+    streams, points = Verdicts(), Verdicts()
     for seed in STREAM_SEEDS:
         for point in inputs.feasibility_stream(seed, 4096):
             verdict = models.joint_feasibility(stream_point(point))
-            types.add(type(verdict).__name__)
-            if isinstance(verdict, models.Infeasible):
-                c = verdict.certificate
-                certificates.add(repr((c.name, c.lhs, c.rhs, c.margin)))
-    return types, certificates
+            streams.add(verdict)
+            points.add(verdict)
+    for ps in criterion_6_points(3000):
+        points.add(models.joint_feasibility(ps))
+    return streams, points
 
 
 def search() -> Fingerprint:
@@ -164,9 +200,12 @@ def cli_outputs() -> tuple[Fingerprint, Fingerprint]:
 
 
 def main() -> None:
-    types, certificates = feasibility()
-    print(f"feasibility verdict types  {types}")
-    print(f"feasibility certificates   {certificates}")
+    streams, points = feasibility()
+    print(f"feasibility verdict types  {streams.types}")
+    print(f"feasibility certificates   {streams.certificates}")
+    print(f"15 288 verdict types       {points.types}")
+    print(f"15 288 certificates        {points.certificates}")
+    print(f"15 288 verdict reprs       {points.reprs}")
     print(f"search                     {search()}")
     plain, ch = cli_outputs()
     print(f"cli                        {plain}")

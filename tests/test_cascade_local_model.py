@@ -1,15 +1,15 @@
 """A local model for every rate of a cascade prediction, polarizer-removed
 ones included, exists exactly when predict's Bell condition holds.
 
-The oracle is a linear program over deterministic detect/no-detect
-strategies, solved with scipy's linprog; it is test code only.  Each side
-has three settings, its two polarizer angles and "polarizer removed" (I),
-and a strategy says detect or not at each, so a local model is a set of
-weights on the 64 strategy pairs.  Its 16 equality rows are the
-normalization, the six singles (eta / 2 behind a polarizer, eta without
-one) and the nine coincidences: the four cascade_rates at the canonical
-angles, alpha eta^2 / 2 with one polarizer removed and alpha eta^2 with
-both removed (Clauser & Horne, PRD 10, 526, 1974).
+The oracle is the local-model LP of tests/local_lp.py over deterministic
+detect/no-detect strategies; it is test code only.  Each side has three
+settings, its two polarizer angles and "polarizer removed" (I), and a
+strategy says detect or not at each, so a local model is a set of weights
+on the 64 strategy pairs.  Its 16 equality rows are the normalization, the
+six singles (eta / 2 behind a polarizer, eta without one) and the nine
+coincidences: the four cascade_rates at the canonical angles, alpha eta^2 / 2
+with one polarizer removed and alpha eta^2 with both removed (Clauser &
+Horne, PRD 10, 526, 1974).
 """
 
 import itertools
@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from bellkit.experiments import CascadeConfig, bi_margin, cascade_optics, cascade_rates
+import local_lp
 
 SIDE1 = ("A", "C", "I")
 SIDE2 = ("B", "D", "I")
@@ -27,17 +27,16 @@ PHI = {("A", "B"): -math.pi / 8, ("A", "D"): math.pi / 8,
        ("C", "B"): math.pi / 8, ("C", "D"): 3 * math.pi / 8}
 
 # detect (1) or not (0) at each of a side's three settings
-STRATEGIES = np.array(list(itertools.product((0, 1), repeat=3)), dtype=float)
-PAIRS = [(i, j) for i in range(len(STRATEGIES)) for j in range(len(STRATEGIES))]
+STRATEGIES = list(itertools.product((0, 1), repeat=3))
 
-# A_EQ[row, k]: whether strategy pair k counts toward that row's rate
-A_EQ = np.array(
-    [[1.0] * len(PAIRS)]
-    + [[STRATEGIES[i][s] for i, _ in PAIRS] for s in range(3)]
-    + [[STRATEGIES[j][s] for _, j in PAIRS] for s in range(3)]
-    + [[STRATEGIES[i][s] * STRATEGIES[j][t] for i, j in PAIRS]
-       for s in range(3) for t in range(3)]
-)
+
+def observables(s, t):
+    """The normalization, the singles of side 1 and of side 2 and the nine
+    coincidences of a strategy pair, in the row order of rates."""
+    return [1, *s, *t, *(x * y for x in s for y in t)]
+
+
+A_EQ = local_lp.pair_matrix(STRATEGIES, STRATEGIES, observables)
 
 
 def rates(theta: float, zeta: float, alpha: float) -> np.ndarray:
@@ -57,10 +56,7 @@ def rates(theta: float, zeta: float, alpha: float) -> np.ndarray:
 
 
 def has_local_model(theta: float, zeta: float, alpha: float) -> bool:
-    res = linprog(np.zeros(len(PAIRS)), A_eq=A_EQ, b_eq=rates(theta, zeta, alpha),
-                  bounds=(0, None), method="highs")
-    assert res.status in (0, 2), res.message
-    return res.status == 0
+    return local_lp.local_witness(A_EQ, rates(theta, zeta, alpha)) is not None
 
 
 def bell_condition(theta: float, zeta: float, alpha: float) -> tuple[float, bool]:
@@ -92,6 +88,25 @@ def test_large_alpha_at_small_aperture_has_no_local_model():
     CascadeConfig(0.5, 1.0, 15.0)
     assert not bell_condition(0.5, 1.0, 15.0)[1]
     assert not has_local_model(0.5, 1.0, 15.0)
+
+
+# Configs whose Bell condition fails (lhs 2.0007 to 2.11) where an LP solved
+# at HiGHS's default feasibility tolerance, 1e-7, answered with a "local
+# model": weights down to -9.6e-8, or rates missed by up to 9.2e-8.
+LOW_APERTURE_VIOLATIONS = [
+    (0.002810742380204219, 0.9040164732215691, 486256.86713373626),
+    (0.00257149220451945, 0.4638728282738443, 1140123.5370731503),
+    (0.014964602853407064, 0.9789798865634437, 15120.932199254681),
+    (0.004307442321863752, 0.20382045739251214, 883665.8256280469),
+]
+
+
+@pytest.mark.parametrize("config", LOW_APERTURE_VIOLATIONS)
+def test_small_aperture_violations_have_no_local_model(config):
+    CascadeConfig(*config)
+    lhs, fulfilled = bell_condition(*config)
+    assert lhs > 2.0 + 1e-4 and not fulfilled
+    assert not has_local_model(*config)
 
 
 def accepted_grid():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from bellkit.inequalities import (
     renormalized_correlation,
     s_star_report,
 )
+import local_lp
 
 SQRT2 = math.sqrt(2.0)
 
@@ -134,6 +136,28 @@ def count_rows(counts) -> list[CountRow]:
     return [CountRow(x, y, *c) for (x, y), c in zip(CANONICAL_PAIRS, counts)]
 
 
+# The deterministic +-1 strategies of one side: an outcome at each of its two
+# settings, A then C on side 1 and B then D on side 2.
+PM_STRATEGIES = list(itertools.product((1, -1), repeat=2))
+
+
+def pm_outcomes(s, t):
+    """Of a strategy pair, for (A,B), (A,D), (C,B) and (C,D) in turn: whether
+    it gives ++, +-, -+ and --, the order of a counts row."""
+    return [(s[x], t[y]) == o for x in (0, 1) for y in (0, 1)
+            for o in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+
+PM_A_EQ = local_lp.pair_matrix(PM_STRATEGIES, PM_STRATEGIES, pm_outcomes).astype(int)
+
+
+def local_counts(weights) -> list[tuple[int, ...]]:
+    """The four counts rows of a local model: integer weights over the 16
+    strategy pairs times the local-model matrix."""
+    counts = [int(n) for n in PM_A_EQ @ weights]
+    return [tuple(counts[4 * k:4 * k + 4]) for k in range(4)]
+
+
 PAIR_COUNTS = st.tuples(*[st.integers(0, 60) | st.integers(0, 10**7)] * 4).filter(any)
 
 
@@ -158,6 +182,22 @@ class TestSStarReport:
         report = s_star_report(count_rows(counts))
         assert report.lhs == math.nextafter(2.0, 3.0)
         assert report.violated
+
+    def test_local_models_never_violate(self):
+        # dense weights, and weights with up to 15 of the 16 pairs unused
+        rng = np.random.default_rng(17_2026)
+        for k in range(400):
+            weights = rng.integers(1, 10**6, 16)
+            if k % 2:
+                weights[rng.permutation(16)[: rng.integers(16)]] = 0
+            counts = local_counts(weights)
+            report = s_star_report(count_rows(counts))
+            assert not report.violated
+            assert fraction_s_star(counts) <= 2
+
+    def test_a_point_mass_reaches_two_exactly(self):
+        lhs = {s_star_report(count_rows(local_counts(w))).lhs for w in np.eye(16, dtype=int)}
+        assert lhs == {-2.0, 2.0}
 
     @given(st.lists(PAIR_COUNTS, min_size=4, max_size=4))
     def test_lhs_is_the_exact_value_correctly_rounded(self, counts):

@@ -35,6 +35,7 @@ from bellkit.models import (
     validate_model,
 )
 from conftest import formal_joint_distribution, model_json, random_model
+import local_lp
 
 SRC = str(Path(models.__file__).resolve().parent.parent)
 SIDE1 = ("A", "C")
@@ -271,6 +272,17 @@ class TestJointFeasibility:
         assert isinstance(result, Infeasible)
         assert result.certificate.name in FACET_IDS
 
+    @pytest.mark.parametrize("eps", [1e-8, 5e-8, 1e-7])
+    def test_point_just_past_the_ch_facet_is_infeasible(self, eps):
+        # HiGHS answers "optimal" here with the pCD row off by eps, within
+        # its own feasibility tolerance; the check after the solve refuses it
+        ps = ProbabilitySet(0.5, 0.5, 0.5, 0.5, 0.5, 0.5 - eps)
+        result = joint_feasibility(ps)
+        assert isinstance(result, Infeasible)
+        assert result.certificate == scan_ch_family(ps)
+        assert result.certificate.name == "CH"
+        assert local_lp.local_witness(CH_A_EQ, np.array((1.0, *ps.as_dict().values()))) is None
+
 
 # The 16 deterministic outcomes (a, c, b, d) as points
 # (pA, pB, pAB, pAD, pCB, pCD), written out independently of bellkit.
@@ -279,6 +291,20 @@ VERTICES = np.array(
     dtype=float,
 )
 FACET_IDS = [name for name, _, _ in CH_FAMILY_FACETS]
+
+# The strategies of one side: detect (1) or not (0) at each of its two
+# settings, A then C on side 1 and B then D on side 2.
+DETECT = list(itertools.product((0, 1), repeat=2))
+
+
+def ch_quantities(s, t):
+    """The normalization and (pA, pB, pAB, pAD, pCB, pCD) of a strategy pair."""
+    (a, c), (b, d) = s, t
+    return [1, a, b, a * b, a * d, c * b, c * d]
+
+
+# The local-model LP of the six CH quantities over the 16 strategy pairs.
+CH_A_EQ = local_lp.pair_matrix(DETECT, DETECT, ch_quantities)
 
 # The facets a ProbabilitySet can cross by 2 PAIR_TOL; for the others its
 # own checks (a pair above its marginal, a value below -PAIR_TOL) refuse
@@ -329,18 +355,8 @@ class TestLocalPolytope:
             with pytest.raises(ValueError):
                 table[0, 0] = 0.5
 
-    def test_lp_matches_per_outcome_construction(self):
-        selectors = (
-            lambda a, c, b, d: 1,
-            lambda a, c, b, d: a,
-            lambda a, c, b, d: b,
-            lambda a, c, b, d: a and b,
-            lambda a, c, b, d: a and d,
-            lambda a, c, b, d: c and b,
-            lambda a, c, b, d: c and d,
-        )
-        rows = [[float(bool(sel(*t))) for t in OUTCOME_TUPLES] for sel in selectors]
-        assert models._FEASIBILITY_A_EQ.tobytes() == np.array(rows).tobytes()
+    def test_lp_matches_the_local_model_lp(self):
+        assert models._FEASIBILITY_A_EQ.tobytes() == CH_A_EQ.tobytes()
         assert models.OUTCOME_VERTICES.tobytes() == VERTICES.tobytes()
 
     @pytest.mark.parametrize("facet", CH_FAMILY_FACETS, ids=FACET_IDS)
@@ -351,8 +367,10 @@ class TestLocalPolytope:
         result = joint_feasibility(ProbabilitySet(*centroid))
         assert isinstance(result, Feasible)
         np.testing.assert_allclose(witness_point(result.witness), centroid, rtol=0, atol=1e-9)
+        assert local_lp.local_witness(CH_A_EQ, np.append(1.0, centroid)) is not None
 
         outside = centroid + 1e-6 * np.array(coeff) / np.linalg.norm(coeff)
+        assert local_lp.local_witness(CH_A_EQ, np.append(1.0, outside)) is None
         try:
             ps = ProbabilitySet(*outside)
         except ValueError:
@@ -508,9 +526,9 @@ def fresh_solve(c, a_eq, b_eq, upper):
     x = np.array(solver.getSolution().col_value)
     if not (
         np.isfinite(x).all()
-        and x.min() >= -models.LP_RESIDUAL_TOL
-        and x.max() <= upper + models.LP_RESIDUAL_TOL
-        and np.abs(a_eq @ x - b_eq).max() <= models.LP_RESIDUAL_TOL
+        and x.min() >= -PAIR_TOL
+        and x.max() <= upper + PAIR_TOL
+        and np.abs(a_eq @ x - b_eq).max() <= PAIR_TOL
     ):
         return 4, None
     return 0, x

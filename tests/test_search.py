@@ -23,10 +23,36 @@ from bellkit.search import (
     mixture_statistics,
     sample_counts,
 )
+import local_lp
 
 # The strategies of one side written out independently of the module: an
 # outcome at each of the two settings, in product order.
 REFERENCE_STRATEGIES = list(itertools.product(("+", "-", "u"), repeat=2))
+
+# An outcome's sign in a correlation: 0 where the side does not detect.
+SIGN = {"+": 1, "-": -1, "u": 0}
+
+
+def search_observables(s, t):
+    """Of a strategy pair: its CHSH sum E(A,B) + E(A,D) + E(C,B) - E(C,D),
+    its (A, B) coincidence, then the rows of the search: the normalization,
+    detection at A, C, B and D, and the (A, B) coincidence less that of
+    (A, D), (C, B) and (C, D) in turn."""
+    e = [SIGN[s[x]] * SIGN[t[y]] for x in (0, 1) for y in (0, 1)]
+    coincidence = [s[x] != "u" and t[y] != "u" for x in (0, 1) for y in (0, 1)]
+    detected = [o != "u" for o in (*s, *t)]
+    return [e[0] + e[1] + e[2] - e[3], coincidence[0], 1, *detected,
+            *(coincidence[0] - c for c in coincidence[1:])]
+
+
+def search_lp(eta):
+    """(num, den, a_eq, b_eq) of the detection search at efficiency eta:
+    S* = num.w / den.w, the four pairs with equal coincidence totals."""
+    m = local_lp.pair_matrix(REFERENCE_STRATEGIES, REFERENCE_STRATEGIES, search_observables)
+    return m[0], m[1], m[2:], np.array([1.0, eta, eta, eta, eta, 0.0, 0.0, 0.0])
+
+
+LARSSON_ETAS = [k / 20 for k in range(2, 21)]
 
 
 def test_strategies_are_the_nine_outcome_pairs_in_product_order():
@@ -263,7 +289,7 @@ class TestMaximizeSStar:
             maximize_s_star(0.8)
         assert solver_off_one_row == ["kOptimal"]
 
-    @pytest.mark.parametrize("eta", [k / 20 for k in range(2, 21)])
+    @pytest.mark.parametrize("eta", LARSSON_ETAS)
     def test_matches_larsson_closed_form(self, eta):
         # Larsson's bound 4/eta_c - 2 at the worst-case conditional
         # efficiency eta_c = (2 eta - 1)/eta is 2/(2 eta - 1), capped at the
@@ -272,6 +298,13 @@ class TestMaximizeSStar:
         result = maximize_s_star(eta)
         assert abs(result.s_star_max - expected) <= 1e-9
         assert result.genuine_s <= 2.0 + 1e-8
+
+    def test_matches_the_local_model_lp(self):
+        # every eta of the closed-form test above and of acceptance criterion 7
+        etas = {*LARSSON_ETAS, 1.0, 0.8, *map(float, np.linspace(0.1, 1.0, 10))}
+        for eta in sorted(etas):
+            expected = local_lp.max_ratio(*search_lp(eta))
+            assert abs(maximize_s_star(eta).s_star_max - expected) <= 1e-12, eta
 
 
 class TestCachedSearchStructure:
@@ -287,33 +320,17 @@ class TestCachedSearchStructure:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.5
 
-    def test_lp_matches_pairwise_construction(self):
-        # reference: each coefficient written out per strategy pair
-        pairs = list(itertools.product(REFERENCE_STRATEGIES, REFERENCE_STRATEGIES))
-        value = {("+", "+"): 1.0, ("-", "-"): 1.0, ("+", "-"): -1.0, ("-", "+"): -1.0}
-        num, den = [], []
-        for x, y in PAIRS:
-            xi, yi = "AC".index(x), "BD".index(y)
-            num.append([value.get((a[xi], b[yi]), 0.0) for a, b in pairs])
-            den.append([float("u" not in (a[xi], b[yi])) for a, b in pairs])
-        num, den = np.array(num), np.array(den)
-        c = np.append(-((num[0] - num[3]) + (num[1] + num[2])), 0.0)
-
+    def test_lp_matches_the_local_model_lp(self):
         lp = search._search_lp()
-        assert lp.c.tobytes() == c.tobytes()
-        assert lp.b_eq.tolist() == [0.0] * 8 + [1.0]
         # the four eta entries: the tau column of the detection rows
-        assert np.argwhere(np.isnan(lp.a_eq)).tolist() == [[k, len(pairs)] for k in range(1, 5)]
-        for eta in [k / 20 for k in range(2, 21)]:
-            rows = [[1.0] * len(pairs) + [-1.0]]
-            rows += [[float(a[k] != "u") for a, _ in pairs] + [-eta] for k in range(2)]
-            rows += [[float(b[k] != "u") for _, b in pairs] + [-eta] for k in range(2)]
-            rows += [list(den[0] - den[k]) + [0.0] for k in range(1, 4)]
-            rows += [list(den[0]) + [0.0]]
-            a_eq = lp.a_eq.copy()
-            a_eq[np.isnan(a_eq)] = -eta
+        tau = len(REFERENCE_STRATEGIES) ** 2
+        assert np.argwhere(np.isnan(lp.a_eq)).tolist() == [[k, tau] for k in range(1, 5)]
+        for eta in LARSSON_ETAS:
+            c, a_eq, b_eq = local_lp.ratio_lp(*search_lp(eta))
             # bytes compare the sign of each zero too
-            assert a_eq.tobytes() == np.array(rows).tobytes()
+            assert lp.c.tobytes() == c.tobytes()
+            assert lp.b_eq.tobytes() == b_eq.tobytes()
+            assert np.where(np.isnan(lp.a_eq), -eta, lp.a_eq).tobytes() == a_eq.tobytes()
 
     def test_table_is_built_once_and_never_written(self):
         search._search_lp.cache_clear()
