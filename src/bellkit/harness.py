@@ -8,8 +8,10 @@ inequality verdict carries its genuine/auxiliary flag so a report can never
 silently pass off a fair-sampling violation as a refutation of local
 realism.
 
-run_analysis is the one path to an AnalysisReport: a saved report stores
-each pair's counts, and AnalysisReport.from_json runs it on them again.
+An AnalysisReport is the counts of the four canonical pairs, with the
+input's seed and digest, and the config; every figure it reports follows
+from these.  run_analysis is the one path to one: a saved report stores the
+counts and config, and AnalysisReport.from_json runs it on them again.
 """
 
 from __future__ import annotations
@@ -94,39 +96,10 @@ class AnalysisConfig:
         }
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """The counts of one setting pair, and n0, the pairs expected over its
-    duration (r0 times duration) when the counts are absolutely normalized."""
-
-    row: CountRow
-    n0: Optional[float] = None
-
-    @property
-    def n(self) -> int:
-        return self.row.total()
-
-    @cached_property
-    def e_star(self) -> float:
-        # the integer quotient, correctly rounded however large the counts
-        r = self.row
-        return (r.n_pp + r.n_mm - r.n_pm - r.n_mp) / self.n
-
-    @property
-    def e(self) -> Optional[float]:
-        r = self.row
-        return None if self.n0 is None else (r.n_pp + r.n_mm - r.n_pm - r.n_mp) / self.n0
-
-    @cached_property
-    def err(self) -> float:
-        # first-order multinomial error on a +/-1 outcome mean over n events
-        return math.sqrt(max(0.0, 1.0 - self.e_star * self.e_star) / self.n)
-
-    def to_json(self) -> dict:
-        r = self.row
-        counts = {c: getattr(r, c) for c in COUNT_COLUMNS}
-        return {"settings": [r.setting_a, r.setting_b], **counts, "n": self.n, "e": self.e,
-                "e_star": self.e_star, "err": self.err}
+def _over(count: int, n0: float) -> float:
+    """count / n0 correctly rounded: the int is not rounded to a float first."""
+    num, den = n0.as_integer_ratio()
+    return count * den / num
 
 
 # What AnalysisReport.from_json reads of a saved report, in the check_json
@@ -141,16 +114,39 @@ REPORT_SCHEMA = {
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """The pairs measured, in CANONICAL_PAIRS order, and their provenance;
-    S, S*, its error and the verdicts follow from these."""
+    """The counts measured, as the rows of the four CANONICAL_PAIRS in order
+    with the input's seed and digest, and the config they are analyzed under;
+    n0, each pair's statistics, S, S*, its error and the verdicts follow
+    from these."""
 
-    pairs: tuple[PairStats, ...]
-    provenance: dict
+    dataset: CountDataset
+    config: AnalysisConfig
+
+    @cached_property
+    def n0(self) -> Optional[tuple[float, ...]]:
+        """The pairs expected over each row's duration, r0 * duration: the
+        absolute normalization, or None unless r0 and every duration are set."""
+        r0, durations = self.config.r0, [row.duration for row in self.dataset.rows]
+        return None if r0 is None or None in durations else tuple(r0 * t for t in durations)
+
+    @cached_property
+    def pairs(self) -> list[dict]:
+        """Each pair's counts, n, E, E* and error, as to_json writes them."""
+        pairs = []
+        for row, n0 in zip(self.dataset.rows, self.n0 or [None] * len(CANONICAL_PAIRS)):
+            n, d = row.total(), row.n_pp + row.n_mm - row.n_pm - row.n_mp
+            # the integer quotient, correctly rounded however large the counts
+            e_star = d / n
+            # first-order multinomial error on a +/-1 outcome mean over n events
+            err = math.sqrt(max(0.0, 1.0 - e_star * e_star) / n)
+            counts = {c: getattr(row, c) for c in COUNT_COLUMNS}
+            pairs.append({"settings": [row.setting_a, row.setting_b], **counts, "n": n,
+                          "e": None if n0 is None else _over(d, n0), "e_star": e_star, "err": err})
+        return pairs
 
     @property
     def s(self) -> Optional[float]:
-        es = [p.e for p in self.pairs]
-        return None if None in es else chsh_sum(*es)
+        return None if self.n0 is None else chsh_sum(*(p["e"] for p in self.pairs))
 
     @property
     def s_star(self) -> float:
@@ -158,27 +154,26 @@ class AnalysisReport:
 
     @property
     def s_err(self) -> float:
-        return math.sqrt(sum(p.err * p.err for p in self.pairs))
+        return math.sqrt(sum(p["err"] * p["err"] for p in self.pairs))
 
     @cached_property
     def verdicts(self) -> tuple[InequalityReport, ...]:
         """CHSH-star's verdict, then CH's when the pairs are absolutely
         normalized and (A, B) has singles: ProbabilitySet's ValueError if
         the CH probabilities are not a valid set."""
-        star = s_star_report([p.row for p in self.pairs])
+        rows, n0 = self.dataset.rows, self.n0
+        star = s_star_report(rows)
         # p(A) and p(B) are the singles of the first pair, (A, B)
-        ab, n_ab = self.pairs[0].row, self.pairs[0].n0
-        if n_ab is None or ab.singles_a is None or ab.singles_b is None:
+        ab = rows[0]
+        if n0 is None or ab.singles_a is None or ab.singles_b is None:
             return (star,)
-        ps = ProbabilitySet(
-            pA=ab.singles_a / n_ab,
-            pB=ab.singles_b / n_ab,
-            **{f"p{p.row.setting_a}{p.row.setting_b}": p.row.n_pp / p.n0 for p in self.pairs},
-        )
+        ps = ProbabilitySet(_over(ab.singles_a, n0[0]), _over(ab.singles_b, n0[0]),
+                            *(_over(r.n_pp, n) for r, n in zip(rows, n0)))
         return (star, ch_report(ps))
 
     def to_json(self) -> dict:
-        pairs = [p.to_json() for p in self.pairs]
+        # copies, so that editing the output leaves the report as it was
+        pairs = [dict(p, settings=list(p["settings"])) for p in self.pairs]
         verdicts = self.verdicts
         return {
             "pairs": pairs,
@@ -189,7 +184,8 @@ class AnalysisReport:
             "verdicts": [v.to_json() for v in verdicts],
             "plot_data": [{"phi": phi, "e_star": p["e_star"], "err": p["err"]}
                           for phi, p in zip(CANONICAL_ANGLES, pairs)],
-            "provenance": dict(self.provenance),
+            "provenance": {"input_digest": self.dataset.source_digest, "seed": self.dataset.seed,
+                           "config": self.config.to_json()},
         }
 
     @classmethod
@@ -235,40 +231,34 @@ def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
     """
     if not ds.rows:
         raise DatasetError("empty dataset")
-    rows = {}
+    rows = []
     for x, y in CANONICAL_PAIRS:
         try:
-            rows[(x, y)] = ds.row(x, y)
+            rows.append(ds.row(x, y))
         except KeyError:
             raise DatasetError(f"dataset lacks canonical setting pair ({x}, {y})") from None
 
-    pair_stats = []
-    absolute_ok = cfg.r0 is not None and all(row.duration is not None for row in rows.values())
-    # pairs expected over each row's duration: the absolute normalization
-    n0 = {pair: cfg.r0 * row.duration for pair, row in rows.items()} if absolute_ok else {}
-    for pair, n in n0.items():
+    report = AnalysisReport(CountDataset(tuple(rows), ds.seed, ds.source_digest), cfg)
+    for row, n in zip(rows, report.n0 or ()):
         if not (math.isfinite(n) and n > 0):
-            message = f"r0 = {cfg.r0} times duration {rows[pair].duration} expects {n} pairs"
-            raise DatasetError(_at_line(rows[pair], f"{message}, not a finite positive number"))
-    for (x, y), row in rows.items():
+            message = f"r0 = {cfg.r0} times duration {row.duration} expects {n} pairs"
+            raise DatasetError(_at_line(row, f"{message}, not a finite positive number"))
+    for (x, y), row, expected_pairs in zip(CANONICAL_PAIRS, rows, report.n0 or [None] * len(rows)):
         n = row.total()
         if n == 0:
             raise DatasetError(_at_line(row, f"zero total coincidences for setting pair ({x}, {y})"))
         # a pair gives at most one coincidence; more would put |e| above 1
-        if absolute_ok and n > n0[(x, y)]:
+        if expected_pairs is not None and n > expected_pairs:
             expected = f"r0 = {cfg.r0} times duration {row.duration} expects"
-            message = f"{n} coincidences exceed the {n0[(x, y)]} pairs that {expected}"
+            message = f"{n} coincidences exceed the {expected_pairs} pairs that {expected}"
             raise DatasetError(_at_line(row, message))
-        pair_stats.append(PairStats(row, n0.get((x, y))))
 
-    provenance = {"input_digest": ds.source_digest, "seed": ds.seed, "config": cfg.to_json()}
-    report = AnalysisReport(pairs=tuple(pair_stats), provenance=provenance)
     try:
         report.verdicts
     except ValueError as exc:
         message = (f"singles of setting pair (A, B) and the coincidences at r0 = {cfg.r0} "
                    f"give no valid CH probability set: {exc}")
-        raise DatasetError(_at_line(rows[CANONICAL_PAIRS[0]], message)) from None
+        raise DatasetError(_at_line(rows[0], message)) from None
     return report
 
 

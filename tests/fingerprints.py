@@ -25,6 +25,10 @@ first 16 hex digits of a SHA-256 fed one item at a time, in order:
   and reported with [analysis] r0, so the report carries the CH verdict,
   plus fixed datasets whose CH probabilities are refused, with stderr.
 
+It also prints the size of the package it imported: the lines of its
+modules, as `wc -l src/bellkit/*.py` counts them, and the number of names
+in bellkit.__all__.
+
 pytest does not collect this file.  It reads bench/inputs.py and nothing
 else under bench/.
 """
@@ -45,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import inputs  # noqa: E402
 import numpy as np  # noqa: E402
 
+import bellkit  # noqa: E402
 from bellkit import cli, models  # noqa: E402
 from bellkit.inequalities import ProbabilitySet  # noqa: E402
 from bellkit.search import maximize_s_star  # noqa: E402
@@ -199,7 +204,14 @@ def cli_outputs() -> tuple[Fingerprint, Fingerprint]:
     return plain, ch
 
 
+def package_lines() -> int:
+    """The newlines in the imported bellkit's modules, as wc -l counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in Path(bellkit.__file__).parent.glob("*.py"))
+
+
 def main() -> None:
+    print(f"src/bellkit lines          {package_lines()}")
+    print(f"public names               {len(bellkit.__all__)}")
     streams, points = feasibility()
     print(f"feasibility verdict types  {streams.types}")
     print(f"feasibility certificates   {streams.certificates}")

@@ -17,13 +17,13 @@ from bellkit.experiments import PdcConfig, two_channel_rates
 from bellkit.harness import (
     AnalysisConfig,
     AnalysisReport,
-    PairStats,
     ingest_counts,
     load_config,
     render_report,
     run_analysis,
 )
 from bellkit.inequalities import (
+    CANONICAL_PAIRS,
     CANONICAL_PHI,
     COUNT_COLUMNS,
     CountDataset,
@@ -206,8 +206,8 @@ class TestIngestCounts:
         row = f"A,B,{big},{big},{big},{big}"
         ds = ingest_bytes(GOOD_CSV.replace("A,B,400,100,100,400", row).encode())
         report = run_analysis(ds, AnalysisConfig())
-        assert report.pairs[0].n == 4 * big
-        assert report.pairs[0].e_star == 0.0
+        assert report.pairs[0]["n"] == 4 * big
+        assert report.pairs[0]["e_star"] == 0.0
 
     def test_non_integer_count(self, tmp_path):
         bad = GOOD_CSV.replace("C,B,400,100,100,400", "C,B,400,1.5,100,400")
@@ -411,23 +411,46 @@ class TestRunAnalysis:
         assert [(v.name, v.violated) for v in violated.verdicts] == [("CHSH-star", True), ("CH", True)]
         assert [(v.name, v.violated) for v in fulfilled.verdicts] == [("CHSH-star", False), ("CH", False)]
         for a, b in ((violated, fulfilled), (fulfilled, violated)):
-            moved = dataclasses.replace(a, pairs=b.pairs)
+            moved = dataclasses.replace(a, dataset=b.dataset)
             assert (moved.verdicts, moved.s, moved.s_star, moved.s_err) == (
                 b.verdicts, b.s, b.s_star, b.s_err
             )
 
+    def test_report_follows_from_its_config(self):
+        # doubling r0 halves every E and CH probability: n_pp of 1500,
+        # 1500, 1500 and 0 against singles of 2000 put CH's lhs 0.45 above
+        # its rhs 0.4 at r0 = 1e4, and 0.225 above 0.2 at 2e4
+        rows = tuple(CountRow(x, y, n, 100, 100, 100, 2000, 2000, 1.0)
+                     for (x, y), n in zip(CANONICAL_PHI, (1500, 1500, 1500, 0)))
+        report = run_analysis(CountDataset(rows), AnalysisConfig(r0=1e4))
+        moved = dataclasses.replace(report, config=AnalysisConfig(r0=2e4))
+        doubled = run_analysis(CountDataset(rows), AnalysisConfig(r0=2e4))
+        ch, doubled_ch = report.verdicts[1], doubled.verdicts[1]
+        assert (doubled_ch.name, doubled_ch.violated) == ("CH", True)
+        assert (doubled_ch.lhs, doubled_ch.rhs) == (ch.lhs / 2, ch.rhs / 2)
+        assert [p["e"] for p in moved.pairs] == [p["e"] for p in doubled.pairs]
+        assert [p["e"] for p in doubled.pairs] == [p["e"] / 2 for p in report.pairs]
+        assert (moved.s, moved.verdicts) == (doubled.s, doubled.verdicts)
+        assert moved.to_json() == doubled.to_json()
+
     def test_e_star_is_the_count_quotient_correctly_rounded(self):
         # a total of 2**53 + 2 has no float: a float quotient read
-        # 0.9999999999999999, the rational rounds to 0.9999999999999998
+        # 0.9999999999999999, the rational rounds to 0.9999999999999998.
+        # E is the count difference over n0 rounded once: 2**53 + 1 over
+        # n0 = 2**53 + 2 read 0.9999999999999998 when the difference was
+        # rounded to a float first, and rounds to 0.9999999999999999
         rng = np.random.default_rng(31)
-        rows = [CountRow("A", "B", 2**53 + 1, 1, 0, 0)]
+        cases = [((2**53 + 1, 1, 0, 0), 2.0**53 + 2), ((2**53 + 1, 0, 0, 0), 2.0**53 + 2)]
         for _ in range(200):
-            n_pp, n_pm, n_mp, n_mm = (int(rng.integers(1, 2**62)) << int(rng.integers(0, 957))
-                                      for _ in range(4))
-            rows.append(CountRow("A", "B", n_pp, n_pm, n_mp, n_mm))
-        for row in rows:
-            d = row.n_pp + row.n_mm - row.n_pm - row.n_mp
-            assert PairStats(row).e_star == float(Fraction(d, row.total())), row
+            counts = tuple(int(rng.integers(1, 2**62)) << int(rng.integers(0, 957)) for _ in range(4))
+            cases.append((counts, float(sum(counts)) * (1.5 + rng.random())))
+        for counts, n0 in cases:
+            others = (CountRow(x, y, 1, 0, 0, 0, duration=1.0) for x, y in CANONICAL_PAIRS[1:])
+            ds = CountDataset((CountRow("A", "B", *counts, duration=1.0), *others))
+            pair = run_analysis(ds, AnalysisConfig(r0=n0)).pairs[0]
+            d = counts[0] + counts[3] - counts[1] - counts[2]
+            assert pair["e_star"] == float(Fraction(d, sum(counts))), counts
+            assert pair["e"] == float(Fraction(d) / Fraction(n0)), (counts, n0)
 
     def test_errors_shrink_like_inverse_sqrt_n(self):
         small = run_analysis(pdc_dataset(n=10**5, seed=1), AnalysisConfig())
@@ -489,9 +512,9 @@ class TestRenderReport:
         report = run_analysis(ingest_bytes(rows.encode()), AnalysisConfig())
         loaded = AnalysisReport.from_json(json.loads(render_report(report, "json")))
         assert loaded == report
-        e_star = loaded.pairs[0].e_star
-        assert loaded.pairs[0].n == 4 * big - 8
-        assert loaded.pairs[0].err == math.sqrt((1.0 - e_star * e_star) / 2.0**1023)
+        e_star = loaded.pairs[0]["e_star"]
+        assert loaded.pairs[0]["n"] == 4 * big - 8
+        assert loaded.pairs[0]["err"] == math.sqrt((1.0 - e_star * e_star) / 2.0**1023)
         assert render_report(loaded, fmt)
 
     def test_unknown_format(self):

@@ -203,22 +203,20 @@ def test_public_names_resolve_from_their_modules():
 
 
 def test_report_types_store_only_what_was_measured():
-    # S, S*, their errors, the verdicts and each verdict's margin and flags
-    # are computed from these fields, and a pair's n, E*, E and error from
-    # its counts row, so a saved report cannot contradict them
+    # n0, each pair's n, E*, E and error, S, S*, their errors, the verdicts
+    # and each verdict's margin and flags are computed from these fields, so
+    # a saved report cannot contradict them
     fields = {
         name: [f.name for f in dataclasses.fields(getattr(bellkit, name))]
         for name in ("AnalysisReport", "InequalityReport")
     }
-    fields["PairStats"] = [f.name for f in dataclasses.fields(bellkit.harness.PairStats)]
     # S* and the genuine S of a search follow from its outcome tables
     fields["SearchResult"] = [f.name for f in dataclasses.fields(bellkit.SearchResult)]
     # the search LP keeps one dense table, its eta entries nan
     fields["_SearchLP"] = [f.name for f in dataclasses.fields(bellkit.search._SearchLP)]
     assert fields == {
-        "AnalysisReport": ["pairs", "provenance"],
+        "AnalysisReport": ["dataset", "config"],
         "InequalityReport": ["name", "lhs", "rhs"],
-        "PairStats": ["row", "n0"],
         "SearchResult": ["eta", "mixture"],
         "_SearchLP": ["c", "b_eq", "a_eq"],
     }
