@@ -10,8 +10,9 @@ realism.
 
 An AnalysisReport is the counts of the four canonical pairs, with the
 input's seed and digest, and the config; every figure it reports follows
-from these.  run_analysis is the one path to one: a saved report stores the
-counts and config, and AnalysisReport.from_json runs it on them again.
+from these.  Its constructor is the one path to one, and checks them: so
+run_analysis, AnalysisReport.from_json, which reads the counts and config a
+saved report stores, and dataclasses.replace all build checked reports.
 """
 
 from __future__ import annotations
@@ -117,10 +118,46 @@ class AnalysisReport:
     """The counts measured, as the rows of the four CANONICAL_PAIRS in order
     with the input's seed and digest, and the config they are analyzed under;
     n0, each pair's statistics, S, S*, its error and the verdicts follow
-    from these."""
+    from these.  The constructor keeps those rows of the dataset given.  It
+    refuses with a DatasetError an empty dataset, one lacking a canonical
+    pair, and, naming the row's line, an r0 * duration not finite and
+    positive, a pair of no coincidences or of more than r0 * duration, and
+    singles of (A, B) that make no valid CH probability set."""
 
     dataset: CountDataset
     config: AnalysisConfig
+
+    def __post_init__(self):
+        ds, r0 = self.dataset, self.config.r0
+        if not ds.rows:
+            raise DatasetError("empty dataset")
+        rows = []
+        for x, y in CANONICAL_PAIRS:
+            try:
+                rows.append(ds.row(x, y))
+            except KeyError:
+                raise DatasetError(f"dataset lacks canonical setting pair ({x}, {y})") from None
+        object.__setattr__(self, "dataset", CountDataset(tuple(rows), ds.seed, ds.source_digest))
+        # every r0 * duration is checked before any pair's coincidences
+        for row, n in zip(rows, self.n0 or ()):
+            if not (math.isfinite(n) and n > 0):
+                message = f"r0 = {r0} times duration {row.duration} expects {n} pairs"
+                raise DatasetError(_at_line(row, f"{message}, not a finite positive number"))
+        for (x, y), row, expected_pairs in zip(CANONICAL_PAIRS, rows, self.n0 or (None,) * 4):
+            n = row.total()
+            if n == 0:
+                message = f"zero total coincidences for setting pair ({x}, {y})"
+                raise DatasetError(_at_line(row, message))
+            # a pair gives at most one coincidence; more would put |e| above 1
+            if expected_pairs is not None and n > expected_pairs:
+                message = f"{n} coincidences exceed the {expected_pairs} pairs that r0 = {r0} times"
+                raise DatasetError(_at_line(row, f"{message} duration {row.duration} expects"))
+        try:
+            self.verdicts
+        except ValueError as exc:
+            message = (f"singles of setting pair (A, B) and the coincidences at r0 = {r0} "
+                       f"give no valid CH probability set: {exc}")
+            raise DatasetError(_at_line(rows[0], message)) from None
 
     @cached_property
     def n0(self) -> Optional[tuple[float, ...]]:
@@ -218,48 +255,9 @@ def _canonical_json(data: dict) -> str:
 
 
 def run_analysis(ds: CountDataset, cfg: AnalysisConfig) -> AnalysisReport:
-    """Correlations, CHSH statistics and inequality verdicts for a dataset.
-
-    Always evaluates the renormalized statistic S* (non-genuine, needs the
-    fair-sampling assumption).  When cfg.r0 is declared and rows carry
-    durations and +-channel singles, additionally evaluates the genuine CH
-    test on absolute probabilities.  With cfg.r0 declared, a row whose
-    r0 * duration is not finite and positive, or is below the row's
-    coincidence count, is a DatasetError naming its line; so are singles of
-    (A, B) that make no valid CH probability set, found by computing the
-    verdicts here.
-    """
-    if not ds.rows:
-        raise DatasetError("empty dataset")
-    rows = []
-    for x, y in CANONICAL_PAIRS:
-        try:
-            rows.append(ds.row(x, y))
-        except KeyError:
-            raise DatasetError(f"dataset lacks canonical setting pair ({x}, {y})") from None
-
-    report = AnalysisReport(CountDataset(tuple(rows), ds.seed, ds.source_digest), cfg)
-    for row, n in zip(rows, report.n0 or ()):
-        if not (math.isfinite(n) and n > 0):
-            message = f"r0 = {cfg.r0} times duration {row.duration} expects {n} pairs"
-            raise DatasetError(_at_line(row, f"{message}, not a finite positive number"))
-    for (x, y), row, expected_pairs in zip(CANONICAL_PAIRS, rows, report.n0 or [None] * len(rows)):
-        n = row.total()
-        if n == 0:
-            raise DatasetError(_at_line(row, f"zero total coincidences for setting pair ({x}, {y})"))
-        # a pair gives at most one coincidence; more would put |e| above 1
-        if expected_pairs is not None and n > expected_pairs:
-            expected = f"r0 = {cfg.r0} times duration {row.duration} expects"
-            message = f"{n} coincidences exceed the {expected_pairs} pairs that {expected}"
-            raise DatasetError(_at_line(row, message))
-
-    try:
-        report.verdicts
-    except ValueError as exc:
-        message = (f"singles of setting pair (A, B) and the coincidences at r0 = {cfg.r0} "
-                   f"give no valid CH probability set: {exc}")
-        raise DatasetError(_at_line(rows[0], message)) from None
-    return report
+    """The checked AnalysisReport of a dataset: S*, which rests on fair sampling,
+    and the genuine CH test when cfg.r0 is declared and rows carry durations and singles."""
+    return AnalysisReport(ds, cfg)
 
 
 def _verdict_line(v: dict) -> str:

@@ -145,8 +145,10 @@ class CountRow:
                 problem = "is not a number" if duration else f"is not an integer: {value!r}"
             elif 0 < value <= sys.float_info.max if duration else 0 <= value < MAX_COUNT:
                 continue
-            elif duration:
-                problem = f"must be finite and positive: {value}"
+            elif duration:  # an int of MAX_COUNT's size or more by its digits, as a count
+                big = not isinstance(value, float) and abs(value) >= MAX_COUNT
+                shown = f"{'negative, ' * (value < 0)}{_digits(abs(value))} digits" if big else value
+                problem = f"must be finite and positive: {shown}"
             elif value < 0:  # one of MAX_COUNT's size or more by its digits
                 shown = value if value > -MAX_COUNT else f"{_digits(-value)} digits"
                 problem = f"is negative: {shown}"

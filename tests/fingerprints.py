@@ -23,7 +23,10 @@ first 16 hex digits of a SHA-256 fed one item at a time, in order:
   generated_at blanked, each preceded by its exit code;
 - cli with CH: the same cycles' counts given singles and durations, analyzed
   and reported with [analysis] r0, so the report carries the CH verdict,
-  plus fixed datasets whose CH probabilities are refused, with stderr.
+  plus fixed datasets whose CH probabilities are refused, with stderr;
+- analysis errors: the exception type and message with which run_analysis
+  refuses each of a fixed set of bad datasets, one check failing alone and
+  two failing at once, which pins the check that speaks first.
 
 It also prints the size of the package it imported: the lines of its
 modules, as `wc -l src/bellkit/*.py` counts them, and the number of names
@@ -36,6 +39,7 @@ else under bench/.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -51,7 +55,8 @@ import numpy as np  # noqa: E402
 
 import bellkit  # noqa: E402
 from bellkit import cli, models  # noqa: E402
-from bellkit.inequalities import ProbabilitySet  # noqa: E402
+from bellkit.harness import AnalysisConfig, run_analysis  # noqa: E402
+from bellkit.inequalities import CANONICAL_PAIRS, CountDataset, CountRow, ProbabilitySet  # noqa: E402
 from bellkit.search import maximize_s_star  # noqa: E402
 
 STREAM_SEEDS = (601, 602, 713)
@@ -67,6 +72,16 @@ REFUSED_CH = (
     "A,D,400,100,100,400,,,1.0\n"
     "C,B,400,100,100,400,,,1.0\n"
     "C,D,100,400,400,100,,,1.0\n"
+)
+
+
+# the REFUSED_CH counts with singles_a 2000, as (n_pp, n_pm, n_mp, n_mm,
+# singles_a, singles_b, duration) in CANONICAL_PAIRS order
+ANALYSIS_COUNTS = (
+    (400, 100, 100, 400, 2000, 2000, 1.0),
+    (400, 100, 100, 400, None, None, 1.0),
+    (400, 100, 100, 400, None, None, 1.0),
+    (100, 400, 400, 100, None, None, 1.0),
 )
 
 
@@ -204,6 +219,61 @@ def cli_outputs() -> tuple[Fingerprint, Fingerprint]:
     return plain, ch
 
 
+def analysis_cases():
+    """(rows, r0) of datasets run_analysis refuses: each check failing
+    alone, then two failing at once.  Row k is at line k + 2."""
+    good = [CountRow(x, y, *counts, where=f"line {k + 2}")
+            for k, ((x, y), counts) in enumerate(zip(CANONICAL_PAIRS, ANALYSIS_COUNTS))]
+
+    def edited(*edits, rows=good):
+        rows = list(rows)
+        for k, changes in edits:
+            rows[k] = dataclasses.replace(rows[k], **changes)
+        return rows
+
+    zero = {"n_pp": 0, "n_pm": 0, "n_mp": 0, "n_mm": 0}
+    unnamed = [dataclasses.replace(row, where=None) for row in good]
+    return [
+        ([], None),
+        # a canonical pair missing: each in turn, and all but one
+        (good[1:], None), (good[:1], None), (good[:2], None), (good[:3], None),
+        ([CountRow("X", "Y", 1, 1, 1, 1)], None),
+        # r0 * duration out of float range, below and above
+        (edited((1, {"duration": 1e-300})), 1e-30),
+        (edited((2, {"duration": 1e10})), 1e300),
+        # a pair of no coincidences, with and without r0, named and not
+        (edited((3, zero)), None), (edited((0, zero)), 1e4),
+        (edited((2, zero), rows=unnamed), None),
+        # more coincidences than pairs expected, in the first pair and the last
+        (good, 100.0), (good, 5e-324), (edited((3, {"duration": 0.05})), 1e4),
+        # singles of (A, B) below n_pp and above the pairs expected
+        (edited((0, {"singles_a": 300})), 1e4), (edited((0, {"singles_b": 20000})), 1e4),
+        # two faults: the first check in order speaks
+        (edited((0, zero))[:3], None),
+        (edited((0, zero), (3, {"duration": 1e-300})), 1e-30),
+        (edited((3, zero), (1, {"duration": 1e10})), 1e300),
+        (edited((3, zero)), 100.0),
+        (edited((1, zero), (3, {"duration": 0.05})), 1e4),
+        (edited((0, {"singles_a": 300}), (2, {"duration": 0.05})), 1e4),
+        (edited((0, {"singles_a": 300}), (3, zero)), 1e4),
+        # rows out of order: the first canonical pair at fault speaks
+        (edited((0, zero), (3, zero))[::-1], None),
+        (edited((1, {"duration": 0.05}), (2, {"duration": 0.05}))[::-1], 1e4),
+    ]
+
+
+def analysis_errors() -> Fingerprint:
+    fp = Fingerprint()
+    for rows, r0 in analysis_cases():
+        try:
+            run_analysis(CountDataset(tuple(rows)), AnalysisConfig(r0=r0))
+        except Exception as exc:  # noqa: BLE001 - the type is part of the answer
+            fp.add(f"{type(exc).__name__}: {exc}")
+        else:
+            fp.add("accepted")
+    return fp
+
+
 def package_lines() -> int:
     """The newlines in the imported bellkit's modules, as wc -l counts them."""
     return sum(f.read_bytes().count(b"\n") for f in Path(bellkit.__file__).parent.glob("*.py"))
@@ -222,6 +292,7 @@ def main() -> None:
     plain, ch = cli_outputs()
     print(f"cli                        {plain}")
     print(f"cli with CH                {ch}")
+    print(f"analysis errors            {analysis_errors()}")
 
 
 if __name__ == "__main__":

@@ -106,6 +106,16 @@ def pdc_dataset(v=0.95, n=10**6, seed=123):
     return sample_counts(stats, n, seed=seed)
 
 
+def replaced(ds, cfg):
+    """The report dataclasses.replace makes of a checked one, given ds and cfg."""
+    report = run_analysis(ingest_bytes(GOOD_CSV.encode()), AnalysisConfig())
+    return dataclasses.replace(report, dataset=ds, config=cfg)
+
+
+# the ways to build a report of a dataset and config, which check them alike
+BUILDS = pytest.mark.parametrize("build", [run_analysis, replaced], ids=["run_analysis", "replace"])
+
+
 COUNTS = st.integers(min_value=0, max_value=10**12)
 
 # A label may need quoting (commas, quotes).  It has no surrounding
@@ -315,10 +325,19 @@ class TestStoredTypes:
             CountRow("A", "B", n_pp, 1, 1, 1, where="field pairs[2]")
         assert str(exc.value) == f"field pairs[2]: column n_pp is not an integer: {n_pp!r}"
 
-    @pytest.mark.parametrize("duration", [True, "1.0"])
-    def test_count_row_refuses_a_duration_that_is_not_a_number(self, duration):
-        with pytest.raises(DatasetError, match=r"^line 3: column duration is not a number$"):
+    # an int too long to spell out gives its digits, as a count does
+    @pytest.mark.parametrize(
+        "duration, problem",
+        [(True, "is not a number"), ("1.0", "is not a number"),
+         (10**400, "must be finite and positive: 401 digits"),
+         (10**5000, "must be finite and positive: 5001 digits"),
+         (-(10**400), "must be finite and positive: negative, 401 digits")],
+        ids=["true", "string", "401-digits", "5001-digits", "negative-401-digits"],
+    )
+    def test_count_row_refuses_a_duration_that_is_not_a_positive_float(self, duration, problem):
+        with pytest.raises(DatasetError) as exc:
             CountRow("A", "B", 1, 1, 1, 1, duration=duration, where="line 3")
+        assert str(exc.value) == f"line 3: column duration {problem}"
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -375,22 +394,50 @@ class TestRunAnalysis:
         assert ch.genuine and not ch.violated
         assert report.s is not None
 
-    def test_empty_dataset(self):
+    @BUILDS
+    def test_empty_dataset(self, build):
         with pytest.raises(DatasetError, match="empty"):
-            run_analysis(CountDataset(rows=()), AnalysisConfig())
+            build(CountDataset(rows=()), AnalysisConfig())
 
-    def test_missing_canonical_pair(self):
-        ds = CountDataset(rows=(CountRow("A", "B", 1, 1, 1, 1),))
-        with pytest.raises(DatasetError, match="canonical"):
-            run_analysis(ds, AnalysisConfig())
+    # the first canonical pair missing is named; with two rows the CHSH sum
+    # was reached with two correlations, and failed with a TypeError
+    @BUILDS
+    @pytest.mark.parametrize("present, missing", [(1, "(A, D)"), (2, "(C, B)"), (3, "(C, D)")])
+    def test_missing_canonical_pair(self, build, present, missing):
+        rows = tuple(CountRow(x, y, 1, 1, 1, 1) for x, y in CANONICAL_PAIRS[:present])
+        with pytest.raises(DatasetError) as exc:
+            build(CountDataset(rows), AnalysisConfig())
+        assert str(exc.value) == f"dataset lacks canonical setting pair {missing}"
 
-    def test_zero_coincidences_in_a_pair(self):
+    @BUILDS
+    def test_zero_coincidences_in_a_pair(self, build):
         rows = tuple(
             CountRow(x, y, 0, 0, 0, 0) if (x, y) == ("C", "D") else CountRow(x, y, 5, 5, 5, 5)
             for (x, y) in CANONICAL_PHI
         )
         with pytest.raises(DatasetError, match="zero total"):
-            run_analysis(CountDataset(rows=rows), AnalysisConfig())
+            build(CountDataset(rows=rows), AnalysisConfig())
+
+    # 1000 coincidences in 1.0 at r0 = 1.0 read E = 600 and S = 2400 in a
+    # replaced report; at 5e-324 the quotient overflowed
+    @BUILDS
+    @pytest.mark.parametrize("r0", [1.0, 5e-324])
+    def test_coincidences_above_expected_pairs(self, build, r0):
+        ds = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
+        with pytest.raises(DatasetError) as exc:
+            build(ds, AnalysisConfig(r0=r0))
+        expected = f"the {r0} pairs that r0 = {r0} times duration 1.0 expects"
+        assert str(exc.value) == f"line 2: 1000 coincidences exceed {expected}"
+
+    @BUILDS
+    @pytest.mark.parametrize("order", [(3, 2, 1, 0), (1, 3, 0, 2)], ids=["reversed", "shuffled"])
+    def test_rows_in_any_order_give_the_canonical_report(self, build, order):
+        ds = ingest_bytes(DURATION_CSV.format(duration="1.0").encode())
+        canonical = run_analysis(ds, AnalysisConfig(r0=1e4))
+        moved = dataclasses.replace(ds, rows=tuple(ds.rows[k] for k in order))
+        report = build(moved, AnalysisConfig(r0=1e4))
+        assert report == canonical
+        assert report.to_json() == canonical.to_json()
 
     def test_zero_coincidences_names_line(self, tmp_path):
         bad = GOOD_CSV.replace("C,D,100,400,400,100", "C,D,0,0,0,0")
@@ -1404,6 +1451,34 @@ class TestCli:
         assert cli.main(argv) == 0
         data = json.loads(saved.read_text())
         data["pairs"][k][column] = value
+        saved.write_text(json.dumps(data))
+        assert cli.main(["report", str(saved)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # counts or an r0 that the analysis refuses are refused in a saved report
+    # too, by the same check and in the same words, naming the pair
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["pairs"][3].update(n_pp=0, n_pm=0, n_mp=0, n_mm=0),
+             "field pairs[3]: zero total coincidences for setting pair (C, D)"),
+            (lambda d: d["provenance"]["config"].update(r0=100.0),
+             "field pairs[0]: 1000 coincidences exceed the 100.0 pairs that r0 = 100.0 times "
+             "duration 1.0 expects"),
+            (lambda d: d["pairs"][0].update(singles_a=10),
+             "field pairs[0]: singles of setting pair (A, B) and the coincidences at r0 = 10000.0 "
+             "give no valid CH probability set: pAB = 0.04 exceeds marginal pA = 0.001"),
+        ],
+        ids=["zero-total", "above-expected-pairs", "no-ch-probability-set"],
+    )
+    def test_saved_counts_the_analysis_refuses_name_the_pair(self, tmp_path, capsys, edit, message):
+        saved = tmp_path / "report.json"
+        counts = write(tmp_path, "counts.csv", DURATION_CSV.format(duration="1.0"))
+        config = write(tmp_path, "cfg.ini", "[analysis]\nr0 = 10000\n")
+        argv = ["analyze", str(counts), "--config", str(config), "--output", str(saved)]
+        assert cli.main(argv) == 0
+        data = json.loads(saved.read_text())
+        edit(data)
         saved.write_text(json.dumps(data))
         assert cli.main(["report", str(saved)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
