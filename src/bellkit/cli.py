@@ -7,6 +7,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,21 +22,20 @@ from . import experiments, harness
 from .inequalities import (CANONICAL_ANGLES, CANONICAL_PHI, TSIRELSON_BOUND, DatasetError,
                            TwoChannelCounts)
 
-_REQUIRED = object()
 _KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list of finite numbers"}
 
 
-def _setting(cfg: dict, section: str, key: str, kind=float, default=_REQUIRED):
+def _setting(cfg: dict, section: str, key: str, kind=float, default=dataclasses.MISSING):
     """The value of [section] key in a loaded config, converted by kind.
 
     kind float takes a finite number, int what int() takes (so neither 2.7
     nor 1e6), and list a comma-separated list of finite numbers.  A missing
-    key gives default; without one, and for a malformed value, ValueError
-    names [section] key.
+    key gives default; without one (dataclasses.MISSING), and for a
+    malformed value, ValueError names [section] key.
     """
     text = cfg.get(section, {}).get(key)
     if text is None:
-        if default is _REQUIRED:
+        if default is dataclasses.MISSING:
             raise ValueError(f"[{section}] {key} is missing")
         return default
     items = text.split(",") if kind is list else [text]
@@ -54,6 +54,15 @@ def _in_section(section: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"[{section}] {exc}") from None
+
+
+def _config(cfg: dict, section: str, make):
+    """The config dataclass make built from [section]: each field is a key,
+    read by _setting in the order declared, with the field's default if it
+    has one, so a class's fields are its section's keys and defaults."""
+    values = {f.name: _setting(cfg, section, f.name, default=f.default)
+              for f in dataclasses.fields(make)}
+    return _in_section(section, make, **values)
 
 
 def load_json(path):
@@ -106,12 +115,7 @@ def _cmd_validate(args) -> int:
 
 
 def _predict_cascade(cfg: dict) -> dict:
-    cascade = _in_section(
-        "cascade", experiments.CascadeConfig,
-        theta=_setting(cfg, "cascade", "theta"),
-        zeta=_setting(cfg, "cascade", "zeta"),
-        alpha=_setting(cfg, "cascade", "alpha", default=1.0),
-    )
+    cascade = _config(cfg, "cascade", experiments.CascadeConfig)
     eta, v = experiments.cascade_optics(cascade.theta, cascade.zeta)
     lhs, fulfilled = experiments.bi_margin(cascade.alpha, eta, v)
     max_lhs, theta_star = experiments.cascade_bi_maximum(cascade.zeta)
@@ -129,17 +133,8 @@ def _predict_cascade(cfg: dict) -> dict:
     }
 
 
-def _pdc_config(cfg: dict) -> experiments.PdcConfig:
-    return _in_section(
-        "pdc", experiments.PdcConfig,
-        v=_setting(cfg, "pdc", "v"),
-        eta=_setting(cfg, "pdc", "eta"),
-        r0=_setting(cfg, "pdc", "r0", default=1.0),
-    )
-
-
 def _predict_pdc(cfg: dict) -> dict:
-    pdc = _pdc_config(cfg)
+    pdc = _config(cfg, "pdc", experiments.PdcConfig)
     rates = {
         f"phi={phi:+.6f}": experiments.two_channel_rates(pdc, phi) for phi in CANONICAL_ANGLES
     }
@@ -168,8 +163,7 @@ def _cmd_analyze(args) -> int:
     try:
         ds = harness.ingest_counts(args.counts)
         cfg = harness.load_config(args.config) if args.config else {}
-        r0 = _setting(cfg, "analysis", "r0", default=None)
-        report = harness.run_analysis(ds, _in_section("analysis", harness.AnalysisConfig, r0=r0))
+        report = harness.run_analysis(ds, _config(cfg, "analysis", harness.AnalysisConfig))
     except DatasetError as exc:
         raise DatasetError(f"{args.counts}: {exc}") from None
     write_text(args.output, harness.render_report(report, args.format))
@@ -186,7 +180,7 @@ def _cmd_simulate(args) -> int:
     cfg = harness.load_config(args.config)
     if "pdc" not in cfg:
         raise ValueError("simulate requires a [pdc] section")
-    pdc = _pdc_config(cfg)
+    pdc = _config(cfg, "pdc", experiments.PdcConfig)
     n_pairs = _setting(cfg, "analysis", "n_pairs", kind=int, default=10**6)
     stats = {}
     for (x, y), phi in CANONICAL_PHI.items():

@@ -63,7 +63,7 @@ class PdcConfig:
 
     v: float
     eta: float
-    r0: float
+    r0: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.v <= 1.0:

@@ -89,6 +89,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.r0 is not None and not (_has_json_type(self.r0, float) and self.r0 > 0):
             raise ValueError(f"r0 = {self.r0!r} must be finite and positive")
+        if self.r0 is not None:  # an int r0 renders as the float it equals
+            object.__setattr__(self, "r0", float(self.r0))
 
     def to_json(self) -> dict:
         return {

@@ -156,6 +156,8 @@ class CountRow:
                 digits = _digits(value)
                 problem = f"is too large for a float analysis: {digits} digits, not below 2**1021"
             raise DatasetError(_at_line(self, f"column {column} {problem}"))
+        if self.duration is not None:  # an int duration renders as the float it equals
+            object.__setattr__(self, "duration", float(self.duration))
 
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm

@@ -26,7 +26,11 @@ first 16 hex digits of a SHA-256 fed one item at a time, in order:
   plus fixed datasets whose CH probabilities are refused, with stderr;
 - analysis errors: the exception type and message with which run_analysis
   refuses each of a fixed set of bad datasets, one check failing alone and
-  two failing at once, which pins the check that speaks first.
+  two failing at once, which pins the check that speaks first;
+- config errors: exit code and stderr (and the output of a command that
+  succeeds) of predict, simulate, analyze and search over a fixed set of
+  configs: each key of each section missing, malformed and out of range,
+  two faults at once, which pins the key read first, and no section at all.
 
 It also prints the size of the package it imported: the lines of its
 modules, as `wc -l src/bellkit/*.py` counts them, and the number of names
@@ -274,6 +278,74 @@ def analysis_errors() -> Fingerprint:
     return fp
 
 
+# a config every command accepts, as [section] -> {key: value}, and for each
+# key a value out of its range; config_cases edits one key at a time
+GOOD_CONFIG = {
+    "cascade": {"theta": "0.5", "zeta": "0.2", "alpha": "2"},
+    "pdc": {"v": "0.9", "eta": "0.8", "r0": "3"},
+    "analysis": {"r0": "10000", "n_pairs": "1000"},
+    "search": {"etas": "0.7, 0.8", "eta": "0.9"},
+}
+OUT_OF_RANGE = {
+    "cascade": {"theta": "9", "zeta": "0", "alpha": "100"},
+    "pdc": {"v": "2", "eta": "-0.1", "r0": "0"},
+    "analysis": {"r0": "-5", "n_pairs": "0"},
+    "search": {"etas": "0.8, 2", "eta": "1.5"},
+}
+MISSING = None
+
+
+def config_text(*edits, sections=GOOD_CONFIG) -> str:
+    """The INI text of sections with each (section, key, value) of edits
+    applied, a value of MISSING dropping the key."""
+    cfg = {name: dict(keys) for name, keys in sections.items()}
+    for section, key, value in edits:
+        cfg[section].pop(key)
+        if value is not MISSING:
+            cfg[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in cfg.items())
+
+
+def config_cases() -> list[str]:
+    one = [config_text((section, key, value))
+           for section, keys in GOOD_CONFIG.items() for key in keys
+           for value in (MISSING, "abc", OUT_OF_RANGE[section][key])]
+    two = [
+        config_text(("cascade", "theta", "abc"), ("cascade", "zeta", "abc")),
+        config_text(("cascade", "theta", MISSING), ("cascade", "zeta", "abc")),
+        config_text(("cascade", "theta", "abc"), ("cascade", "zeta", MISSING)),
+        config_text(("cascade", "theta", "9"), ("cascade", "alpha", "abc")),
+        config_text(("pdc", "v", "2"), ("pdc", "eta", "abc")),
+        config_text(("pdc", "eta", MISSING), ("pdc", "r0", "nan")),
+        config_text(("cascade", "zeta", "0"), ("pdc", "v", "2")),
+        config_text(("pdc", "r0", "0"), ("analysis", "n_pairs", "abc")),
+        config_text(("analysis", "r0", "abc"), ("analysis", "n_pairs", "abc")),
+        config_text(("search", "etas", "abc"), ("search", "eta", "abc")),
+        # eta is read only without etas
+        config_text(("search", "etas", MISSING), ("search", "eta", "abc")),
+        config_text(("search", "etas", MISSING), ("search", "eta", "1.5")),
+    ]
+    alone = [config_text(sections={name: keys}) for name, keys in GOOD_CONFIG.items()]
+    return [*one, *two, *alone, "", "theta = 0.5\n"]
+
+
+def config_errors() -> Fingerprint:
+    fp = Fingerprint()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        counts, config, out = work / "counts.csv", str(work / "config.ini"), str(work / "out")
+        counts.write_text(REFUSED_CH.format(singles=2000), encoding="utf-8")
+        for text in config_cases():
+            Path(config).write_text(text, encoding="utf-8")
+            fp.add(text)
+            run(fp, "predict", "--config", config, "--output", out)
+            run(fp, "simulate", "--config", config, "--seed", "1", "--output", out)
+            run(fp, "analyze", str(counts), "--config", config, "--output", out)
+            run(fp, "search", "--config", config, "--output", out)
+    return fp
+
+
 def package_lines() -> int:
     """The newlines in the imported bellkit's modules, as wc -l counts them."""
     return sum(f.read_bytes().count(b"\n") for f in Path(bellkit.__file__).parent.glob("*.py"))
@@ -293,6 +365,7 @@ def main() -> None:
     print(f"cli                        {plain}")
     print(f"cli with CH                {ch}")
     print(f"analysis errors            {analysis_errors()}")
+    print(f"config errors              {config_errors()}")
 
 
 if __name__ == "__main__":

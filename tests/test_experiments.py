@@ -147,6 +147,10 @@ class TestCascadeBiMaximum:
 
 
 class TestSourceConfigs:
+    def test_r0_defaults_to_one(self):
+        # the [pdc] r0 a config without one reads
+        assert PdcConfig(v=0.9, eta=0.1).r0 == 1.0
+
     @pytest.mark.parametrize("r0", [0.0, -1.0, math.nan, math.inf])
     def test_r0_must_be_finite_and_positive(self, r0):
         with pytest.raises(ValueError, match="r0 = .* must be finite and positive"):

@@ -339,6 +339,10 @@ class TestStoredTypes:
             CountRow("A", "B", 1, 1, 1, 1, duration=duration, where="line 3")
         assert str(exc.value) == f"line 3: column duration {problem}"
 
+    def test_an_int_duration_is_written_as_the_float_it_equals(self):
+        row = CountRow("A", "B", 1, 1, 1, 1, duration=1)
+        assert CountDataset((row,)).to_csv().endswith(",1.0\n")
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [({"seed": "7"}, "seed '7' is not an integer"),
@@ -1275,7 +1279,12 @@ class TestCli:
         data = json.loads(render_report(report, "json"))
         data["verdicts"][0]["rhs"] = 2
         data["pairs"][1]["duration"] = 1
-        assert AnalysisReport.from_json(data) == report
+        data["provenance"]["config"]["r0"] = 10000
+        loaded = AnalysisReport.from_json(data)
+        assert loaded == report
+        # the ints read as the floats they equal, so the bytes, digest included, are equal too
+        strip = lambda s: re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', s)
+        assert strip(render_report(loaded, "json")) == strip(render_report(report, "json"))
 
     # Each leaf a report can be checked against, set to another value of its
     # type: the leaf is named, or for a count the pair's n, which the count
@@ -1545,13 +1554,21 @@ class TestCli:
             ("[search]\neta = 0,8\n", ["search"], "[search] eta = '0,8' is not a finite number"),
             ("[search]\neta = 80%\n", ["search"], "[search] eta = '80%' is not a finite number"),
             (PDC + "r0 = %(x)s\n", ["predict"], "[pdc] r0 = '%(x)s' is not a finite number"),
+            # keys are read in the order their class declares its fields
+            ("[cascade]\nzeta = 0.2\n", ["predict"], "[cascade] theta is missing"),
+            ("[cascade]\ntheta = abc\n", ["predict"],
+             "[cascade] theta = 'abc' is not a finite number"),
+            ("[pdc]\neta = 0.1\n", SIMULATE, "[pdc] v is missing"),
+            ("[analysis]\nr0 = abc\n", ["analyze", "counts.csv"],
+             "[analysis] r0 = 'abc' is not a finite number"),
         ],
         ids=[
             "n_pairs-2.7", "n_pairs-abc", "n_pairs-1e6", "n_pairs-1e20", "n_pairs-zero",
             "analysis-r0-negative", "pdc-v-above-one", "cascade-theta-above-bound", "pdc-r0-nan",
             "pdc-eta-missing", "cascade-alpha-inf", "cascade-alpha-negative",
             "cascade-alpha-above-bound", "cascade-alpha-eta-above-one", "cascade-zeta-zero", "etas-abc",
-            "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation",
+            "eta-decimal-comma", "eta-percent", "pdc-r0-interpolation", "cascade-theta-missing",
+            "cascade-theta-abc-zeta-missing", "simulate-pdc-v-missing", "analysis-r0-abc",
         ],
     )
     def test_malformed_config_value_names_section_and_key(
